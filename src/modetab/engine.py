@@ -25,17 +25,28 @@ frame's scheduling strategy:
   works on the strongly connected components of the dependency graph
   between incomplete frames, kept as calls suspend: each component
   counts the calls its members have suspended on frames outside it. In
-  a component whose count is zero, consumers inside it are walked along
-  the answer chain to a fixpoint, the component completes, its callers'
-  counts drop, and only the surviving answers are released to outside
-  callers. When no component is free, Tarjan's algorithm over the
+  a component whose count is zero, consumers inside it are walked to a
+  fixpoint, the component completes, its callers' counts drop, and only
+  the surviving answers are released to outside callers, in chain
+  order. When no component is free, Tarjan's algorithm over the
   components' wait edges finds a set of them that wait only on each
   other, and that set is contracted into one component.
+
+A walk inside a component follows the answer chain, except when the
+frame's first min/max column is a single free variable and no member
+of the component has a first, last or sum column. Then the walk keeps
+a heap of the pending answers and delivers the best value first
+(numbers before anything else, ties and non-numbers in chain order),
+as Dijkstra's algorithm does; on a graph with non-negative weights no
+answer that a better one supersedes is delivered. first, last and sum
+are left out because what they keep depends on the order or the
+number of deliveries.
 """
 
 import functools
 import operator
 from collections import deque
+from heapq import heappop, heappush
 
 from .errors import DerivationLimitError, EvaluationError
 from .lang import (ARITH_OPS, COMPARE, decompose_goal, eval_arith, eval_builtin,
@@ -647,10 +658,32 @@ class Engine:
             self.trail.clear()
 
     def _walk_consumer(self, consumer):
-        # the chain is read lazily, so answers added meanwhile come too
-        for leaf in iterate_answers(consumer.frame, consumer.last):
-            consumer.last = leaf
-            self._deliver(consumer, leaf, resumed=True)
+        """Deliver every valid answer the consumer has not seen, and those
+        its deliveries add; the chain is read lazily, so they come too.
+        Best value first where the module docstring says so."""
+        frame = consumer.frame
+        host = consumer.host
+        best = (host is not None and host.leader is frame.leader
+                and frame.leader.any_order and _best(frame))
+        if not best:
+            for leaf in iterate_answers(frame, consumer.last):
+                consumer.last = leaf
+                self._deliver(consumer, leaf, resumed=True)
+            return
+        k, sign = best
+        heap = []  # (0, value, seq, leaf) for numbers, (1, seq, leaf) after
+        while True:
+            for leaf in iterate_answers(frame, consumer.last):
+                consumer.last = leaf
+                v = leaf.terms[k]
+                heappush(heap, (0, sign * v, leaf.seq, leaf)
+                         if type(v) is int or type(v) is float
+                         else (1, leaf.seq, leaf))
+            if not heap:
+                return
+            leaf = heappop(heap)[-1]
+            if leaf.valid:
+                self._deliver(consumer, leaf, resumed=True)
 
     def run(self):
         while True:
@@ -732,8 +765,18 @@ class Engine:
 
         Each answer maps variable names to terms, in first-occurrence
         order. A query made of a single tabled goal reports the final
-        content of the completed table, in chain order.
+        content of the completed table, in chain order. Recursion deeper
+        than Python's stack, in untabled calls or in nested terms, raises
+        EvaluationError.
         """
+        try:
+            return self._solve(query)
+        except RecursionError:
+            raise EvaluationError(
+                "recursion went too deep: untabled calls or terms nest"
+                " beyond the interpreter's stack") from None
+
+    def _solve(self, query):
         goals = tuple(parse_query(query) if isinstance(query, str) else query)
         seen = {}  # the query's Vars, numbered by first occurrence
         tokenize(goals, seen)
@@ -883,6 +926,21 @@ def _call_arg(s, env, fresh, bind):
         return instantiate(s.term, {v: _call_arg(o, env, fresh, bind)
                                     for v, o in s.slots})
     return s
+
+
+def _best(frame):
+    """For an incomplete frame whose first min/max column is a single
+    free variable: that column's answer ordinal, and 1 for min or -1
+    for max. None otherwise."""
+    args = frame.generator[0]
+    ordinal = 0
+    for mode, n, pos in frame.subst_modes:
+        if mode == "min" or mode == "max":
+            if n == 1 and type(args[pos - 1]) is Var:
+                return ordinal, 1 if mode == "min" else -1
+            return None
+        ordinal += n
+    return None
 
 
 def _pending(consumer):

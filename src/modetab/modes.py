@@ -19,7 +19,6 @@ from .terms import (
     compare_token_seqs,
     flatten_into,
     is_var_token,
-    tokenize,
 )
 from .tries import append_answer_leaf, grow_answer, invalidate_branch
 
@@ -44,9 +43,7 @@ __all__ = [
     "InsertOutcome",
     "compile_declaration",
     "traditional_modes",
-    "build_substitution_array",
     "build_segments",
-    "preferable",
     "insert_answer",
 ]
 
@@ -59,10 +56,6 @@ class InsertOutcome:
         self.leaf = leaf
         self.invalidated = invalidated
         self.total = total
-
-    @property
-    def changed(self):
-        return self.kind != REJECTED
 
     def __repr__(self):
         return "InsertOutcome(%s, invalidated=%d)" % (self.kind, self.invalidated)
@@ -100,16 +93,6 @@ def traditional_modes(arity):
     return tuple((pos, "index") for pos in range(1, arity + 1))
 
 
-def build_substitution_array(mode_array, call_args):
-    """Per reordered argument, the mode and its count of fresh variables."""
-    ordered = [call_args[pos - 1] for pos, _ in mode_array]
-    counts = []
-    tokenize(ordered, counts=counts)
-    return tuple(
-        (mode, n, pos) for (pos, mode), n in zip(mode_array, counts)
-    )
-
-
 def build_segments(subst_modes):
     """Compile a substitution array into the insertion walk plan.
 
@@ -131,20 +114,6 @@ def build_segments(subst_modes):
             segments.append((mode, ordinal, ordinal + n, pos))
         ordinal += n
     return tuple(segments)
-
-
-def preferable(mode, old, new):
-    """Would a min/max argument keep the old value, replace it, or tie?"""
-    from .terms import compare_ground
-
-    c = compare_ground(new, old)
-    if c == 0:
-        return "tie"
-    if mode == "min":
-        return "replace" if c < 0 else "keep_old"
-    if mode == "max":
-        return "replace" if c > 0 else "keep_old"
-    raise ModeError("preferable applies to min and max, not %r" % mode)
 
 
 def _numeric(frame, tok, pos):

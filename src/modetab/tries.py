@@ -16,7 +16,9 @@ Frames also carry what completion needs: each incomplete frame belongs
 to a component of frames that wait on each other, and the component's
 leader counts the calls its members have suspended on frames outside
 it. depend, release and merge keep those counts as calls suspend,
-components complete and cycles are contracted.
+components complete and cycles are contracted. A leader also knows
+whether any member has a first, last or sum column, whose content
+depends on the order or the number of deliveries.
 """
 
 from types import MappingProxyType
@@ -101,6 +103,7 @@ class SubgoalFrame:
         "leader",
         "members",
         "waits",
+        "any_order",
         "seq_counter",
         "n_inserted",
         "n_invalidated",
@@ -126,6 +129,9 @@ class SubgoalFrame:
         self.leader = self
         self.members = [self]
         self.waits = 0
+        # no column whose content depends on delivery order; on a
+        # leader, true of every member
+        self.any_order = entry.any_order
         self.seq_counter = 0
         self.n_inserted = 0
         self.n_invalidated = 0
@@ -142,12 +148,14 @@ class SubgoalFrame:
 class TableEntry:
     """One per tabled predicate: its mode array and the trie of calls."""
 
-    __slots__ = ("name", "arity", "mode_array", "root", "frames")
+    __slots__ = ("name", "arity", "mode_array", "any_order", "root", "frames")
 
     def __init__(self, name, arity, mode_array):
         self.name = name
         self.arity = arity
         self.mode_array = mode_array  # tuple of (1-based position, mode)
+        self.any_order = not any(
+            mode in ("first", "last", "sum") for _pos, mode in mode_array)
         self.root = TrieNode(None, None)
         self.frames = []
 
@@ -163,10 +171,6 @@ class TableSpace:
             e = TableEntry(name, arity, mode_array)
             self.entries[key] = e
         return e
-
-    def abolish(self, name, arity):
-        """Drop a predicate's table wholesale."""
-        self.entries.pop((name, arity), None)
 
 
 def trie_insert(root, tokens):
@@ -351,6 +355,7 @@ def merge(leads):
         for frame in other.members:
             frame.leader = lead
         lead.members.extend(other.members)
+        lead.any_order = lead.any_order and other.any_order
     lead.waits = sum(1 for _ in waited_on(lead))
     return lead
 

@@ -121,6 +121,26 @@ def test_run_trace_events_writes_jsonl(reach_file, tmp_path, capsys):
     assert kinds <= {"call", "insert", "deliver", "complete"}
 
 
+@pytest.mark.parametrize("text, query", [
+    ("p(X) :- p(X).\n", "p(a)"),
+    (":- table nat(index, first).\n"
+     "nat(0, z).\n"
+     "nat(N, s(X)) :- nat(M, X), M < 3000, N is M + 1.\n",
+     "nat(N, X)"),
+])
+def test_run_deep_recursion_exits_2(tmp_path, capsys, text, query):
+    p = tmp_path / "deep.pl"
+    p.write_text(text)
+    code = main(["run", str(p), "--query", query])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: recursion went too deep: untabled calls or terms nest"
+        " beyond the interpreter's stack"
+    ]
+
+
 def test_bench_runs_and_reports(capsys, tmp_path):
     out_json = tmp_path / "report.json"
     code = main(["bench", "shortest", "--size", "6", "--seed", "3",

@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modetab import bench
 from modetab.engine import Engine, solve
 from modetab.errors import DerivationLimitError, EvaluationError
 from modetab.lang import parse_program
+from modetab.tries import iterate_answers
 
 from oracles import bottom_up
 
@@ -50,6 +52,28 @@ edge(b,d,2).
 edge(a,d,5).
 """
 
+# in chain order c10 and e11 are delivered before c2 and e3 beat them
+DETOUR = """
+:- table path(index,index,min).
+path(X,Z,C) :- edge(X,Z,C).
+path(X,Z,C) :- path(X,Y,C1), edge(Y,Z,C2), C is C1 + C2.
+edge(a,c,10).
+edge(a,b,1).
+edge(b,c,1).
+edge(c,e,1).
+"""
+
+# the least label, numbers before atoms, of a first edge on a walk X to Y
+FIRST_LABEL = """
+:- table tag(index,index,min).
+tag(X,Y,L) :- edge(X,Y,L).
+tag(X,Y,L) :- tag(X,Z,L), edge(Z,Y,_).
+edge(a,b,m).
+edge(b,c,k).
+edge(c,a,5).
+edge(a,c,z).
+"""
+
 MUTUAL = """
 :- table p/1.
 :- table q/1.
@@ -64,6 +88,11 @@ BOTH = ("local", "batched")
 
 def run(text, query, strategy="local", **kw):
     return solve(parse_program(text), query, strategy=strategy, **kw)
+
+
+def bench_case(family, size, seed):
+    inst = bench.gen_instance(family, size, seed)
+    return parse_program(bench.program_text(inst)), bench.query_text(inst)
 
 
 def deliveries(engine, frame=None, host=None):
@@ -198,6 +227,47 @@ def test_cheapest_path_replaces_beaten_costs(strategy):
     assert stats.propagations == 3
 
 
+def test_value_order_delivers_each_final_answer_once():
+    answers, stats = run(DETOUR, "?- path(a,Z,C).", "local")
+    assert answers == [
+        {"Z": "b", "C": 1},
+        {"Z": "c", "C": 2},
+        {"Z": "e", "C": 3},
+    ]
+    assert stats.invalidations == 1  # c10 was stored, then beaten
+    assert stats.propagations == len(answers)
+    batched, _ = run(DETOUR, "?- path(a,Z,C).", "batched")
+    key = lambda a: (a["Z"], a["C"])
+    assert sorted(map(key, answers)) == sorted(map(key, batched))
+
+
+def test_first_tables_keep_chain_order():
+    # a first witness depends on arrival order, so shortest_first's walk
+    # stays in chain order and its work is what it was before value order
+    _, stats = solve(*bench_case("shortest_first", 50, 1))
+    assert (stats.derivations, stats.insertions, stats.invalidations,
+            stats.propagations) == (26297, 13244, 2011, 3388)
+
+
+@pytest.mark.parametrize("strategy", BOTH)
+def test_min_over_atom_costs_reaches_the_fixpoint(strategy):
+    answers, _ = run(FIRST_LABEL, "?- tag(X,Y,L).", strategy)
+    got = sorted((a["X"], a["Y"], a["L"]) for a in answers)
+    assert got == [(x, y, label) for x, label in (("a", "m"), ("b", "k"),
+                                                  ("c", 5))
+                   for y in "abc"]
+
+
+def test_callers_outside_the_component_read_in_chain_order():
+    program, query = bench_case("shortest_pref", 10, 1)
+    engine = Engine(program, "local", trace=True)
+    engine.solve(query)
+    path = engine.entry("path", 3).frames[0]
+    seen = [e["seq"] for e in deliveries(engine, frame="path/3",
+                                         host="best/3")]
+    assert seen == [leaf.seq for leaf in iterate_answers(path)]
+
+
 def test_catch_up_skips_answers_invalidated_on_the_way():
     engine = Engine(parse_program(CHEAPEST), "batched", trace=True)
     engine.solve("?- path(a,Z,C).")
@@ -270,6 +340,24 @@ def test_mutually_recursive_tables_reach_the_fixpoint(strategy):
     for pred in ("p", "q"):
         answers, _ = run(MUTUAL, "?- %s(X)." % pred, strategy)
         assert {(a["X"],) for a in answers} == want[(pred, 1)]
+
+
+# ---------------------------------------------------------------------------
+# recursion deeper than the interpreter's stack is an evaluation error
+
+DEEP = (
+    ("p(X) :- p(X).\n", "?- p(a)."),
+    (":- table nat(index, first).\n"
+     "nat(0, z).\n"
+     "nat(N, s(X)) :- nat(M, X), M < 3000, N is M + 1.\n",
+     "?- nat(N, X)."),
+)
+
+
+@pytest.mark.parametrize("text, query", DEEP)
+def test_deep_recursion_is_an_evaluation_error(text, query):
+    with pytest.raises(EvaluationError, match="recursion went too deep"):
+        run(text, query)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,8 @@ from modetab.modes import (
     REPLACED,
     SUM_UPDATED,
     build_segments,
-    build_substitution_array,
     compile_declaration,
     insert_answer,
-    preferable,
     traditional_modes,
 )
 from modetab.terms import Struct, Var
@@ -122,7 +120,8 @@ def test_compiled_arrays_are_stable_permutations_in_group_order(modes):
 def test_substitution_array_counts_fresh_variables():
     arr = compile_declaration("p", 3, ["all", "index", "min"])
     x, y = Var(), Var()
-    assert build_substitution_array(arr, [x, 1, y]) == (
+    entry = TableSpace().entry("p", 3, arr)
+    assert subgoal_lookup_insert(entry, [x, 1, y])[0].subst_modes == (
         ("index", 0, 2),
         ("min", 1, 3),
         ("all", 1, 1),
@@ -131,7 +130,8 @@ def test_substitution_array_counts_fresh_variables():
 
 def test_repeated_variable_counts_as_fresh_only_once():
     x = Var()
-    assert build_substitution_array(traditional_modes(2), [x, x]) == (
+    entry = TableSpace().entry("p", 2, traditional_modes(2))
+    assert subgoal_lookup_insert(entry, [x, x])[0].subst_modes == (
         ("index", 1, 1),
         ("index", 0, 2),
     )
@@ -154,23 +154,6 @@ def test_segments_skip_bound_arguments():
 
 
 # ---------------------------------------------------------------------------
-# preferable
-
-
-def test_preferable_on_min_and_max():
-    assert preferable("min", 5, 3) == "replace"
-    assert preferable("min", 3, 5) == "keep_old"
-    assert preferable("min", 2, 2) == "tie"
-    assert preferable("max", 5, 3) == "keep_old"
-    assert preferable("max", 3, 5) == "replace"
-
-
-def test_preferable_rejects_other_modes():
-    with pytest.raises(ModeError):
-        preferable("index", 1, 2)
-
-
-# ---------------------------------------------------------------------------
 # Insertion: one golden per outcome kind
 
 
@@ -178,7 +161,7 @@ def test_new_answer_then_exact_duplicate():
     frame, _ = make_frame(["index", "index"])
     assert insert_answer(frame, ("a", 1)).kind == NEW
     out = insert_answer(frame, ("a", 1))
-    assert out.kind == REJECTED and not out.changed
+    assert out.kind == REJECTED
 
 
 def test_min_replaces_a_worse_witness():
