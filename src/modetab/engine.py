@@ -172,7 +172,6 @@ class Engine:
         self.ready = []  # component leaders that may wait on nobody
         self.bind = {}  # Var bindings of the running walk
         self.trail = []
-        self._entries = {}
         self._code = {}
         self._next_cid = 0
 
@@ -184,13 +183,12 @@ class Engine:
             self.events.append(fields)
 
     def entry(self, name, arity):
-        key = (name, arity)
-        found = self._entries.get(key)
+        found = self.space.entries.get((name, arity))
         if found is None:
             modes = self.program.table_modes(name, arity)
             array = (traditional_modes(arity) if modes is None
                      else compile_declaration(name, arity, list(modes)))
-            found = self._entries[key] = self.space.entry(name, arity, array)
+            found = self.space.entry(name, arity, array)
         return found
 
     def frame_strategy(self, name, arity):
@@ -559,7 +557,7 @@ class Engine:
         slot_of = {v: k for k, v in fresh.items()}
         plan = tuple((slot_of[v], o) for v, o in varmap.items() if v in slot_of)
         hplan = tuple((v, o) for v, o in varmap.items() if v not in slot_of)
-        if frame.state == "complete":
+        if frame.complete:
             # completed tables behave like memoized lookups
             st = self.stats
             for leaf in iterate_answers(frame):

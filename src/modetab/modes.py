@@ -20,7 +20,7 @@ from .terms import (
     flatten_into,
     is_var_token,
 )
-from .tries import append_answer_leaf, grow_answer, invalidate_branch
+from .tries import AnswerLeaf, grow_answer, invalidate_branch
 
 MODES = ("index", "first", "last", "min", "max", "sum", "all")
 
@@ -185,11 +185,9 @@ def insert_answer(frame, subst_terms):
     segments, steps, has_sum = plan
     if not segments:
         # Fully bound call: the only possible answer is "yes".
-        if frame.root.payload is not None:
+        if frame.first_answer is not None:
             return _REJECT
-        leaf = append_answer_leaf(frame, frame.root)
-        leaf.terms = ()
-        return InsertOutcome(NEW, leaf)
+        return InsertOutcome(NEW, grow_answer(frame, None, (), 0, ()))
 
     tokens = subst_terms
     varmap = None
@@ -215,8 +213,7 @@ def insert_answer(frame, subst_terms):
                 child = node.children.get(tokens[t0])
                 if child is None:
                     kind = ADDED if code and node.children else NEW
-                    leaf = grow_answer(frame, node, tokens, t0)
-                    leaf.terms = tuple(subst_terms)
+                    leaf = grow_answer(frame, node, tokens, t0, tuple(subst_terms))
                     return InsertOutcome(kind, leaf, 0, sum_value)
                 node = child
                 t0 += 1
@@ -224,8 +221,7 @@ def insert_answer(frame, subst_terms):
 
         children = node.children
         if not children:
-            leaf = grow_answer(frame, node, tokens, t0)
-            leaf.terms = tuple(subst_terms)
+            leaf = grow_answer(frame, node, tokens, t0, tuple(subst_terms))
             return InsertOutcome(NEW, leaf, 0, sum_value)
 
         if code < 4:  # min, max: compare with the one live witness
@@ -283,10 +279,9 @@ def insert_answer(frame, subst_terms):
         dropped = 0
         for child in list(children.values()):
             dropped += invalidate_branch(frame, child)
-        leaf = grow_answer(frame, node, tokens, t0)
-        leaf.terms = terms
+        leaf = grow_answer(frame, node, tokens, t0, terms)
         return InsertOutcome(kind, leaf, dropped, sum_value)
 
     # Every segment matched an existing path: exact duplicate.
-    assert not tokens or node.payload is not None
+    assert not tokens or type(node) is AnswerLeaf
     return _REJECT

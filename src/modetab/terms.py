@@ -27,12 +27,9 @@ __all__ = [
     "is_var_token",
     "tokenize",
     "flatten_into",
-    "decode_tokens",
-    "canonical",
     "variant",
     "compare_token_seqs",
     "compare_ground",
-    "token_to_str",
     "term_to_str",
     "deref",
     "resolve",
@@ -149,51 +146,6 @@ def tokenize(args, varmap=None, counts=None):
     return out
 
 
-def decode_tokens(tokens):
-    """Rebuild the argument vector a token sequence was flattened from.
-
-    Variable tokens become fresh Var objects, shared within one call when
-    an ordinal repeats. Raises ValueError on a truncated sequence.
-    """
-    seen = {}
-    out = []
-    pos = 0
-    n = len(tokens)
-    try:
-        while pos < n:
-            t, pos = _build(tokens, pos, seen)
-            out.append(t)
-    except IndexError:
-        raise ValueError("truncated token sequence") from None
-    return out
-
-
-def _build(tokens, pos, seen):
-    tok = tokens[pos]
-    if type(tok) is tuple:
-        tag = tok[0]
-        if tag == VAR:
-            v = seen.get(tok[1])
-            if v is None:
-                v = Var()
-                seen[tok[1]] = v
-            return v, pos + 1
-        if tag == FLT:
-            return tok[1], pos + 1
-        pos += 1
-        args = []
-        for _ in range(tok[2]):
-            a, pos = _build(tokens, pos, seen)
-            args.append(a)
-        return Struct(tok[1], args), pos
-    return tok, pos + 1
-
-
-def canonical(args):
-    """The canonical form of an argument vector (variables renumbered)."""
-    return decode_tokens(tokenize(list(args)))
-
-
 def variant(a, b):
     """True when two terms are identical up to consistent variable renaming."""
     return tokenize([a]) == tokenize([b])
@@ -262,21 +214,7 @@ def _atom_str(name):
     return "'%s'" % name.replace("\\", "\\\\").replace("'", "\\'")
 
 
-def token_to_str(tok):
-    tt = type(tok)
-    if tt is int:
-        return str(tok)
-    if tt is str:
-        return _atom_str(tok)
-    tag = tok[0]
-    if tag == VAR:
-        return "VAR%d" % tok[1]
-    if tag == FLT:
-        return repr(tok[1])
-    return "%s/%d" % (tok[1], tok[2])
-
-
-def term_to_str(t):
+def _leaf_str(t):
     tt = type(t)
     if tt is Var:
         return t.name
@@ -284,11 +222,31 @@ def term_to_str(t):
         return _atom_str(t)
     if tt is int:
         return str(t)
-    if tt is float:
-        return repr(t)
-    if t.name in _INFIX and len(t.args) == 2:
-        return "(%s %s %s)" % (term_to_str(t.args[0]), t.name, term_to_str(t.args[1]))
-    return "%s(%s)" % (_atom_str(t.name), ", ".join(term_to_str(a) for a in t.args))
+    return repr(t)
+
+
+def term_to_str(t):
+    """Print a term; iterative, so any depth of nesting prints."""
+    if type(t) is not Struct:
+        return _leaf_str(t)
+    out = []
+    stack = [t]  # pending output: printed text, or a Struct to expand
+    while stack:
+        t = stack.pop()
+        if type(t) is not Struct:
+            out.append(t)
+            continue
+        args = [a if type(a) is Struct else _leaf_str(a) for a in t.args]
+        if t.name in _INFIX and len(args) == 2:
+            out.append("(")
+            stack += (")", args[1], " %s " % t.name, args[0])
+        else:
+            out.append(_atom_str(t.name) + "(")
+            stack.append(")")
+            for i in range(len(args) - 1, 0, -1):
+                stack += (args[i], ", ")
+            stack.extend(args[:1])
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

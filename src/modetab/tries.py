@@ -2,9 +2,13 @@
 
 Each tabled predicate owns a TableEntry whose call trie maps one path per
 variant call to a SubgoalFrame. Every frame owns an answer trie holding
-only the substitution terms of the call's free variables; answer leaves
-are chained in insertion order so readers can pick up new answers by
-following a single pointer.
+only the substitution terms of the call's free variables. Each answer is
+one record, an AnswerLeaf: the last node of its trie path, created by
+grow_answer together with the path and holding the answer's terms, so
+readers never rebuild an answer from the trie. Records are chained in
+insertion order so readers can pick up new answers by following a
+single pointer. The "yes" answer of a fully bound call has no tokens;
+its record is chained under no node.
 
 Superseding an answer detaches its branch from the trie root (making it
 invisible to fresh lookups) and tags its leaves invalid, but the leaves
@@ -24,7 +28,7 @@ depends on the order or the number of deliveries.
 from types import MappingProxyType
 
 from .errors import ModetabError
-from .terms import decode_tokens, token_to_str, tokenize
+from .terms import tokenize
 
 __all__ = [
     "TrieNode",
@@ -34,9 +38,7 @@ __all__ = [
     "TableSpace",
     "trie_insert",
     "subgoal_lookup_insert",
-    "append_answer_leaf",
     "grow_answer",
-    "answer_terms",
     "invalidate_branch",
     "complete_table",
     "depend",
@@ -44,7 +46,6 @@ __all__ = [
     "merge",
     "waited_on",
     "iterate_answers",
-    "dump_answers",
 ]
 
 
@@ -55,7 +56,7 @@ class TrieNode:
         self.token = token
         self.parent = parent
         self.children = {}
-        self.payload = None  # SubgoalFrame on call-trie leaves, AnswerLeaf on answer-trie leaves
+        self.payload = None  # the SubgoalFrame, on call-trie leaves
 
 
 # the children of an answer record: a leaf never gets any
@@ -63,25 +64,21 @@ _NO_CHILDREN = MappingProxyType({})
 
 
 class AnswerLeaf(TrieNode):
-    """Chain record for one stored answer.
+    """Chain record for one stored answer: the last node of its path.
 
-    grow_answer makes the record the leaf node of its answer trie path,
-    so that node is the record itself; append_answer_leaf attaches a
-    record to a node that already exists.
+    It has no children and leaves payload unset.
     """
 
-    __slots__ = ("node", "next", "valid", "seq", "terms")
+    __slots__ = ("next", "valid", "seq", "terms")
 
-    def __init__(self, node, seq, token=None, parent=None):
+    def __init__(self, seq, terms, token, parent):
         self.token = token
         self.parent = parent
         self.children = _NO_CHILDREN
-        self.payload = None if node is not None else self
-        self.node = node if node is not None else self
         self.next = None
         self.valid = True
         self.seq = seq
-        self.terms = None  # decoded substitution vector, filled lazily
+        self.terms = terms  # the substitution vector
 
 
 class SubgoalFrame:
@@ -95,7 +92,7 @@ class SubgoalFrame:
         "root",
         "first_answer",
         "last_answer",
-        "state",
+        "complete",
         "strategy",
         "generator",
         "consumers",
@@ -118,7 +115,7 @@ class SubgoalFrame:
         self.root = TrieNode(None, None)
         self.first_answer = None
         self.last_answer = None
-        self.state = "incomplete"
+        self.complete = False
         self.strategy = None
         self.generator = None
         self.consumers = []  # suspended calls reading this table
@@ -136,10 +133,6 @@ class SubgoalFrame:
         self.n_inserted = 0
         self.n_invalidated = 0
         self.n_purged = 0
-
-    @property
-    def complete(self):
-        return self.state == "complete"
 
     def name(self):
         return "%s/%d" % (self.entry.name, self.entry.arity)
@@ -213,34 +206,24 @@ def subgoal_lookup_insert(entry, call_args):
     return frame, is_new, varmap
 
 
-def append_answer_leaf(frame, node):
-    """Chain a freshly created answer leaf at the tail."""
-    if node.payload is not None:
-        raise ModetabError("answer leaf is already chained")
-    frame.seq_counter += 1
-    leaf = AnswerLeaf(node, frame.seq_counter)
-    node.payload = leaf
-    return _chain(frame, leaf)
+def grow_answer(frame, node, tokens, start, terms):
+    """Create the path tokens[start:] below node and chain its record.
 
-
-def grow_answer(frame, node, tokens, start):
-    """Create the path tokens[start:] below node and chain its leaf.
-
-    The last node of the path is the new answer's record.
+    The last node of the path is the new answer's record, holding
+    terms. An answer without tokens gets a record under no node.
     """
-    last = len(tokens) - 1
-    for i in range(start, last):
-        tok = tokens[i]
-        child = TrieNode(tok, node)
-        node.children[tok] = child
-        node = child
     frame.seq_counter += 1
-    leaf = AnswerLeaf(None, frame.seq_counter, tokens[last], node)
-    node.children[tokens[last]] = leaf
-    return _chain(frame, leaf)
-
-
-def _chain(frame, leaf):
+    if tokens:
+        last = len(tokens) - 1
+        for i in range(start, last):
+            tok = tokens[i]
+            child = TrieNode(tok, node)
+            node.children[tok] = child
+            node = child
+        leaf = AnswerLeaf(frame.seq_counter, terms, tokens[last], node)
+        node.children[tokens[last]] = leaf
+    else:
+        leaf = AnswerLeaf(frame.seq_counter, terms, None, None)
     if frame.last_answer is None:
         frame.first_answer = leaf
     else:
@@ -248,19 +231,6 @@ def _chain(frame, leaf):
     frame.last_answer = leaf
     frame.n_inserted += 1
     return leaf
-
-
-def answer_terms(leaf):
-    """The decoded substitution vector of a leaf, cached after first use."""
-    if leaf.terms is None:
-        tokens = []
-        node = leaf.node
-        while node.parent is not None:
-            tokens.append(node.token)
-            node = node.parent
-        tokens.reverse()
-        leaf.terms = tuple(decode_tokens(tokens))
-    return leaf.terms
 
 
 def invalidate_branch(frame, node):
@@ -271,7 +241,7 @@ def invalidate_branch(frame, node):
     lagging readers can still walk past them. Returns the number of
     leaves tagged.
     """
-    if frame.state != "incomplete":
+    if frame.complete:
         raise ModetabError("cannot invalidate answers of a completed table")
     if node.parent is None:
         raise ModetabError("refusing to invalidate a trie root")
@@ -289,9 +259,8 @@ def invalidate_branch(frame, node):
     stack = [node]
     while stack:
         n = stack.pop()
-        leaf = n.payload
-        if leaf is not None:
-            leaf.valid = False
+        if type(n) is AnswerLeaf:
+            n.valid = False
             tagged += 1
         else:
             stack.extend(n.children.values())
@@ -305,7 +274,7 @@ def complete_table(frame):
     Purged leaves keep their old forward pointers, so a reader parked on
     one still reaches the surviving suffix of the chain.
     """
-    if frame.state == "complete":
+    if frame.complete:
         raise ModetabError("table %s completed twice" % frame.name())
     survivors = []
     cur = frame.first_answer
@@ -319,7 +288,7 @@ def complete_table(frame):
         leaf.next = survivors[i + 1] if i + 1 < len(survivors) else None
     frame.first_answer = survivors[0] if survivors else None
     frame.last_answer = survivors[-1] if survivors else None
-    frame.state = "complete"
+    frame.complete = True
     frame.generator = None
 
 
@@ -377,20 +346,3 @@ def iterate_answers(frame, after=None):
         if leaf.valid:
             yield leaf
         leaf = leaf.next
-
-
-def dump_answers(frame):
-    """Debug view: one line per chained answer, in insertion order."""
-    lines = []
-    cur = frame.first_answer
-    while cur is not None:
-        tokens = []
-        node = cur.node
-        while node.parent is not None:
-            tokens.append(node.token)
-            node = node.parent
-        tokens.reverse()
-        text = " ".join(token_to_str(t) for t in tokens) or "<yes>"
-        lines.append("%s [%s]" % (text, "valid" if cur.valid else "invalid"))
-        cur = cur.next
-    return lines

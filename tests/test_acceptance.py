@@ -19,7 +19,6 @@ from modetab.modes import REPLACED, compile_declaration, insert_answer
 from modetab.terms import Var, term_to_str
 from modetab.tries import (
     TableSpace,
-    answer_terms,
     complete_table,
     iterate_answers,
     subgoal_lookup_insert,
@@ -117,7 +116,7 @@ def full_chain(frame):
 
 
 def valid_rows(frame):
-    return [tuple(answer_terms(leaf)) for leaf in iterate_answers(frame)]
+    return [tuple(leaf.terms) for leaf in iterate_answers(frame)]
 
 
 def answer_set(program, query, names, strategy):
@@ -410,7 +409,7 @@ def test_09_trie_invalidation_properties(capsys):
             complete_table(frame)
             chain = full_chain(frame)
             assert all(leaf.valid for leaf in chain)
-            assert [tuple(answer_terms(leaf)) for leaf in chain] == before
+            assert [tuple(leaf.terms) for leaf in chain] == before
             assert frame.n_purged == stale
 
         # a reader parked on any leaf, invalidated or not, still reaches

@@ -141,6 +141,18 @@ def test_run_deep_recursion_exits_2(tmp_path, capsys, text, query):
     ]
 
 
+def test_run_prints_a_deep_answer(tmp_path, capsys):
+    p = tmp_path / "nat.pl"
+    p.write_text(":- table nat(index, first).\n"
+                 "nat(0, z).\n"
+                 "nat(N, s(X)) :- nat(M, X), M < 500, N is M + 1.\n")
+    code = main(["run", str(p), "--query", "nat(500, X)"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out == "X = " + "s(" * 500 + "z" + ")" * 500 + "\n"
+    assert err == ""
+
+
 def test_bench_runs_and_reports(capsys, tmp_path):
     out_json = tmp_path / "report.json"
     code = main(["bench", "shortest", "--size", "6", "--seed", "3",

@@ -17,7 +17,7 @@ from modetab.modes import (
     traditional_modes,
 )
 from modetab.terms import Struct, Var
-from modetab.tries import TableSpace, answer_terms, iterate_answers, subgoal_lookup_insert
+from modetab.tries import TableSpace, iterate_answers, subgoal_lookup_insert
 
 from oracles import flat_aggregate
 
@@ -35,7 +35,7 @@ def make_frame(mode_names, call_args=None):
 
 
 def valid_terms(frame):
-    return [answer_terms(leaf) for leaf in iterate_answers(frame)]
+    return [leaf.terms for leaf in iterate_answers(frame)]
 
 
 def snapshot(frame):
@@ -162,6 +162,15 @@ def test_new_answer_then_exact_duplicate():
     assert insert_answer(frame, ("a", 1)).kind == NEW
     out = insert_answer(frame, ("a", 1))
     assert out.kind == REJECTED
+
+
+def test_fully_bound_call_stores_one_yes():
+    frame, _ = make_frame(["index", "min"], ["a", 1])
+    out = insert_answer(frame, ())
+    assert out.kind == NEW and out.leaf.terms == ()
+    assert out.leaf.parent is None and frame.root.children == {}
+    assert insert_answer(frame, ()).kind == REJECTED
+    assert valid_terms(frame) == [()]
 
 
 def test_min_replaces_a_worse_witness():

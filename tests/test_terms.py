@@ -1,4 +1,4 @@
-"""Term flattening, decoding, variance and ordering."""
+"""Term flattening, variance, ordering and printing."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,9 +7,7 @@ from modetab.errors import EvaluationError
 from modetab.terms import (
     Struct,
     Var,
-    canonical,
     compare_ground,
-    decode_tokens,
     fun_token,
     term_to_str,
     tokenize,
@@ -79,29 +77,6 @@ def test_float_tokens_stay_distinct_from_ints():
     assert tokenize([1]) != tokenize([1.0])
 
 
-def test_decode_compound():
-    [t] = decode_tokens([fun_token("path", 3), var_token(0), 1, "b"])
-    assert type(t) is Struct and t.name == "path"
-    assert type(t.args[0]) is Var
-    assert t.args[1] == 1 and t.args[2] == "b"
-
-
-def test_decode_atom_and_unary():
-    assert decode_tokens(["a"]) == ["a"]
-    [t] = decode_tokens([fun_token("f", 1), var_token(0)])
-    assert t.name == "f" and type(t.args[0]) is Var
-
-
-def test_decode_repeated_variable_is_shared():
-    [t] = decode_tokens([fun_token("f", 2), var_token(0), var_token(0)])
-    assert t.args[0] is t.args[1]
-
-
-def test_decode_truncated_sequence():
-    with pytest.raises(ValueError):
-        decode_tokens([fun_token("f", 2), 1])
-
-
 def test_variant_ignores_variable_names():
     z, y = Var(), Var()
     assert variant(Struct("path", ["a", z]), Struct("path", ["a", y]))
@@ -115,19 +90,6 @@ def test_variant_distinguishes_sharing_patterns():
 def test_variant_ground_reflexive():
     t = Struct("f", [1, "a"])
     assert variant(t, t)
-
-
-@given(OpenTerms)
-def test_roundtrip_through_tokens(t):
-    """decode(tokenize(v)) is the canonical form of v."""
-    got = canonical([t])
-    assert tokenize(got) == tokenize([t])
-
-
-@given(OpenTerms)
-def test_canonical_idempotent(t):
-    once = canonical([t])
-    assert tokenize(canonical(once)) == tokenize(once)
 
 
 @given(OpenTerms, OpenTerms)
@@ -203,3 +165,10 @@ def test_term_to_str_quotes_odd_atoms():
 
 def test_term_to_str_infix_arithmetic():
     assert term_to_str(Struct("+", [1, 2])) == "(1 + 2)"
+
+
+def test_term_to_str_prints_a_deep_term():
+    t = 0
+    for _ in range(5000):
+        t = Struct("s", [t])
+    assert term_to_str(t) == "s(" * 5000 + "0" + ")" * 5000

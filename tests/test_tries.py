@@ -8,10 +8,8 @@ from modetab.modes import compile_declaration, traditional_modes
 from modetab.terms import Struct, Var, tokenize, var_token
 from modetab.tries import (
     TableSpace,
-    answer_terms,
-    append_answer_leaf,
     complete_table,
-    dump_answers,
+    grow_answer,
     invalidate_branch,
     iterate_answers,
     subgoal_lookup_insert,
@@ -38,11 +36,15 @@ def count_nodes(root):
 
 
 def add(frame, *terms):
+    """Store an answer as insert_answer does; returns its record."""
     tokens = tokenize(list(terms))
-    leaf_node, existed = trie_insert(frame.root, tokens)
-    if existed:
-        return leaf_node.payload
-    return append_answer_leaf(frame, leaf_node)
+    node = frame.root
+    for i, tok in enumerate(tokens):
+        child = node.children.get(tok)
+        if child is None:
+            return grow_answer(frame, node, tokens, i, terms)
+        node = child
+    return node
 
 
 def lookup(frame, *terms):
@@ -52,7 +54,7 @@ def lookup(frame, *terms):
         node = node.children.get(tok)
         if node is None:
             return None
-    return node.payload
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +144,11 @@ def test_chain_keeps_insertion_order():
     assert [l.seq for l in (a, b, c)] == [1, 2, 3]
 
 
-def test_double_append_is_rejected():
-    frame = fresh_frame(1)
-    leaf = add(frame, "a")
-    with pytest.raises(ModetabError):
-        append_answer_leaf(frame, leaf.node)
-
-
 def test_appending_after_invalidating_the_head():
     frame = fresh_frame(1)
     a = add(frame, "a")
     b = add(frame, "b")
-    invalidate_branch(frame, a.node)
+    invalidate_branch(frame, a)
     c = add(frame, "c")
     assert not a.valid
     assert frame.first_answer is a and a.next is b and b.next is c
@@ -173,14 +168,14 @@ def test_invalidate_detaches_branch_but_keeps_chain():
     assert lookup(frame, 5, Struct("f", ["a"])) is None
     assert lookup(frame, 3, "b") is better
     assert frame.first_answer is worse and worse.next is better
-    # the detached leaf still decodes through its retained parents
-    assert answer_terms(worse)[0] == 5
+    # the detached leaf keeps its terms
+    assert worse.terms[0] == 5
 
 
 def test_invalidate_the_only_answer():
     frame = fresh_frame(1)
     a = add(frame, "a")
-    invalidate_branch(frame, a.node)
+    invalidate_branch(frame, a)
     assert frame.root.children == {}
     assert frame.first_answer is a and not a.valid
 
@@ -189,7 +184,7 @@ def test_invalidate_keeps_shared_prefix_for_the_survivor():
     frame = fresh_frame(2)
     add(frame, 1, "a")
     doomed = add(frame, 1, "b")
-    invalidate_branch(frame, doomed.node)
+    invalidate_branch(frame, doomed)
     assert lookup(frame, 1, "a") is not None
     assert lookup(frame, 1, "b") is None
 
@@ -199,7 +194,7 @@ def test_invalidate_foreign_node_is_an_error():
     other = fresh_frame(1)
     leaf = add(other, "a")
     with pytest.raises(ModetabError):
-        invalidate_branch(frame, leaf.node)
+        invalidate_branch(frame, leaf)
 
 
 def test_invalidate_after_completion_is_an_error():
@@ -207,14 +202,14 @@ def test_invalidate_after_completion_is_an_error():
     leaf = add(frame, "a")
     complete_table(frame)
     with pytest.raises(ModetabError):
-        invalidate_branch(frame, leaf.node)
+        invalidate_branch(frame, leaf)
 
 
 def test_stats_counters_track_inserts_and_invalidations():
     frame = fresh_frame(1)
     add(frame, "a")
     doomed = add(frame, "b")
-    invalidate_branch(frame, doomed.node)
+    invalidate_branch(frame, doomed)
     complete_table(frame)
     assert frame.n_inserted == 2
     assert frame.n_invalidated == 1
@@ -230,9 +225,9 @@ def test_completion_purges_invalid_leaves():
     a = add(frame, "a")
     b = add(frame, "b")
     c = add(frame, "c")
-    invalidate_branch(frame, b.node)
+    invalidate_branch(frame, b)
     complete_table(frame)
-    assert frame.state == "complete"
+    assert frame.complete
     assert frame.first_answer is a and a.next is c and c.next is None
 
 
@@ -246,7 +241,7 @@ def test_completing_twice_is_an_error():
 def test_completion_of_a_fully_invalidated_table():
     frame = fresh_frame(1)
     a = add(frame, "a")
-    invalidate_branch(frame, a.node)
+    invalidate_branch(frame, a)
     complete_table(frame)
     assert frame.first_answer is None and frame.last_answer is None
 
@@ -255,17 +250,17 @@ def test_purged_leaf_still_forwards_to_survivors():
     frame = fresh_frame(1)
     add(frame, "a")
     parked = add(frame, "b")
-    invalidate_branch(frame, parked.node)
+    invalidate_branch(frame, parked)
     c = add(frame, "c")
     d = add(frame, "d")
-    invalidate_branch(frame, c.node)
+    invalidate_branch(frame, c)
     complete_table(frame)
-    assert [answer_terms(l)[0] for l in iterate_answers(frame, after=parked)] == ["d"]
+    assert [l.terms[0] for l in iterate_answers(frame, after=parked)] == ["d"]
     assert d.valid
 
 
 # ---------------------------------------------------------------------------
-# Iteration and dump
+# Iteration
 
 
 def test_iterate_skips_invalid_leaves():
@@ -273,8 +268,8 @@ def test_iterate_skips_invalid_leaves():
     add(frame, "a")
     bad = add(frame, "b")
     add(frame, "c")
-    invalidate_branch(frame, bad.node)
-    got = [answer_terms(l)[0] for l in iterate_answers(frame)]
+    invalidate_branch(frame, bad)
+    got = [l.terms[0] for l in iterate_answers(frame)]
     assert got == ["a", "c"]
 
 
@@ -282,20 +277,12 @@ def test_iterate_from_a_parked_position():
     frame = fresh_frame(1)
     a = add(frame, "a")
     add(frame, "b")
-    assert [answer_terms(l)[0] for l in iterate_answers(frame, after=a)] == ["b"]
+    assert [l.terms[0] for l in iterate_answers(frame, after=a)] == ["b"]
 
 
 def test_iterate_empty_table():
     frame = fresh_frame(1)
     assert list(iterate_answers(frame)) == []
-
-
-def test_dump_lists_answers_in_chain_order():
-    frame = fresh_frame(2)
-    add(frame, 1, Struct("f", [Var()]))
-    bad = add(frame, 1, "b")
-    invalidate_branch(frame, bad.node)
-    assert dump_answers(frame) == ["1 f/1 VAR0 [valid]", "1 b [invalid]"]
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +320,7 @@ def test_chain_and_invalidation_match_a_list_model(vectors, data):
     doomed = [l for l in appended if data.draw(st.booleans())]
     for leaf in doomed:
         if leaf.valid:
-            invalidate_branch(frame, leaf.node)
+            invalidate_branch(frame, leaf)
     # chain still holds every leaf ever appended, in order
     chain = []
     cur = frame.first_answer
@@ -345,7 +332,7 @@ def test_chain_and_invalidation_match_a_list_model(vectors, data):
     for leaf in appended:
         expected = leaf not in doomed
         assert leaf.valid == expected
-        found = lookup(frame, *answer_terms(leaf))
+        found = lookup(frame, *leaf.terms)
         if expected:
             assert found is leaf
         else:
@@ -376,7 +363,7 @@ def test_reader_parked_on_a_dead_leaf_sees_later_answers(vectors, data):
     parked = appended[data.draw(st.integers(0, len(appended) - 1))]
     for leaf in appended:
         if leaf.valid and data.draw(st.booleans()):
-            invalidate_branch(frame, leaf.node)
+            invalidate_branch(frame, leaf)
     expected = [l for l in appended if l.seq > parked.seq and l.valid]
     assert list(iterate_answers(frame, after=parked)) == expected
     complete_table(frame)
