@@ -284,28 +284,31 @@ def _dist_matrix(n, edges):
 
 
 def _hop_sets(n, edges, dist):
-    """Per pair, every edge count realized by some cheapest walk."""
-    out = {}
-    for z, v, w in edges:
-        out.setdefault(z, []).append((v, w))
+    """Per pair, every edge count realized by some cheapest walk.
+
+    With positive weights every prefix of a cheapest walk is itself
+    cheapest, so the pairs joined by a cheapest walk of h + 1 edges are
+    those of h edges extended by an edge that stays tight for the walk's
+    source. Each step is one matrix product over the edge list.
+    """
+    dist = np.asarray(dist)
+    head, tail, weight = (np.array(col, dtype=np.int64) for col in zip(*edges))
+    # tight[u, e]: edge e extends a cheapest walk from u to a cheapest one
+    tight = dist[:, head] + weight == dist[:, tail]
+    # into[e, v]: edge e ends at v; float, so the product runs in BLAS
+    into = np.zeros((len(edges), n), dtype=np.float32)
+    into[np.arange(len(edges)), tail] = 1.0
+    reach = np.zeros((n, n), dtype=bool)
+    first = weight == dist[head, tail]
+    reach[head[first], tail[first]] = True
     hops = {}
-    pending = []
-    for u in range(n):
-        du = dist[u]
-        for v, w in out.get(u, ()):
-            if w == du[v]:
-                pending.append((u, v, 1))
-    while pending:
-        u, v, h = pending.pop()
-        bucket = hops.setdefault((u, v), set())
-        if h in bucket:
-            continue
-        bucket.add(h)
-        du = dist[u]
-        base = du[v]
-        for nxt, w in out.get(v, ()):
-            if base + w == du[nxt]:
-                pending.append((u, nxt, h + 1))
+    h = 1
+    while reach.any():
+        us, vs = np.nonzero(reach)
+        for pair in zip(us.tolist(), vs.tolist()):
+            hops.setdefault(pair, set()).add(h)
+        reach = ((reach[:, head] & tight) @ into) > 0
+        h += 1
     return hops
 
 
@@ -369,16 +372,15 @@ def check_answers(inst, rows):
         n = inst.size
         edges = inst.payload["edges"]
         node = [_node(i) for i in range(n)]
-        dist = _dist_matrix(n, edges).tolist()
-        finite = {
-            (u, v): dist[u][v]
-            for u in range(n)
-            for v in range(n)
-            if dist[u][v] < INF
-        }
+        dist = _dist_matrix(n, edges)
+        us, vs = np.nonzero(dist < INF)
+        costs = dist[us, vs].tolist()
+        us, vs = us.tolist(), vs.tolist()
         if name in ("shortest", "shortest_pref"):
-            want = {(node[u], node[v], c) for (u, v), c in finite.items()}
+            want = set(zip(map(node.__getitem__, us), map(node.__getitem__, vs),
+                           costs))
             return set(rows) == want
+        finite = dict(zip(zip(us, vs), costs))
         if name == "shortest_all":
             hops = _hop_sets(n, edges, dist)
             want = {
@@ -392,6 +394,7 @@ def check_answers(inst, rows):
         # checkable: it must close the distance with a real edge.
         weight = {(node[u], node[v]): w for u, v, w in edges}
         back = {x: i for i, x in enumerate(node)}
+        dist = dist.tolist()
         if {(x, y) for x, y, _, _ in rows} != {
             (node[u], node[v]) for u, v in finite
         } or len(rows) != len(finite):

@@ -790,13 +790,9 @@ class Engine:
                 frame, varmap = self._materialize(name, list(args))
                 self.run()
                 where = [varmap[v] for v in qvars]
-                answers = []
-                for leaf in iterate_answers(frame):
-                    vals = [leaf.terms[o] for o in where]
-                    for k, v in enumerate(vals):
-                        if type(v) is Var or type(v) is Struct:
-                            vals[k] = resolve(v, dict(zip(varmap, leaf.terms)))
-                    answers.append(dict(zip(names, vals)))
+                # stored terms were resolved when they were derived
+                answers = [dict(zip(names, [leaf.terms[o] for o in where]))
+                           for leaf in iterate_answers(frame)]
                 return answers, self.stats
         slots = {}
         nvars, _, body = self._compile((), goals, slots, _emit)

@@ -12,7 +12,7 @@ for a rejection happen before any mutation, so a rejected candidate
 leaves the table untouched.
 """
 
-from .errors import EvaluationError, ModeError
+from .errors import EvaluationError, ModeError, ModetabError
 from .terms import (
     FLT,
     FUN,
@@ -173,6 +173,9 @@ def insert_answer(frame, subst_terms):
     plan compiled with the frame applies as it is; other answers are
     flattened and the plan is moved to their token offsets.
     """
+    root = frame.root
+    if root is None:
+        raise ModetabError("cannot insert into completed table %s" % frame.name())
     plan = frame.segments
     if plan is None:
         segments = build_segments(frame.subst_modes)
@@ -206,32 +209,30 @@ def insert_answer(frame, subst_terms):
     if varmap or has_sum:
         sum_value = _sum_value(frame, segments, steps, tokens, varmap)
 
-    node = frame.root
+    node = root
     for code, t0, t1, lo, hi, pos in steps:
         if code < 2:  # index, all: follow the path, grow where it ends
             while t0 < t1:
-                child = node.children.get(tokens[t0])
+                child = node.get(tokens[t0])
                 if child is None:
-                    kind = ADDED if code and node.children else NEW
+                    kind = ADDED if code and node else NEW
                     leaf = grow_answer(frame, node, tokens, t0, tuple(subst_terms))
                     return InsertOutcome(kind, leaf, 0, sum_value)
                 node = child
                 t0 += 1
             continue
 
-        children = node.children
-        if not children:
+        if not node:
             leaf = grow_answer(frame, node, tokens, t0, tuple(subst_terms))
             return InsertOutcome(NEW, leaf, 0, sum_value)
 
         if code < 4:  # min, max: compare with the one live witness
-            snode = next(iter(children.values()))
-            stok = snode.token
+            stok = next(iter(node))
             if t1 - t0 == 1 and not (type(stok) is tuple and stok[0] == FUN):
                 # single flat token on both sides, the usual case
                 ctok = tokens[t0]
                 if ctok == stok:
-                    node = snode
+                    node = node[stok]
                     continue
                 if type(ctok) is int and type(stok) is int:
                     better = ctok < stok if code == 2 else ctok > stok
@@ -242,13 +243,14 @@ def insert_answer(frame, subst_terms):
                 # Read the stored witness: walk the (single) live branch
                 # until as many complete terms as this segment holds are
                 # spelled out.
+                snode = node[stok]
                 stored = [stok]
                 pending = hi - lo - 1
                 if type(stok) is tuple and stok[0] == FUN:
                     pending += stok[2]
                 while pending:
-                    snode = next(iter(snode.children.values()))
-                    tok = snode.token
+                    tok = next(iter(snode))
+                    snode = snode[tok]
                     stored.append(tok)
                     pending -= 1
                     if type(tok) is tuple and tok[0] == FUN:
@@ -270,15 +272,15 @@ def insert_answer(frame, subst_terms):
             kind = REPLACED
             terms = tuple(subst_terms)
         else:  # sum
-            total = _numeric(frame, next(iter(children)), pos) + sum_value
+            total = _numeric(frame, next(iter(node)), pos) + sum_value
             tok = (FLT, total) if type(total) is float else total
             tokens = [*tokens[:t0], tok, *tokens[t1:]]
             kind = SUM_UPDATED
             terms = (*subst_terms[:lo], total, *subst_terms[hi:])
             sum_value = total
         dropped = 0
-        for child in list(children.values()):
-            dropped += invalidate_branch(frame, child)
+        for key in list(node):
+            dropped += invalidate_branch(frame, tokens, t0, key)
         leaf = grow_answer(frame, node, tokens, t0, terms)
         return InsertOutcome(kind, leaf, dropped, sum_value)
 

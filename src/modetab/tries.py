@@ -2,19 +2,21 @@
 
 Each tabled predicate owns a TableEntry whose call trie maps one path per
 variant call to a SubgoalFrame. Every frame owns an answer trie holding
-only the substitution terms of the call's free variables. Each answer is
-one record, an AnswerLeaf: the last node of its trie path, created by
-grow_answer together with the path and holding the answer's terms, so
-readers never rebuild an answer from the trie. Records are chained in
-insertion order so readers can pick up new answers by following a
-single pointer. The "yes" answer of a fully bound call has no tokens;
-its record is chained under no node.
+only the substitution terms of the call's free variables. A trie node is
+a plain dict from token to child, with no pointer back to its parent: a
+call path ends in its frame, and an answer path in the answer's record,
+an AnswerLeaf created by grow_answer together with the path and holding
+the answer's terms, so readers never rebuild an answer from the trie.
+Records are chained in insertion order so readers can pick up new
+answers by following a single pointer. The "yes" answer of a fully
+bound call has no tokens; its record is chained under no node.
 
-Superseding an answer detaches its branch from the trie root (making it
+Superseding an answer pops its branch from the trie (making it
 invisible to fresh lookups) and tags its leaves invalid, but the leaves
-stay on the chain, still pointing at their old parents, so a reader
-parked on a dead leaf can keep walking. Dead leaves are only dropped
-when the table completes.
+stay on the chain so a reader parked on a dead leaf can keep walking.
+Dead leaves are only dropped when the table completes. Completion also
+drops the answer trie itself: from then on readers follow the chain
+only, and nothing inserts or invalidates.
 
 Frames also carry what completion needs: each incomplete frame belongs
 to a component of frames that wait on each other, and the component's
@@ -25,13 +27,10 @@ whether any member has a first, last or sum column, whose content
 depends on the order or the number of deliveries.
 """
 
-from types import MappingProxyType
-
 from .errors import ModetabError
 from .terms import tokenize
 
 __all__ = [
-    "TrieNode",
     "AnswerLeaf",
     "SubgoalFrame",
     "TableEntry",
@@ -49,32 +48,12 @@ __all__ = [
 ]
 
 
-class TrieNode:
-    __slots__ = ("token", "parent", "children", "payload")
-
-    def __init__(self, token, parent):
-        self.token = token
-        self.parent = parent
-        self.children = {}
-        self.payload = None  # the SubgoalFrame, on call-trie leaves
-
-
-# the children of an answer record: a leaf never gets any
-_NO_CHILDREN = MappingProxyType({})
-
-
-class AnswerLeaf(TrieNode):
-    """Chain record for one stored answer: the last node of its path.
-
-    It has no children and leaves payload unset.
-    """
+class AnswerLeaf:
+    """Chain record for one stored answer: the value its path ends in."""
 
     __slots__ = ("next", "valid", "seq", "terms")
 
-    def __init__(self, seq, terms, token, parent):
-        self.token = token
-        self.parent = parent
-        self.children = _NO_CHILDREN
+    def __init__(self, seq, terms):
         self.next = None
         self.valid = True
         self.seq = seq
@@ -112,7 +91,7 @@ class SubgoalFrame:
         self.call_tokens = call_tokens
         self.subst_modes = subst_modes  # tuple of (mode, var_count, arg_position)
         self.segments = None  # insertion plan, compiled on first insert
-        self.root = TrieNode(None, None)
+        self.root = {}  # the answer trie; None once the table completes
         self.first_answer = None
         self.last_answer = None
         self.complete = False
@@ -149,7 +128,7 @@ class TableEntry:
         self.mode_array = mode_array  # tuple of (1-based position, mode)
         self.any_order = not any(
             mode in ("first", "last", "sum") for _pos, mode in mode_array)
-        self.root = TrieNode(None, None)
+        self.root = {}
         self.frames = []
 
 
@@ -167,15 +146,14 @@ class TableSpace:
 
 
 def trie_insert(root, tokens):
-    """Ensure a path for tokens exists; returns (leaf, existed)."""
+    """Ensure a path of nodes for tokens exists; returns (node, existed)."""
     node = root
     existed = True
     for tok in tokens:
-        child = node.children.get(tok)
+        child = node.get(tok)
         if child is None:
             existed = False
-            child = TrieNode(tok, node)
-            node.children[tok] = child
+            child = node[tok] = {}
         node = child
     return node, existed
 
@@ -184,24 +162,26 @@ def subgoal_lookup_insert(entry, call_args):
     """Find or create the frame for a call, reordering arguments by mode.
 
     Arguments are tokenized in mode-array order, so variant calls land on
-    the same path no matter how their variables are named. Returns
-    (frame, is_new, varmap) where varmap gives each unbound variable of
-    call_args its ordinal in the answer substitution vector.
+    the same path no matter how their variables are named; the path's
+    last token maps to the frame (a call without tokens stores it under
+    None). Returns (frame, is_new, varmap) where varmap gives each
+    unbound variable of call_args its ordinal in the answer substitution
+    vector.
     """
     ordered = [call_args[pos - 1] for pos, _mode in entry.mode_array]
     varmap = {}
     counts = []
     tokens = tokenize(ordered, varmap, counts)
-    leaf, _ = trie_insert(entry.root, tokens)
-    frame = leaf.payload
+    node, _ = trie_insert(entry.root, tokens[:-1])
+    last = tokens[-1] if tokens else None
+    frame = node.get(last)
     is_new = frame is None
     if is_new:
         subst = tuple(
             (mode, n, pos)
             for (pos, mode), n in zip(entry.mode_array, counts)
         )
-        frame = SubgoalFrame(entry, tokens, subst)
-        leaf.payload = frame
+        frame = node[last] = SubgoalFrame(entry, tokens, subst)
         entry.frames.append(frame)
     return frame, is_new, varmap
 
@@ -209,21 +189,17 @@ def subgoal_lookup_insert(entry, call_args):
 def grow_answer(frame, node, tokens, start, terms):
     """Create the path tokens[start:] below node and chain its record.
 
-    The last node of the path is the new answer's record, holding
+    The path's last token maps to the new answer's record, holding
     terms. An answer without tokens gets a record under no node.
     """
     frame.seq_counter += 1
+    leaf = AnswerLeaf(frame.seq_counter, terms)
     if tokens:
         last = len(tokens) - 1
         for i in range(start, last):
-            tok = tokens[i]
-            child = TrieNode(tok, node)
-            node.children[tok] = child
+            child = node[tokens[i]] = {}
             node = child
-        leaf = AnswerLeaf(frame.seq_counter, terms, tokens[last], node)
-        node.children[tokens[last]] = leaf
-    else:
-        leaf = AnswerLeaf(frame.seq_counter, terms, None, None)
+        node[tokens[last]] = leaf
     if frame.last_answer is None:
         frame.first_answer = leaf
     else:
@@ -233,43 +209,42 @@ def grow_answer(frame, node, tokens, start, terms):
     return leaf
 
 
-def invalidate_branch(frame, node):
-    """Detach one answer branch and tag its leaves invalid.
+def invalidate_branch(frame, tokens, depth, token):
+    """Pop one answer branch and tag its leaves invalid.
 
-    The branch top is unlinked from its parent so root-down lookups no
-    longer see it; leaves keep their parent pointers and chain links so
-    lagging readers can still walk past them. Returns the number of
-    leaves tagged.
+    The branch is the child under token of the node that tokens[:depth]
+    leads to from the frame's root. Once popped, root-down lookups no
+    longer see it; its leaves keep their chain links so lagging readers
+    can still walk past them. Returns the number of leaves tagged.
     """
     if frame.complete:
         raise ModetabError("cannot invalidate answers of a completed table")
-    if node.parent is None:
-        raise ModetabError("refusing to invalidate a trie root")
-    # The node must hang off this frame's root through live links only;
-    # anything already detached, and anything from another trie, is out.
-    top = node
-    while top.parent is not None:
-        if top.parent.children.get(top.token) is not top:
-            raise ModetabError("node is not a live branch of this answer trie")
-        top = top.parent
-    if top is not frame.root:
-        raise ModetabError("node is not a live branch of this answer trie")
-    del node.parent.children[node.token]
+    # The path must be live in this frame's trie: a branch already
+    # popped, or one of another frame, is refused.
+    node = frame.root
+    for i in range(depth):
+        node = node.get(tokens[i])
+        if type(node) is not dict:
+            raise ModetabError("path is not a live branch of this answer trie")
+    branch = node.pop(token, None)
+    if branch is None:
+        raise ModetabError("path is not a live branch of this answer trie")
     tagged = 0
-    stack = [node]
+    stack = [branch]
     while stack:
         n = stack.pop()
         if type(n) is AnswerLeaf:
             n.valid = False
             tagged += 1
         else:
-            stack.extend(n.children.values())
+            stack.extend(n.values())
     frame.n_invalidated += tagged
     return tagged
 
 
 def complete_table(frame):
-    """Purge invalid leaves from the chain and freeze the table.
+    """Purge invalid leaves from the chain, freeze the table and drop its
+    answer trie.
 
     Purged leaves keep their old forward pointers, so a reader parked on
     one still reaches the surviving suffix of the chain.
@@ -290,6 +265,7 @@ def complete_table(frame):
     frame.last_answer = survivors[-1] if survivors else None
     frame.complete = True
     frame.generator = None
+    frame.root = None
 
 
 def depend(host, frame):

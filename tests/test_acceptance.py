@@ -365,11 +365,11 @@ def test_09_trie_invalidation_properties(capsys):
                 insert_answer(frame, seq)
             prefixes = {seq[:i] for seq in seqs for i in range(1, width + 1)}
             count = 0
-            stack = list(frame.root.children.values())
+            stack = [frame.root]
             while stack:
                 node = stack.pop()
-                count += 1
-                stack.extend(node.children.values())
+                count += len(node)
+                stack.extend(c for c in node.values() if type(c) is dict)
             assert count == len(prefixes), (seqs, count, len(prefixes))
 
         # chain model: after every insert the valid chain equals the flat

@@ -60,6 +60,24 @@ def test_run_multiple_vars_on_one_line(tmp_path, capsys):
     assert "Z = d, C = 3" in lines
 
 
+NONGROUND = """\
+:- table q/3.
+q(X, Y, f(Y, X)).
+"""
+
+
+@pytest.mark.parametrize("query, rows", [
+    ("q(A, B, C)", ["A = X, B = Y, C = f(Y, X)"]),
+    ("q(A, A, C)", ["A = A, C = f(A, A)"]),
+])
+def test_run_prints_non_ground_answers(tmp_path, capsys, query, rows):
+    p = tmp_path / "open.pl"
+    p.write_text(NONGROUND)
+    code = main(["run", str(p), "--query", query])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == rows
+
+
 def test_run_parse_error_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.pl"
     p.write_text("path(a,b")

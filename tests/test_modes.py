@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modetab.errors import EvaluationError, ModeError
+from modetab.errors import EvaluationError, ModeError, ModetabError
 from modetab.modes import (
     ADDED,
     MODES,
@@ -17,7 +17,8 @@ from modetab.modes import (
     traditional_modes,
 )
 from modetab.terms import Struct, Var
-from modetab.tries import TableSpace, iterate_answers, subgoal_lookup_insert
+from modetab.tries import (TableSpace, complete_table, iterate_answers,
+                           subgoal_lookup_insert)
 
 from oracles import flat_aggregate
 
@@ -45,11 +46,11 @@ def snapshot(frame):
         chain.append((cur.seq, cur.valid))
         cur = cur.next
     nodes = 0
-    stack = list(frame.root.children.values())
+    stack = [frame.root]
     while stack:
         node = stack.pop()
-        nodes += 1
-        stack.extend(node.children.values())
+        nodes += len(node)
+        stack.extend(c for c in node.values() if type(c) is dict)
     return (frame.n_inserted, frame.n_invalidated, tuple(chain), nodes)
 
 
@@ -168,7 +169,7 @@ def test_fully_bound_call_stores_one_yes():
     frame, _ = make_frame(["index", "min"], ["a", 1])
     out = insert_answer(frame, ())
     assert out.kind == NEW and out.leaf.terms == ()
-    assert out.leaf.parent is None and frame.root.children == {}
+    assert frame.root == {}
     assert insert_answer(frame, ()).kind == REJECTED
     assert valid_terms(frame) == [()]
 
@@ -321,12 +322,23 @@ def test_rejection_changes_nothing():
     assert snapshot(frame) == before
 
 
+@pytest.mark.parametrize("call_args", [None, ["k", 3]], ids=["open", "ground"])
+def test_insert_into_a_completed_table_is_an_error(call_args):
+    frame, _ = make_frame(["index", "min"], call_args)
+    row = ("k", 3) if call_args is None else ()
+    insert_answer(frame, row)
+    complete_table(frame)
+    with pytest.raises(ModetabError):
+        insert_answer(frame, row)
+    assert valid_terms(frame) == [row]
+
+
 def test_replacement_keeps_the_key_prefix_nodes():
     frame, _ = make_frame(["index", "min"])
     insert_answer(frame, ("k", 9))
-    key_node = frame.root.children["k"]
+    key_node = frame.root["k"]
     insert_answer(frame, ("k", 3))
-    assert frame.root.children["k"] is key_node
+    assert frame.root["k"] is key_node
 
 
 # ---------------------------------------------------------------------------

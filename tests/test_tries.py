@@ -1,9 +1,14 @@
 """Table-space structure: call tries, answer chains, invalidation, purge."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modetab import bench
+from modetab.engine import Engine
 from modetab.errors import ModetabError
+from modetab.lang import parse_program
 from modetab.modes import compile_declaration, traditional_modes
 from modetab.terms import Struct, Var, tokenize, var_token
 from modetab.tries import (
@@ -27,11 +32,11 @@ def fresh_frame(arity=3):
 
 def count_nodes(root):
     n = 0
-    stack = list(root.children.values())
+    stack = [root]
     while stack:
         node = stack.pop()
-        n += 1
-        stack.extend(node.children.values())
+        n += len(node)
+        stack.extend(c for c in node.values() if type(c) is dict)
     return n
 
 
@@ -40,7 +45,7 @@ def add(frame, *terms):
     tokens = tokenize(list(terms))
     node = frame.root
     for i, tok in enumerate(tokens):
-        child = node.children.get(tok)
+        child = node.get(tok)
         if child is None:
             return grow_answer(frame, node, tokens, i, terms)
         node = child
@@ -51,10 +56,16 @@ def lookup(frame, *terms):
     """Root-down walk; returns the leaf record or None."""
     node = frame.root
     for tok in tokenize(list(terms)):
-        node = node.children.get(tok)
+        node = node.get(tok)
         if node is None:
             return None
     return node
+
+
+def kill(frame, leaf):
+    """Invalidate a record's branch by its token path, as insert_answer does."""
+    tokens = tokenize(list(leaf.terms))
+    return invalidate_branch(frame, tokens, len(tokens) - 1, tokens[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +159,7 @@ def test_appending_after_invalidating_the_head():
     frame = fresh_frame(1)
     a = add(frame, "a")
     b = add(frame, "b")
-    invalidate_branch(frame, a)
+    kill(frame, a)
     c = add(frame, "c")
     assert not a.valid
     assert frame.first_answer is a and a.next is b and b.next is c
@@ -161,8 +172,7 @@ def test_appending_after_invalidating_the_head():
 def test_invalidate_detaches_branch_but_keeps_chain():
     frame = fresh_frame(2)
     worse = add(frame, 5, Struct("f", ["a"]))
-    top = frame.root.children[5]
-    assert invalidate_branch(frame, top) == 1
+    assert invalidate_branch(frame, [5], 0, 5) == 1
     better = add(frame, 3, "b")
     assert not worse.valid and better.valid
     assert lookup(frame, 5, Struct("f", ["a"])) is None
@@ -175,8 +185,8 @@ def test_invalidate_detaches_branch_but_keeps_chain():
 def test_invalidate_the_only_answer():
     frame = fresh_frame(1)
     a = add(frame, "a")
-    invalidate_branch(frame, a)
-    assert frame.root.children == {}
+    kill(frame, a)
+    assert frame.root == {}
     assert frame.first_answer is a and not a.valid
 
 
@@ -184,7 +194,7 @@ def test_invalidate_keeps_shared_prefix_for_the_survivor():
     frame = fresh_frame(2)
     add(frame, 1, "a")
     doomed = add(frame, 1, "b")
-    invalidate_branch(frame, doomed)
+    kill(frame, doomed)
     assert lookup(frame, 1, "a") is not None
     assert lookup(frame, 1, "b") is None
 
@@ -194,7 +204,7 @@ def test_invalidate_foreign_node_is_an_error():
     other = fresh_frame(1)
     leaf = add(other, "a")
     with pytest.raises(ModetabError):
-        invalidate_branch(frame, leaf)
+        kill(frame, leaf)
 
 
 def test_invalidate_after_completion_is_an_error():
@@ -202,14 +212,14 @@ def test_invalidate_after_completion_is_an_error():
     leaf = add(frame, "a")
     complete_table(frame)
     with pytest.raises(ModetabError):
-        invalidate_branch(frame, leaf)
+        kill(frame, leaf)
 
 
 def test_stats_counters_track_inserts_and_invalidations():
     frame = fresh_frame(1)
     add(frame, "a")
     doomed = add(frame, "b")
-    invalidate_branch(frame, doomed)
+    kill(frame, doomed)
     complete_table(frame)
     assert frame.n_inserted == 2
     assert frame.n_invalidated == 1
@@ -225,10 +235,37 @@ def test_completion_purges_invalid_leaves():
     a = add(frame, "a")
     b = add(frame, "b")
     c = add(frame, "c")
-    invalidate_branch(frame, b)
+    kill(frame, b)
     complete_table(frame)
     assert frame.complete
     assert frame.first_answer is a and a.next is c and c.next is None
+
+
+def test_completion_drops_the_answer_trie():
+    frame = fresh_frame(2)
+    leaves = [add(frame, 1, "a"), add(frame, 1, "b"), add(frame, 2, "a")]
+    kill(frame, leaves[1])
+    complete_table(frame)
+    assert frame.root is None
+    # a record, live or invalidated, holds no trie node up
+    for leaf in leaves:
+        assert not any(type(r) is dict for r in gc.get_referents(leaf))
+
+
+def test_a_solved_engine_keeps_no_answer_tries():
+    inst = bench.gen_instance("shortest", 50, 1)
+    program = parse_program(bench.program_text(inst))
+    query = bench.query_text(inst)
+    Engine(program).solve(query)  # fills module-level caches first
+    gc.collect()
+    before = len(gc.get_objects())
+    engine = Engine(program)
+    answers, _ = engine.solve(query)
+    assert len(answers) == 2500
+    del answers
+    gc.collect()
+    # 2,500 answer records and the engine; the tries went at completion
+    assert len(gc.get_objects()) - before < 4000
 
 
 def test_completing_twice_is_an_error():
@@ -241,7 +278,7 @@ def test_completing_twice_is_an_error():
 def test_completion_of_a_fully_invalidated_table():
     frame = fresh_frame(1)
     a = add(frame, "a")
-    invalidate_branch(frame, a)
+    kill(frame, a)
     complete_table(frame)
     assert frame.first_answer is None and frame.last_answer is None
 
@@ -250,10 +287,10 @@ def test_purged_leaf_still_forwards_to_survivors():
     frame = fresh_frame(1)
     add(frame, "a")
     parked = add(frame, "b")
-    invalidate_branch(frame, parked)
+    kill(frame, parked)
     c = add(frame, "c")
     d = add(frame, "d")
-    invalidate_branch(frame, c)
+    kill(frame, c)
     complete_table(frame)
     assert [l.terms[0] for l in iterate_answers(frame, after=parked)] == ["d"]
     assert d.valid
@@ -268,7 +305,7 @@ def test_iterate_skips_invalid_leaves():
     add(frame, "a")
     bad = add(frame, "b")
     add(frame, "c")
-    invalidate_branch(frame, bad)
+    kill(frame, bad)
     got = [l.terms[0] for l in iterate_answers(frame)]
     assert got == ["a", "c"]
 
@@ -320,7 +357,7 @@ def test_chain_and_invalidation_match_a_list_model(vectors, data):
     doomed = [l for l in appended if data.draw(st.booleans())]
     for leaf in doomed:
         if leaf.valid:
-            invalidate_branch(frame, leaf)
+            kill(frame, leaf)
     # chain still holds every leaf ever appended, in order
     chain = []
     cur = frame.first_answer
@@ -363,7 +400,7 @@ def test_reader_parked_on_a_dead_leaf_sees_later_answers(vectors, data):
     parked = appended[data.draw(st.integers(0, len(appended) - 1))]
     for leaf in appended:
         if leaf.valid and data.draw(st.booleans()):
-            invalidate_branch(frame, leaf)
+            kill(frame, leaf)
     expected = [l for l in appended if l.seq > parked.seq and l.valid]
     assert list(iterate_answers(frame, after=parked)) == expected
     complete_table(frame)
