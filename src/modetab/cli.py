@@ -13,6 +13,7 @@ from .engine import Engine
 from .errors import ModetabError
 from .lang import parse_program, validate
 from .terms import term_to_str
+from .tries import iterate_answers
 
 __all__ = ["main"]
 
@@ -78,6 +79,16 @@ def _cmd_run(args):
                stats.invalidations, stats.propagations, stats.resumptions),
             file=sys.stderr,
         )
+        # one line per table, numbered per predicate in call order
+        for entry in engine.space.entries.values():
+            for k, frame in enumerate(entry.frames, 1):
+                print(
+                    "%% table %s #%d: answers=%d inserted=%d invalidated=%d"
+                    " purged=%d"
+                    % (frame.name(), k, sum(1 for _ in iterate_answers(frame)),
+                       frame.n_inserted, frame.n_invalidated, frame.n_purged),
+                    file=sys.stderr,
+                )
     return 0 if answers else 1
 
 

@@ -17,10 +17,16 @@ closure and copies of the activation and its callers, and resumes once
 per delivered answer. How answers reach consumers depends on the
 frame's scheduling strategy:
 
-* batched: every table-changing insertion is pushed to all registered
-  consumers right away, plus a bounded catch-up walk at registration
-  time. Consumers may observe answers that a later insertion
-  invalidates.
+* batched: every table-changing insertion is queued as an event for
+  each registered consumer, plus a bounded catch-up walk at
+  registration time. Consumers may observe answers that a later
+  insertion invalidates. An event whose answer died while it was
+  queued is dropped when the consumer sits in a table and neither that
+  table nor the one it reads has a first, last or sum column: the
+  answer that killed it has its own event further back in the queue,
+  and local scheduling never delivers a dead answer either. Every
+  other event is delivered, so a sum table, or a query's answer list,
+  still sees each one.
 * local: consumers get nothing until the task queue drains. Completion
   works on the strongly connected components of the dependency graph
   between incomplete frames, kept as calls suspend: each component
@@ -52,8 +58,8 @@ from .errors import DerivationLimitError, EvaluationError
 from .lang import (ARITH_OPS, COMPARE, decompose_goal, eval_arith, eval_builtin,
                    fact_key, is_builtin, parse_query)
 from .modes import REJECTED, compile_declaration, insert_answer, traditional_modes
-from .terms import (Struct, Var, instantiate, resolve, term_to_str, tokenize,
-                    unify)
+from .terms import (Struct, Var, cyclic_binding, instantiate, resolve,
+                    term_to_str, tokenize, unify)
 from .tries import (TableSpace, complete_table, depend, iterate_answers, merge,
                     release, subgoal_lookup_insert, waited_on)
 
@@ -581,9 +587,11 @@ class Engine:
         if host is not None and not host.complete:
             depend(host, frame)
         if frame.strategy == "batched":
-            # catch up on answers stored before registration; later ones
-            # arrive as insertion events, so the walk is bounded to keep
-            # the two channels from overlapping
+            # catch up on the valid answers stored before registration;
+            # later ones arrive as insertion events, so the walk is
+            # bounded to keep the two channels from overlapping. An
+            # event whose answer dies before its turn may be dropped
+            # (_drops_dead).
             bound = frame.seq_counter
             for leaf in iterate_answers(frame):
                 if leaf.seq > bound:
@@ -691,7 +699,13 @@ class Engine:
                 if kind == "gen":
                     self._run_generator(task[1])
                 elif kind == "event":
-                    self._deliver(task[1], task[2], resumed=True)
+                    consumer, leaf = task[1], task[2]
+                    if leaf.valid or not _drops_dead(consumer):
+                        self._deliver(consumer, leaf, resumed=True)
+                    elif self.events is not None:
+                        self._log("skip", frame=consumer.frame.name(),
+                                  seq=leaf.seq, consumer=consumer.cid,
+                                  host=consumer.host.name())
                 else:  # walk
                     self._walk_consumer(task[1])
             if not self._checkpoint():
@@ -765,11 +779,17 @@ class Engine:
         order. A query made of a single tabled goal reports the final
         content of the completed table, in chain order. Recursion deeper
         than Python's stack, in untabled calls or in nested terms, raises
-        EvaluationError.
+        EvaluationError, as does a variable bound to a term that holds it.
         """
         try:
             return self._solve(query)
         except RecursionError:
+            # the walk that failed left its bindings behind
+            var = cyclic_binding(self.bind)
+            if var is not None:
+                raise EvaluationError(
+                    "cyclic term: %s = %s (unification has no occurs check)"
+                    % (var.name, term_to_str(self.bind[var]))) from None
             raise EvaluationError(
                 "recursion went too deep: untabled calls or terms nest"
                 " beyond the interpreter's stack") from None
@@ -935,6 +955,16 @@ def _best(frame):
             return None
         ordinal += n
     return None
+
+
+def _drops_dead(consumer):
+    """Whether a batched event whose answer died in the queue may be
+    dropped: the consumer sits in a table, and neither that table nor
+    the one it reads has a first, last or sum column, whose content
+    depends on the order or the number of deliveries."""
+    host = consumer.host
+    return (host is not None and host.entry.any_order
+            and consumer.frame.entry.any_order)
 
 
 def _pending(consumer):

@@ -33,6 +33,7 @@ __all__ = [
     "term_to_str",
     "deref",
     "resolve",
+    "cyclic_binding",
     "instantiate",
     "unify",
     "undo_trail",
@@ -275,6 +276,34 @@ def resolve(t, env):
         if changed:
             return Struct(t.name, new)
     return t
+
+
+def cyclic_binding(env):
+    """A variable that occurs in its own binding, directly or through
+    other bound variables, or None. unify has no occurs check, so such
+    a binding is possible, and resolve never returns on it."""
+    done = set()  # bound variables known to lie on no cycle
+    for root in env:
+        if root in done:
+            continue
+        on_path = {root}
+        work = [(root, [env[root]])]  # (variable, terms left to scan)
+        while work:
+            v, todo = work[-1]
+            if not todo:
+                work.pop()
+                on_path.discard(v)
+                done.add(v)
+                continue
+            t = todo.pop()
+            if type(t) is Struct:
+                todo.extend(t.args)
+            elif type(t) is Var and t in env and t not in done:
+                if t in on_path:
+                    return t
+                on_path.add(t)
+                work.append((t, [env[t]]))
+    return None
 
 
 def instantiate(t, mapping):

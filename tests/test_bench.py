@@ -211,3 +211,16 @@ def test_check_answers_rejects_corrupted_rows():
     bad = [(x, y, c + 1)] + rows[1:]
     assert not bench.check_answers(inst, bad)
     assert not bench.check_answers(inst, rows[1:])
+
+
+def test_batched_matches_the_oracles_at_acceptance_sizes():
+    # acceptance 07's families and sizes, under batched scheduling
+    fails = []
+    for family, size in (("shortest", 50), ("shortest_first", 50),
+                         ("shortest_all", 50), ("shortest_pref", 50),
+                         ("knapsack", 14), ("lcs", 18), ("matrix", 8)):
+        for seed in range(1, 11):
+            rep = bench.run_benchmark(family, size, seed, "batched", runs=1)
+            if not rep["match"]:
+                fails.append("%s/%d" % (family, seed))
+    assert fails == []

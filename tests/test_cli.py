@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from modetab import bench
 from modetab.cli import main
 
 REACH = """\
@@ -121,6 +122,24 @@ def test_run_stats_go_to_stderr(reach_file, capsys):
     assert "insertions=" not in captured.out
 
 
+@pytest.mark.parametrize("sched, line", [
+    ("local", "% table path/3 #1: answers=36 inserted=43 invalidated=7"
+              " purged=7"),
+    ("batched", "% table path/3 #1: answers=36 inserted=46 invalidated=10"
+                " purged=10"),
+])
+def test_run_stats_report_each_table(tmp_path, capsys, sched, line):
+    p = tmp_path / "shortest.pl"
+    p.write_text(bench.program_text(bench.gen_instance("shortest", 6, 1)))
+    code = main(["run", str(p), "--query", "path(X, Y, C)", "--stats",
+                 "--sched", sched])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 0
+    assert len(err) == 2
+    assert err[0].startswith("% 36 answers, ")
+    assert err[1] == line
+
+
 def test_run_sched_batched(reach_file, capsys):
     code = main(["run", reach_file, "--query", "path(a, X)", "--sched", "batched"])
     assert code == 0
@@ -156,6 +175,19 @@ def test_run_deep_recursion_exits_2(tmp_path, capsys, text, query):
     assert err.splitlines() == [
         "error: recursion went too deep: untabled calls or terms nest"
         " beyond the interpreter's stack"
+    ]
+
+
+def test_run_cyclic_binding_exits_2(tmp_path, capsys):
+    # no occurs check: A = g(A, Y) is bound, and cannot be printed
+    p = tmp_path / "cyclic.pl"
+    p.write_text(":- table p(index, index).\np(X, g(X, Y)).\n")
+    code = main(["run", str(p), "--query", "p(A, A)"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: cyclic term: A = g(A, Y) (unification has no occurs check)"
     ]
 
 

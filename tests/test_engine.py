@@ -7,9 +7,11 @@ from modetab import bench
 from modetab.engine import Engine, solve
 from modetab.errors import DerivationLimitError, EvaluationError
 from modetab.lang import parse_program
+from modetab.terms import term_to_str
 from modetab.tries import iterate_answers
 
 from oracles import bottom_up
+from randprog import generate
 
 REACH = """
 :- table path/2.
@@ -273,6 +275,90 @@ def test_catch_up_skips_answers_invalidated_on_the_way():
     engine.solve("?- path(a,Z,C).")
     seqs = {e["seq"] for e in deliveries(engine, frame="path/3")}
     assert seqs == {1, 3, 4}  # the cost-5 answer at seq 2 was replaced
+
+
+# ---------------------------------------------------------------------------
+# batched drops an event whose answer died while it was queued
+
+# a sum table that counts every delivery of a min table
+COUNTED_CHEAPEST = CHEAPEST + ":- table n(sum).\nn(1) :- path(_,_,_).\n"
+
+
+def watched(program, strategy):
+    """An engine that records, per delivery, the consumer, the answer's
+    seq and whether the answer was still valid when it was delivered."""
+    engine = Engine(program, strategy, trace=True)
+    engine.seen = []
+    deliver = engine._deliver
+
+    def watch(consumer, leaf, resumed):
+        engine.seen.append((consumer, leaf.seq, leaf.valid))
+        deliver(consumer, leaf, resumed)
+    engine._deliver = watch
+    return engine
+
+
+@pytest.mark.parametrize("case", ["cheapest", "detour", "shortest"])
+def test_batched_delivers_no_dead_answer_to_an_order_free_host(case):
+    program, query = {
+        "cheapest": (parse_program(CHEAPEST), "?- path(a,Z,C)."),
+        "detour": (parse_program(DETOUR), "?- path(a,Z,C)."),
+        "shortest": bench_case("shortest", 12, 1),
+    }[case]
+    engine = watched(program, "batched")
+    engine.solve(query)
+    dead = [(c.cid, seq) for c, seq, valid in engine.seen
+            if not valid and c.host is not None and c.host.entry.any_order]
+    assert dead == []
+    skips = [e for e in engine.events if e["kind"] == "skip"]
+    delivered = {(e["consumer"], e["seq"]) for e in deliveries(engine)}
+    assert not delivered & {(e["consumer"], e["seq"]) for e in skips}
+    if case == "shortest":
+        assert skips
+        assert all(e["frame"] == e["host"] == "path/3" for e in skips)
+
+
+def test_a_sum_host_still_gets_dead_answers_of_a_min_producer():
+    engine = watched(parse_program(COUNTED_CHEAPEST), "batched")
+    answers, _ = engine.solve("?- n(N).")
+    to_sum = [valid for c, seq, valid in engine.seen
+              if c.host is not None and c.host.name() == "n/1"]
+    changed = [e for e in engine.events if e["kind"] == "insert"
+               and e["frame"] == "path/3" and e["outcome"] != "rejected"]
+    assert not all(to_sum)  # the cost-5 answer to d died in the queue
+    assert len(to_sum) == len(changed)
+    assert answers == [{"N": len(changed)}]
+    assert not any(e["kind"] == "skip" and e["host"] == "n/1"
+                   for e in engine.events)
+
+
+@pytest.mark.parametrize("family, size, work", [
+    ("shortest", 50, (26297, 13244, 2011, 3388)),
+    ("knapsack", 14, (3165, 481, 74, 432)),
+    ("lcs", 18, (5031, 2566, 877, 2528)),
+    ("matrix", 8, (1493, 129, 20, 228)),
+    # a first column keeps every delivery, so its work is what it was
+    ("shortest_first", 50, (40273, 20232, 2703, 5198)),
+])
+def test_batched_work_on_seed_1(family, size, work):
+    _, stats = solve(*bench_case(family, size, 1), strategy="batched")
+    assert (stats.derivations, stats.insertions, stats.invalidations,
+            stats.propagations) == work
+
+
+def test_random_programs_agree_across_strategies():
+    diffs = []
+    for seed in range(51, 1051):
+        text, query, names = generate(seed)
+        program = parse_program(text)
+        sets = [
+            {tuple(term_to_str(a[v]) for v in names)
+             for a in solve(program, query, strategy=s)[0]}
+            for s in BOTH
+        ]
+        if sets[0] != sets[1]:
+            diffs.append(seed)
+    assert diffs == []
 
 
 @pytest.mark.parametrize("strategy", BOTH)

@@ -8,6 +8,7 @@ from modetab.terms import (
     Struct,
     Var,
     compare_ground,
+    cyclic_binding,
     fun_token,
     term_to_str,
     tokenize,
@@ -172,3 +173,19 @@ def test_term_to_str_prints_a_deep_term():
     for _ in range(5000):
         t = Struct("s", [t])
     assert term_to_str(t) == "s(" * 5000 + "0" + ")" * 5000
+
+
+def test_cyclic_binding_finds_a_variable_inside_its_own_value():
+    a, b, c = Var("A"), Var("B"), Var("C")
+    assert cyclic_binding({}) is None
+    assert cyclic_binding({a: Struct("g", (a, b))}) is a
+    # through another binding
+    cycle = {a: Struct("f", (b,)), b: Struct("g", (c, a))}
+    assert cyclic_binding(cycle) in (a, b)
+    # a shared variable is not a cycle
+    assert cyclic_binding({a: Struct("f", (b, b)), b: Struct("g", (c,)),
+                           c: 1}) is None
+    deep = 0
+    for _ in range(10000):
+        deep = Struct("s", (deep,))
+    assert cyclic_binding({a: deep, b: Struct("f", (a, a))}) is None
