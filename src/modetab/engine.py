@@ -14,20 +14,16 @@ gets a Var, bound in a per-walk dict with a trail.
 A call to a tabled predicate starts a generator (first call), reads a
 completed table inline, or suspends: a consumer keeps the next goal's
 closure and copies of the activation and its callers, and resumes once
-per delivered answer. How answers reach consumers depends on the
-frame's scheduling strategy:
+per delivered answer. It settles when its frame is scheduled local,
+or when it sits in a table and neither that table nor the one it reads
+has a first, last or sum column, whose content depends on the order or
+the number of deliveries.
 
-* batched: every table-changing insertion is queued as an event for
-  each registered consumer, plus a bounded catch-up walk at
-  registration time. Consumers may observe answers that a later
-  insertion invalidates. An event whose answer died while it was
-  queued is dropped when the consumer sits in a table and neither that
-  table nor the one it reads has a first, last or sum column: the
-  answer that killed it has its own event further back in the queue,
-  and local scheduling never delivers a dead answer either. Every
-  other event is delivered, so a sum table, or a query's answer list,
-  still sees each one.
-* local: consumers get nothing until the task queue drains. Completion
+* A consumer that does not settle (batched only) gets each
+  table-changing insertion queued as an event, plus a bounded catch-up
+  walk at registration time, so it may see answers that a later
+  insertion invalidates; a sum table counts each one.
+* A settled consumer gets nothing until the task queue drains. Completion
   works on the strongly connected components of the dependency graph
   between incomplete frames, kept as calls suspend: each component
   counts the calls its members have suspended on frames outside it. In
@@ -149,11 +145,15 @@ class Consumer:
     """
 
     __slots__ = ("frame", "host", "plan", "hplan", "step", "env", "parent",
-                 "last", "cid")
+                 "last", "cid", "settles")
 
     def __init__(self, frame, host, plan, hplan, step, env, parent, cid):
         self.frame = frame
         self.host = host  # frame whose evaluation this call sits in, or None
+        # read at completion, as under local, instead of per insertion
+        self.settles = frame.strategy == "local" or (
+            host is not None and host.entry.any_order
+            and frame.entry.any_order)
         self.plan = plan  # tuple of (slot, answer ordinal)
         self.hplan = hplan  # tuple of (Var, answer ordinal)
         self.step = step
@@ -586,12 +586,10 @@ class Engine:
         frame.consumers.append(consumer)
         if host is not None and not host.complete:
             depend(host, frame)
-        if frame.strategy == "batched":
+        if not consumer.settles:
             # catch up on the valid answers stored before registration;
             # later ones arrive as insertion events, so the walk is
-            # bounded to keep the two channels from overlapping. An
-            # event whose answer dies before its turn may be dropped
-            # (_drops_dead).
+            # bounded to keep the two channels from overlapping
             bound = frame.seq_counter
             for leaf in iterate_answers(frame):
                 if leaf.seq > bound:
@@ -699,13 +697,7 @@ class Engine:
                 if kind == "gen":
                     self._run_generator(task[1])
                 elif kind == "event":
-                    consumer, leaf = task[1], task[2]
-                    if leaf.valid or not _drops_dead(consumer):
-                        self._deliver(consumer, leaf, resumed=True)
-                    elif self.events is not None:
-                        self._log("skip", frame=consumer.frame.name(),
-                                  seq=leaf.seq, consumer=consumer.cid,
-                                  host=consumer.host.name())
+                    self._deliver(task[1], task[2], resumed=True)
                 else:  # walk
                     self._walk_consumer(task[1])
             if not self._checkpoint():
@@ -738,9 +730,8 @@ class Engine:
                 pending = [
                     consumer
                     for frame in lead.members
-                    if frame.strategy == "local"
                     for consumer in frame.consumers
-                    if _pending(consumer)
+                    if consumer.settles and _pending(consumer)
                 ]
                 walkers = [consumer for consumer in pending
                            if consumer.host is not None
@@ -753,7 +744,8 @@ class Engine:
                 for frame in lead.members:
                     complete_table(frame)
                     del self.incomplete[frame]
-                    self._log("complete", frame=frame.name())
+                    if self.events is not None:
+                        self._log("complete", frame=frame.name())
                 self.ready.extend(release(lead))
                 # the rest are read by callers outside the component
                 tasks.extend(("walk", consumer) for consumer in pending)
@@ -857,7 +849,8 @@ def _emit(env, sink):
         )
     if outcome.kind != REJECTED and frame.strategy == "batched":
         engine.tasks.extend(("event", consumer, outcome.leaf)
-                            for consumer in frame.consumers)
+                            for consumer in frame.consumers
+                            if not consumer.settles)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -955,16 +948,6 @@ def _best(frame):
             return None
         ordinal += n
     return None
-
-
-def _drops_dead(consumer):
-    """Whether a batched event whose answer died in the queue may be
-    dropped: the consumer sits in a table, and neither that table nor
-    the one it reads has a first, last or sum column, whose content
-    depends on the order or the number of deliveries."""
-    host = consumer.host
-    return (host is not None and host.entry.any_order
-            and consumer.frame.entry.any_order)
 
 
 def _pending(consumer):

@@ -487,6 +487,7 @@ def validate(program):
             out.append(
                 "warning: tabled predicate %s/%d has no clauses" % (d.name, d.arity)
             )
+    calls = {}  # predicate -> the predicates its clauses call
     for c in program.clauses:
         name, arity = c.functor()
         if is_builtin(name, arity):
@@ -496,11 +497,27 @@ def validate(program):
         for g in c.body:
             gname, gargs = _functor_of(g)
             key = (gname, len(gargs))
+            calls.setdefault((name, arity), set()).add(key)
             if is_builtin(*key) or key in defined or program.is_tabled(*key):
                 continue
             out.append(
                 "error: unknown predicate %s/%d called on line %s"
                 % (gname, len(gargs), c.line)
+            )
+    for d in program.declarations:
+        # a sum counts every delivery, and a call inside its own
+        # component is delivered answers before they are final
+        todo = [(d.name, d.arity)] if d.modes and "sum" in d.modes else []
+        seen = set()
+        while todo:
+            for key in calls.get(todo.pop(), set()) - seen:
+                seen.add(key)
+                todo.append(key)
+        if (d.name, d.arity) in seen:
+            out.append(
+                "warning: sum-moded %s/%d can call itself, so its total may"
+                " count transient answers under either strategy"
+                % (d.name, d.arity)
             )
     return out
 

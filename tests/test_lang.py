@@ -198,6 +198,22 @@ def test_tabled_predicate_without_clauses_warns():
     assert out == ["warning: tabled predicate q/2 has no clauses"]
 
 
+@pytest.mark.parametrize("text", [
+    ":- table cnt(index,sum).\n"
+    "cnt(a,1).\n"
+    "cnt(a,N) :- cnt(a,M), M < 3, N is 1.\n",
+    # through a predicate that is not tabled
+    ":- table cnt(index,sum).\n"
+    "cnt(a,1).\n"
+    "cnt(a,N) :- more(M), N is M.\n"
+    "more(M) :- cnt(a,M), M < 3.\n",
+])
+def test_sum_table_that_can_call_itself_warns(text):
+    assert validate(parse_program(text)) == [
+        "warning: sum-moded cnt/2 can call itself, so its total may count"
+        " transient answers under either strategy"]
+
+
 def test_unknown_predicate_call_is_an_error():
     out = validate(parse_program("p(X) :- missing(X)."))
     assert out == ["error: unknown predicate missing/1 called on line 1"]
