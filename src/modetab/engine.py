@@ -11,13 +11,14 @@ clause apart by making a fresh one. A variable that must outlive its
 activation unbound (inside a compound, or passed to a non-tabled rule)
 gets a Var, bound in a per-walk dict with a trail.
 
-A call to a tabled predicate starts a generator (first call), reads a
-completed table inline, or suspends: a consumer keeps the next goal's
-closure and copies of the activation and its callers, and resumes once
-per delivered answer. It settles when its frame is scheduled local,
-or when it sits in a table and neither that table nor the one it reads
-has a first, last or sum column, whose content depends on the order or
-the number of deliveries.
+A call to a tabled predicate starts a generator (first call) and makes
+a consumer, which runs the next goal's closure once per delivered
+answer. On a completed table it is delivered every answer at once,
+within the calling walk. Otherwise it suspends, keeping copies of the
+activation and its callers, and settles when its frame is scheduled
+local, or when it sits in a table and neither that table nor the one it
+reads has a first, last or sum column, whose content depends on the
+order or the number of deliveries.
 
 * A consumer that does not settle (batched only) gets each
   table-changing insertion queued as an event, plus a bounded catch-up
@@ -56,8 +57,8 @@ from .lang import (ARITH_OPS, COMPARE, decompose_goal, eval_arith, eval_builtin,
 from .modes import REJECTED, compile_declaration, insert_answer, traditional_modes
 from .terms import (Struct, Var, cyclic_binding, instantiate, resolve,
                     term_to_str, tokenize, unify)
-from .tries import (TableSpace, complete_table, depend, iterate_answers, merge,
-                    release, subgoal_lookup_insert, waited_on)
+from .tries import (TableSpace, complete_table, iterate_answers,
+                    subgoal_lookup_insert)
 
 __all__ = ["Engine", "Stats", "solve", "DEFAULT_LIMIT"]
 
@@ -136,12 +137,12 @@ class _Sink:
 
 
 class Consumer:
-    """A suspended tabled call: where it reads and how to go on.
+    """A tabled call: where it reads and how to go on.
 
     plan maps answer ordinals to slots of env that were unbound at the
     call, hplan to Vars; step(env, parent) runs the rest of the
     derivation. env and the callers in parent were copied when the call
-    suspended.
+    suspended; a read of a completed table keeps the caller's own.
     """
 
     __slots__ = ("frame", "host", "plan", "hplan", "step", "env", "parent",
@@ -196,9 +197,6 @@ class Engine:
                      else compile_declaration(name, arity, list(modes)))
             found = self.space.entry(name, arity, array)
         return found
-
-    def frame_strategy(self, name, arity):
-        return self.program.strategy_overrides.get((name, arity), self.strategy)
 
     # -- compilation -----------------------------------------------------
 
@@ -533,7 +531,8 @@ class Engine:
         entry = self.entry(name, len(args))
         frame, is_new, varmap = subgoal_lookup_insert(entry, args)
         if is_new:
-            frame.strategy = self.frame_strategy(name, len(args))
+            frame.strategy = self.program.strategy_overrides.get(
+                (name, len(args)), self.strategy)
             # a call variable that stands alone as an argument and occurs
             # nowhere else is linked to the head argument it meets, so
             # the generator reads its answer from there
@@ -556,46 +555,40 @@ class Engine:
         return frame, varmap
 
     def _call_tabled(self, name, specs, env, parent, nxt):
-        bind = self.bind
         fresh = {}  # slot -> stand-in Var for slots unbound at the call
-        args = [_call_arg(s, env, fresh, bind) for s in specs]
+        args = [_call_arg(s, env, fresh, self.bind) for s in specs]
         frame, varmap = self._materialize(name, args)
         slot_of = {v: k for k, v in fresh.items()}
         plan = tuple((slot_of[v], o) for v, o in varmap.items() if v in slot_of)
         hplan = tuple((v, o) for v, o in varmap.items() if v not in slot_of)
-        if frame.complete:
-            # completed tables behave like memoized lookups
-            st = self.stats
-            for leaf in iterate_answers(frame):
-                st.propagations += 1
-                terms = leaf.terms
-                for k, o in plan:
-                    env[k] = terms[o]
-                for var, o in hplan:
-                    bind[var] = terms[o]
-                nxt(env, parent)
-                for var, o in hplan:
-                    del bind[var]
-            for k, o in plan:
-                env[k] = None
-            return
-        host, parent = self._freeze(parent)
+        host = _host(parent)
         self._next_cid += 1
-        consumer = Consumer(frame, host, plan, hplan, nxt, self._copy(env),
-                            parent, self._next_cid)
-        frame.consumers.append(consumer)
-        if host is not None and not host.complete:
-            depend(host, frame)
-        if not consumer.settles:
-            # catch up on the valid answers stored before registration;
-            # later ones arrive as insertion events, so the walk is
-            # bounded to keep the two channels from overlapping
-            bound = frame.seq_counter
-            for leaf in iterate_answers(frame):
-                if leaf.seq > bound:
-                    break
-                consumer.last = leaf
-                self._deliver(consumer, leaf, resumed=False)
+        if frame.complete:
+            # read now, within this walk: the activation and its callers
+            # are live, and nothing waits on the read
+            consumer = Consumer(frame, host, plan, hplan, nxt, env, parent,
+                                self._next_cid)
+        else:
+            consumer = Consumer(frame, host, plan, hplan, nxt, self._copy(env),
+                                self._freeze(parent), self._next_cid)
+            frame.consumers.append(consumer)
+            if host is not None and not host.complete:
+                # the host's component waits on this call unless the
+                # frame belongs to it
+                host.calls.append(frame)
+                if frame.leader is not host.leader:
+                    host.leader.waits += 1
+            if consumer.settles:
+                return
+        # catch up on the valid answers stored before registration (all
+        # of a completed table's); later ones arrive as insertion events,
+        # so the walk is bounded to keep the two channels from overlapping
+        bound = frame.n_inserted
+        for leaf in iterate_answers(frame):
+            if leaf.seq > bound:
+                break
+            consumer.last = leaf
+            self._deliver(consumer, leaf, resumed=False)
 
     def _copy(self, env):
         """A copy of an activation that no later binding reaches."""
@@ -606,17 +599,16 @@ class Engine:
                 for v in env]
 
     def _freeze(self, parent):
-        """Copy the callers of a suspending call; returns (host, copy)."""
+        """A copy of the callers of a suspending call."""
         if type(parent) is tuple:
             step, env, up = parent
-            host, up = self._freeze(up)
-            return host, (step, self._copy(env), up)
+            return step, self._copy(env), self._freeze(up)
         if self.bind:
             outs = tuple(o if type(o) is _Slot else resolve(o, self.bind)
                          for o in parent.outs)
             parent = _Sink(self, parent.frame, outs, parent.answers,
                            parent.names)
-        return (parent.frame if parent.names is None else None), parent
+        return parent
 
     def _deliver(self, consumer, leaf, resumed):
         st = self.stats
@@ -639,13 +631,14 @@ class Engine:
         env = list(consumer.env)
         for k, o in consumer.plan:
             env[k] = terms[o]
-        saved = self.bind, self.trail
-        if consumer.hplan or saved[0]:
-            # a walk of its own: catch-up deliveries run inside another walk
-            self.bind = {var: terms[o] for var, o in consumer.hplan}
-            self.trail = []
+        # the running walk's bindings stay: a completed read needs them,
+        # and a suspended consumer's copies were resolved through them
+        bind = self.bind
+        for var, o in consumer.hplan:
+            bind[var] = terms[o]
         consumer.step(env, consumer.parent)
-        self.bind, self.trail = saved
+        for var, o in consumer.hplan:
+            del bind[var]
 
     # -- task loop -------------------------------------------------------
 
@@ -746,7 +739,16 @@ class Engine:
                     del self.incomplete[frame]
                     if self.events is not None:
                         self._log("complete", frame=frame.name())
-                self.ready.extend(release(lead))
+                    # count off the calls suspended on it from outside; a
+                    # component left waiting on nothing goes next round
+                    for consumer in frame.consumers:
+                        host = consumer.host
+                        if (host is not None and host.leader is not lead
+                                and not host.complete):
+                            outer = host.leader
+                            outer.waits -= 1
+                            if not outer.waits:
+                                self.ready.append(outer)
                 # the rest are read by callers outside the component
                 tasks.extend(("walk", consumer) for consumer in pending)
                 pushed = pushed or bool(pending)
@@ -759,8 +761,15 @@ class Engine:
         strongly connected set of them, which waits on nothing outside
         itself, into one component; returns its leader."""
         leads = list(dict.fromkeys(frame.leader for frame in self.incomplete))
-        adj = {lead: list(waited_on(lead)) for lead in leads}
-        return merge(_tarjan(leads, adj)[0][::-1])
+        adj = {lead: list(_waited_on(lead)) for lead in leads}
+        lead, *others = _tarjan(leads, adj)[0][::-1]
+        for other in others:
+            for frame in other.members:
+                frame.leader = lead
+            lead.members.extend(other.members)
+            lead.any_order = lead.any_order and other.any_order
+        lead.waits = sum(1 for _ in _waited_on(lead))
+        return lead
 
     # -- queries -----------------------------------------------------------
 
@@ -933,6 +942,24 @@ def _call_arg(s, env, fresh, bind):
         return instantiate(s.term, {v: _call_arg(o, env, fresh, bind)
                                     for v, o in s.slots})
     return s
+
+
+def _host(parent):
+    """The frame whose evaluation a call sits in; None under a query."""
+    while type(parent) is tuple:
+        parent = parent[2]
+    return parent.frame
+
+
+def _waited_on(lead):
+    """The leaders of other incomplete components a component's members
+    have suspended calls on, once per call."""
+    return (
+        frame.leader
+        for member in lead.members
+        for frame in member.calls
+        if not frame.complete and frame.leader is not lead
+    )
 
 
 def _best(frame):

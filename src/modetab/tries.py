@@ -18,13 +18,9 @@ Dead leaves are only dropped when the table completes. Completion also
 drops the answer trie itself: from then on readers follow the chain
 only, and nothing inserts or invalidates.
 
-Frames also carry what completion needs: each incomplete frame belongs
-to a component of frames that wait on each other, and the component's
-leader counts the calls its members have suspended on frames outside
-it. depend, release and merge keep those counts as calls suspend,
-components complete and cycles are contracted. A leader also knows
-whether any member has a first, last or sum column, whose content
-depends on the order or the number of deliveries.
+A frame also has fields the engine keeps for scheduling and completion:
+its generator, its suspended consumers, and the component of frames it
+waits with.
 """
 
 from .errors import ModetabError
@@ -40,10 +36,6 @@ __all__ = [
     "grow_answer",
     "invalidate_branch",
     "complete_table",
-    "depend",
-    "release",
-    "merge",
-    "waited_on",
     "iterate_answers",
 ]
 
@@ -80,7 +72,6 @@ class SubgoalFrame:
         "members",
         "waits",
         "any_order",
-        "seq_counter",
         "n_inserted",
         "n_invalidated",
         "n_purged",
@@ -108,7 +99,6 @@ class SubgoalFrame:
         # no column whose content depends on delivery order; on a
         # leader, true of every member
         self.any_order = entry.any_order
-        self.seq_counter = 0
         self.n_inserted = 0
         self.n_invalidated = 0
         self.n_purged = 0
@@ -192,8 +182,8 @@ def grow_answer(frame, node, tokens, start, terms):
     The path's last token maps to the new answer's record, holding
     terms. An answer without tokens gets a record under no node.
     """
-    frame.seq_counter += 1
-    leaf = AnswerLeaf(frame.seq_counter, terms)
+    frame.n_inserted += 1
+    leaf = AnswerLeaf(frame.n_inserted, terms)
     if tokens:
         last = len(tokens) - 1
         for i in range(start, last):
@@ -205,7 +195,6 @@ def grow_answer(frame, node, tokens, start, terms):
     else:
         frame.last_answer.next = leaf
     frame.last_answer = leaf
-    frame.n_inserted += 1
     return leaf
 
 
@@ -266,53 +255,6 @@ def complete_table(frame):
     frame.complete = True
     frame.generator = None
     frame.root = None
-
-
-def depend(host, frame):
-    """Record a call suspended on frame while evaluating host."""
-    host.calls.append(frame)
-    if frame.leader is not host.leader:
-        host.leader.waits += 1
-
-
-def release(lead):
-    """Count off the calls suspended on a component that has completed.
-
-    Returns the leaders of calling components that now wait on nothing.
-    """
-    freed = []
-    for frame in lead.members:
-        for consumer in frame.consumers:
-            host = consumer.host
-            if host is not None and host.leader is not lead and not host.complete:
-                outer = host.leader
-                outer.waits -= 1
-                if not outer.waits:
-                    freed.append(outer)
-    return freed
-
-
-def merge(leads):
-    """Contract the components of the given leaders into one, led by the
-    first, and count its calls on frames outside it; returns the leader."""
-    lead = leads[0]
-    for other in leads[1:]:
-        for frame in other.members:
-            frame.leader = lead
-        lead.members.extend(other.members)
-        lead.any_order = lead.any_order and other.any_order
-    lead.waits = sum(1 for _ in waited_on(lead))
-    return lead
-
-
-def waited_on(lead):
-    """The leaders of other incomplete components a component waits on."""
-    return (
-        frame.leader
-        for member in lead.members
-        for frame in member.calls
-        if not frame.complete and frame.leader is not lead
-    )
 
 
 def iterate_answers(frame, after=None):

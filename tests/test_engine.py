@@ -436,6 +436,26 @@ def test_local_work_on_seed_1(family, size, work):
             stats.propagations, stats.resumptions) == work
 
 
+@pytest.mark.parametrize("family, size, strategy", [
+    (family, size, strategy)
+    for family, size in (("shortest", 12), ("shortest_first", 12),
+                         ("shortest_all", 12), ("shortest_pref", 12),
+                         ("knapsack", 8), ("lcs", 10), ("matrix", 8),
+                         ("pagerank", 10))
+    for strategy in BOTH
+    if not (family == "pagerank" and strategy == "batched")
+])
+def test_every_propagation_is_one_deliver_event(family, size, strategy):
+    # matrix reads completed tables of smaller chains, which are
+    # propagations but not resumptions
+    program, query = bench_case(family, size, 1)
+    engine = Engine(program, strategy, trace=True)
+    _, stats = engine.solve(query)
+    seen = deliveries(engine)
+    assert len(seen) == stats.propagations
+    assert sum(e["resumed"] for e in seen) == stats.resumptions
+
+
 @pytest.mark.parametrize("strategy", BOTH)
 def test_no_answer_is_delivered_twice_to_a_consumer(strategy):
     for text, query in (
@@ -467,6 +487,200 @@ def test_completed_table_feeds_later_joins():
     engine.solve("?- path(a,Z).")
     answers, _ = engine.solve("?- path(a,Z), edge(Z,W).")
     assert answers == [{"Z": "b", "W": "a"}, {"Z": "a", "W": "b"}]
+
+
+# ---------------------------------------------------------------------------
+# untabled rules, and calls that the benchmark families do not make
+
+RULES = """
+gp(X, Z) :- par(X, Y), par(Y, Z).
+anc(X, Y) :- par(X, Y).
+anc(X, Z) :- par(X, Y), anc(Y, Z).
+par(a, b).
+par(b, c).
+par(c, d).
+"""
+
+# hop reads path from an untabled rule, and far reads hop from a table
+IN_RULE = """
+:- table path/2.
+path(X,Z) :- path(X,Y), edge(Y,Z).
+path(X,Z) :- edge(X,Z).
+hop(X, Z) :- path(X, Z), edge(Z, _).
+:- table far/1.
+far(Z) :- hop(a, Z).
+edge(a,b).
+edge(b,c).
+edge(c,a).
+edge(c,d).
+"""
+
+# wrap is called with a compound holding the caller's variable
+COMPOUND = """
+:- table wrap/1.
+wrap(f(a)).
+wrap(g(b)).
+wrap(f(c)).
+inner(X) :- wrap(f(X)).
+tagged(X, T) :- T = t(X), wrap(f(X)).
+:- table pair/1.
+pair(p(X, Y)) :- inner(X), inner(Y).
+"""
+
+FACTS = """
+e(a, a).
+e(a, b).
+e(b, b).
+k(f(a), 1).
+k(g(b), 2).
+k(f(c), 3).
+to_b(X) :- e(X, b).
+"""
+
+ZERO_ARITY = """
+p :- q.
+q :- e(a, _).
+:- table t/0.
+t :- e(a, _).
+u :- t.
+w :- e(b, _).
+e(a, b).
+"""
+
+INNER = [{"X": "a"}, {"X": "c"}]
+TAGGED = [{"X": "a", "T": "t(a)"}, {"X": "c", "T": "t(c)"}]
+HOPS = [{"Z": "b"}, {"Z": "c"}, {"Z": "c"}, {"Z": "a"}]
+
+
+def printed(answers):
+    return [{k: term_to_str(v) for k, v in a.items()} for a in answers]
+
+
+def session(text, strategy, queries):
+    """The printed answers of each query, in turn, on one engine: a
+    query can read the tables an earlier one completed."""
+    engine = Engine(parse_program(text), strategy)
+    return [printed(engine.solve(query)[0]) for query in queries]
+
+
+@pytest.mark.parametrize("strategy", BOTH)
+def test_untabled_rules_return_to_their_callers(strategy):
+    assert session(RULES, strategy, [
+        "?- gp(a, Z).", "?- anc(a, Z).", "?- anc(X, d).",
+    ]) == [
+        [{"Z": "c"}],
+        [{"Z": "b"}, {"Z": "c"}, {"Z": "d"}],
+        [{"X": "c"}, {"X": "a"}, {"X": "b"}],
+    ]
+
+
+@pytest.mark.parametrize("strategy", BOTH)
+def test_tabled_calls_inside_untabled_rules(strategy):
+    # first path(a,_) is evaluated under hop; then far and the second
+    # hop read it completed, far from inside its own generator
+    assert session(IN_RULE, strategy, [
+        "?- hop(a, Z).", "?- far(Z).", "?- hop(a, Z).",
+    ]) == [HOPS, [{"Z": "b"}, {"Z": "c"}, {"Z": "a"}], HOPS]
+
+
+@pytest.mark.parametrize("strategy", BOTH)
+def test_tabled_calls_with_a_compound_holding_a_variable(strategy):
+    # tagged has bound T before it calls wrap; the second round reads
+    # wrap's completed table
+    queries = ["?- tagged(X, T).", "?- inner(X), inner(Y).", "?- inner(X).",
+               "?- pair(P).", "?- tagged(X, T).", "?- tagged(X, T), inner(Y)."]
+    assert session(COMPOUND, strategy, queries) == [
+        TAGGED,
+        [{"X": x, "Y": y} for x in "ac" for y in "ac"],
+        INNER,
+        [{"P": "p(%s, %s)" % (x, y)} for x in "ac" for y in "ac"],
+        TAGGED,
+        [dict(t, Y=y) for t in TAGGED for y in "ac"],
+    ]
+
+
+@pytest.mark.parametrize("strategy", BOTH)
+def test_fact_calls_with_a_repeated_variable_or_a_compound(strategy):
+    assert session(FACTS, strategy, [
+        "?- e(X, X).", "?- k(f(Y), N).", "?- to_b(X).", "?- e(X, Y), e(Y, X).",
+    ]) == [
+        [{"X": "a"}, {"X": "b"}],
+        [{"Y": "a", "N": "1"}, {"Y": "c", "N": "3"}],
+        [{"X": "a"}, {"X": "b"}],
+        [{"X": "a", "Y": "a"}, {"X": "b", "Y": "b"}],
+    ]
+
+
+@pytest.mark.parametrize("strategy", BOTH)
+def test_zero_arity_goals(strategy):
+    assert session(ZERO_ARITY, strategy, ["?- p.", "?- u.", "?- t.", "?- w."]
+                   ) == [[{}], [{}], [{}], []]
+
+
+# ---------------------------------------------------------------------------
+# arithmetic through the engine
+
+
+@pytest.mark.parametrize("query, message", [
+    ("?- Y is Z + 1.", "unbound variable Z in arithmetic"),
+    ("?- Y is foo.", "not an arithmetic term: foo"),
+    ("?- 1 < a.", "not an arithmetic term: a"),
+    ("?- Y is 1 / 0.", "division by zero"),
+    ("?- X = a, Y is X + 1.", "not an arithmetic term: a"),
+    ("?- X = W, Y is X + 1.", "unbound variable X in arithmetic"),
+])
+def test_arithmetic_errors_name_their_cause(query, message):
+    with pytest.raises(EvaluationError) as excinfo:
+        Engine(parse_program("n(1).\n")).solve(query)
+    assert str(excinfo.value) == message
+
+
+def test_arithmetic_evaluates_a_bound_expression():
+    answers, _ = Engine(parse_program("n(1).\n")).solve(
+        "?- X = 1 + 2, Y is X * 3.")
+    assert [a["Y"] for a in answers] == [9]
+
+
+# ---------------------------------------------------------------------------
+# the derivation fuse trips wherever work can go on without an answer
+
+DIGITS = "".join("d(%d).\n" % i for i in range(10))
+
+# each answer of n meets 100 pairs of digits and none passes the filter
+JOIN = ":- table n/1.\n" + "".join("n(%d).\n" % i for i in range(5)) + DIGITS
+FRUITLESS = "?- n(X), d(Y), d(Z), Z < 0."
+
+
+def tripped_in(excinfo):
+    """The engine function whose derivation check raised."""
+    return excinfo.traceback[-2].name
+
+
+def test_fuse_trips_at_a_clause_try():
+    # no sum of two digits passes t's filter, so no answer is ever made
+    text = DIGITS + ("s(X) :- d(A), t(A, X).\n"
+                     "t(A, X) :- d(B), X is A + B, X > 99.\n")
+    engine = Engine(parse_program(text), limit=30)
+    with pytest.raises(DerivationLimitError) as excinfo:
+        engine.solve("?- s(X).")
+    assert tripped_in(excinfo) == "_clause_copy"
+
+
+@pytest.mark.parametrize("strategy", BOTH)
+def test_fuse_trips_at_a_delivery(strategy):
+    engine = Engine(parse_program(JOIN), strategy, limit=50)
+    with pytest.raises(DerivationLimitError) as excinfo:
+        engine.solve(FRUITLESS)
+    assert tripped_in(excinfo) == "_deliver"
+
+
+@pytest.mark.parametrize("strategy", BOTH)
+def test_fuse_trips_at_a_read_of_a_completed_table(strategy):
+    engine = Engine(parse_program(JOIN), strategy, limit=50)
+    assert len(engine.solve("?- n(X).")[0]) == 5
+    with pytest.raises(DerivationLimitError) as excinfo:
+        engine.solve(FRUITLESS)
+    assert tripped_in(excinfo) == "_deliver"
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from modetab.terms import (
     fun_token,
     term_to_str,
     tokenize,
+    unify,
     var_token,
     variant,
 )
@@ -135,6 +136,38 @@ def test_compare_rejects_open_terms():
         compare_ground(Var(), 1)
     with pytest.raises(EvaluationError):
         compare_ground(Struct("f", [1, Var()]), Struct("f", [1, 2]))
+
+
+def unified(a, b):
+    """Whether a and b unify, and what each Var is bound to if so."""
+    env, trail = {}, []
+    if not unify(a, b, env, trail):
+        return None
+    assert sorted(map(id, trail)) == sorted(map(id, env))
+    return {v.name: env[v] for v in env}
+
+
+def test_unify_compounds_of_the_same_functor_binds_both_sides():
+    x, y = Var("X"), Var("Y")
+    assert unified(Struct("f", [x, "b"]), Struct("f", ["a", y])) == {
+        "X": "a", "Y": "b"}
+
+
+def test_unify_compounds_of_another_functor_or_arity_fails():
+    x = Var("X")
+    assert unified(Struct("f", [x]), Struct("g", ["a"])) is None
+    assert unified(Struct("f", [x]), Struct("f", ["a", "b"])) is None
+    assert unified(Struct("f", ["a"]), "f") is None
+
+
+def test_unify_nested_compounds():
+    x, y = Var("X"), Var("Y")
+    inner = Struct("g", [y, 2])
+    assert unified(Struct("f", [x, inner]),
+                   Struct("f", [Struct("h", ["c"]), Struct("g", [1, 2])])
+                   ) == {"X": Struct("h", ["c"]), "Y": 1}
+    assert unified(Struct("f", [x, inner]),
+                   Struct("f", ["c", Struct("g", [1, 3])])) is None
 
 
 @given(GroundTerms, GroundTerms)
