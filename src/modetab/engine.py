@@ -35,6 +35,11 @@ order or the number of deliveries.
   components' wait edges finds a set of them that wait only on each
   other, and that set is contracted into one component.
 
+While a table is incomplete, its frame's generator slot holds the
+engine's record of it: the generator call, the suspended consumers and
+the component. Completion drops the record, so the consumers and the
+copies they hold are freed as soon as their last walk has run.
+
 A walk inside a component follows the answer chain, except when the
 frame's first min/max column is a single free variable and no member
 of the component has a first, last or sum column. Then the walk keeps
@@ -75,20 +80,11 @@ class Stats:
     )
 
     def __init__(self):
-        self.derivations = 0
-        self.insertions = 0
-        self.invalidations = 0
-        self.propagations = 0
-        self.resumptions = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def as_dict(self):
-        return {
-            "derivations": self.derivations,
-            "insertions": self.insertions,
-            "invalidations": self.invalidations,
-            "propagations": self.propagations,
-            "resumptions": self.resumptions,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __repr__(self):
         return "Stats(%s)" % ", ".join(
@@ -136,6 +132,32 @@ class _Sink:
         self.names = names
 
 
+class _Eval:
+    """What the engine keeps for an incomplete table, in its frame's
+    generator slot: the generator call, the calls reading the table, and
+    the component of tables it completes with."""
+
+    __slots__ = ("args", "link", "subst", "local", "consumers", "calls",
+                 "leader", "members", "waits", "any_order")
+
+    def __init__(self, frame, args, link, subst, local):
+        self.args = args
+        self.link = link  # per argument, the answer ordinal it is linked to
+        self.subst = subst  # the call's Vars, in answer ordinal order
+        self.local = local  # scheduled local, not batched
+        self.consumers = []  # suspended calls reading this table
+        self.calls = []  # frames that calls made evaluating this one wait on
+        # completion: the component this table belongs to (its leader's
+        # record), and on a leader, the member frames and how many calls
+        # they have suspended on incomplete frames outside the component
+        self.leader = self
+        self.members = [frame]
+        self.waits = 0
+        # no column whose content depends on delivery order; on a
+        # leader, true of every member
+        self.any_order = frame.entry.any_order
+
+
 class Consumer:
     """A tabled call: where it reads and how to go on.
 
@@ -151,10 +173,11 @@ class Consumer:
     def __init__(self, frame, host, plan, hplan, step, env, parent, cid):
         self.frame = frame
         self.host = host  # frame whose evaluation this call sits in, or None
-        # read at completion, as under local, instead of per insertion
-        self.settles = frame.strategy == "local" or (
+        # read at completion, as under local, instead of per insertion;
+        # a read of a completed table is delivered at once
+        self.settles = not frame.complete and (frame.generator.local or (
             host is not None and host.entry.any_order
-            and frame.entry.any_order)
+            and frame.entry.any_order))
         self.plan = plan  # tuple of (slot, answer ordinal)
         self.hplan = hplan  # tuple of (Var, answer ordinal)
         self.step = step
@@ -531,8 +554,6 @@ class Engine:
         entry = self.entry(name, len(args))
         frame, is_new, varmap = subgoal_lookup_insert(entry, args)
         if is_new:
-            frame.strategy = self.program.strategy_overrides.get(
-                (name, len(args)), self.strategy)
             # a call variable that stands alone as an argument and occurs
             # nowhere else is linked to the head argument it meets, so
             # the generator reads its answer from there
@@ -546,9 +567,12 @@ class Engine:
             )
             # ordinals are handed out at first occurrence, so the map is
             # already in ordinal order
-            frame.generator = (tuple(args), link, tuple(varmap))
+            local = self.program.strategy_overrides.get(
+                (name, len(args)), self.strategy) == "local"
+            frame.generator = _Eval(frame, tuple(args), link, tuple(varmap),
+                                    local)
             self.incomplete[frame] = None
-            self.ready.append(frame)
+            self.ready.append(frame.generator)
             self.tasks.append(("gen", frame))
             if self.events is not None:
                 self._log("call", frame=frame.name(), new=True)
@@ -571,13 +595,15 @@ class Engine:
         else:
             consumer = Consumer(frame, host, plan, hplan, nxt, self._copy(env),
                                 self._freeze(parent), self._next_cid)
-            frame.consumers.append(consumer)
-            if host is not None and not host.complete:
+            gen = frame.generator
+            gen.consumers.append(consumer)
+            if host is not None:
                 # the host's component waits on this call unless the
                 # frame belongs to it
-                host.calls.append(frame)
-                if frame.leader is not host.leader:
-                    host.leader.waits += 1
+                own = host.generator
+                own.calls.append(frame)
+                if gen.leader is not own.leader:
+                    own.leader.waits += 1
             if consumer.settles:
                 return
         # catch up on the valid answers stored before registration (all
@@ -643,12 +669,12 @@ class Engine:
     # -- task loop -------------------------------------------------------
 
     def _run_generator(self, frame):
-        args, link, subst = frame.generator
+        gen = frame.generator
         self.bind = {}
         self.trail = []
         for clause in self._clauses(frame.entry.name, frame.entry.arity):
-            outs = list(subst)
-            env = self._clause_copy(clause, args, link, outs)
+            outs = list(gen.subst)
+            env = self._clause_copy(clause, gen.args, gen.link, outs)
             if env is not None:
                 clause[2](env, _Sink(self, frame, tuple(outs)))
             self.bind.clear()
@@ -660,8 +686,10 @@ class Engine:
         Best value first where the module docstring says so."""
         frame = consumer.frame
         host = consumer.host
-        best = (host is not None and host.leader is frame.leader
-                and frame.leader.any_order and _best(frame))
+        gen = frame.generator
+        best = (host is not None and gen is not None
+                and host.generator.leader is gen.leader
+                and gen.leader.any_order and _best(frame))
         if not best:
             for leaf in iterate_answers(frame, consumer.last):
                 consumer.last = leaf
@@ -713,7 +741,7 @@ class Engine:
             batch = [
                 lead for lead in dict.fromkeys(
                     self.ready or [self._close_cycle()])
-                if lead.leader is lead and not lead.waits and not lead.complete
+                if lead.leader is lead and not lead.waits
             ]
             self.ready = []
             pushed = False
@@ -723,32 +751,36 @@ class Engine:
                 pending = [
                     consumer
                     for frame in lead.members
-                    for consumer in frame.consumers
+                    for consumer in frame.generator.consumers
                     if consumer.settles and _pending(consumer)
                 ]
                 walkers = [consumer for consumer in pending
                            if consumer.host is not None
-                           and consumer.host.leader is lead]
+                           and consumer.host.generator.leader is lead]
                 if walkers:
                     tasks.extend(("walk", consumer) for consumer in walkers)
                     self.ready.append(lead)
                     pushed = True
                     continue
                 for frame in lead.members:
+                    consumers = frame.generator.consumers
                     complete_table(frame)
                     del self.incomplete[frame]
                     if self.events is not None:
                         self._log("complete", frame=frame.name())
                     # count off the calls suspended on it from outside; a
                     # component left waiting on nothing goes next round
-                    for consumer in frame.consumers:
+                    for consumer in consumers:
                         host = consumer.host
-                        if (host is not None and host.leader is not lead
-                                and not host.complete):
-                            outer = host.leader
-                            outer.waits -= 1
-                            if not outer.waits:
-                                self.ready.append(outer)
+                        if host is not None and not host.complete:
+                            outer = host.generator.leader
+                            if outer is not lead:
+                                outer.waits -= 1
+                                if not outer.waits:
+                                    self.ready.append(outer)
+                # the component's records are now unreachable, its
+                # consumers with them, once the leader lets go of itself
+                lead.leader = None
                 # the rest are read by callers outside the component
                 tasks.extend(("walk", consumer) for consumer in pending)
                 pushed = pushed or bool(pending)
@@ -760,12 +792,13 @@ class Engine:
         """Every incomplete component waits on another: merge the first
         strongly connected set of them, which waits on nothing outside
         itself, into one component; returns its leader."""
-        leads = list(dict.fromkeys(frame.leader for frame in self.incomplete))
+        leads = list(dict.fromkeys(frame.generator.leader
+                                   for frame in self.incomplete))
         adj = {lead: list(_waited_on(lead)) for lead in leads}
         lead, *others = _tarjan(leads, adj)[0][::-1]
         for other in others:
             for frame in other.members:
-                frame.leader = lead
+                frame.generator.leader = lead
             lead.members.extend(other.members)
             lead.any_order = lead.any_order and other.any_order
         lead.waits = sum(1 for _ in _waited_on(lead))
@@ -856,9 +889,9 @@ def _emit(env, sink):
             seq=outcome.leaf.seq if outcome.leaf is not None else None,
             total=outcome.total,
         )
-    if outcome.kind != REJECTED and frame.strategy == "batched":
+    if outcome.kind != REJECTED and not frame.generator.local:
         engine.tasks.extend(("event", consumer, outcome.leaf)
-                            for consumer in frame.consumers
+                            for consumer in frame.generator.consumers
                             if not consumer.settles)
 
 
@@ -955,10 +988,10 @@ def _waited_on(lead):
     """The leaders of other incomplete components a component's members
     have suspended calls on, once per call."""
     return (
-        frame.leader
+        frame.generator.leader
         for member in lead.members
-        for frame in member.calls
-        if not frame.complete and frame.leader is not lead
+        for frame in member.generator.calls
+        if not frame.complete and frame.generator.leader is not lead
     )
 
 
@@ -966,7 +999,7 @@ def _best(frame):
     """For an incomplete frame whose first min/max column is a single
     free variable: that column's answer ordinal, and 1 for min or -1
     for max. None otherwise."""
-    args = frame.generator[0]
+    args = frame.generator.args
     ordinal = 0
     for mode, n, pos in frame.subst_modes:
         if mode == "min" or mode == "max":

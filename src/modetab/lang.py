@@ -558,42 +558,17 @@ ARITH_OPS = {
 
 
 def eval_arith(t, env):
+    t = deref(t, env)
     tt = type(t)
-    while tt is Var:
-        b = env.get(t)
-        if b is None:
-            raise EvaluationError("unbound variable %s in arithmetic" % t.name)
-        t = b
-        tt = type(t)
     if tt is int or tt is float:
         return t
+    if tt is Var:
+        raise EvaluationError("unbound variable %s in arithmetic" % t.name)
     if tt is Struct and len(t.args) == 2:
         op = ARITH_OPS.get(t.name)
         if op is not None:
-            x = t.args[0]
-            tx = type(x)
-            while tx is Var:
-                b = env.get(x)
-                if b is None:
-                    raise EvaluationError(
-                        "unbound variable %s in arithmetic" % x.name
-                    )
-                x = b
-                tx = type(x)
-            if tx is not int and tx is not float:
-                x = eval_arith(x, env)
-            y = t.args[1]
-            ty = type(y)
-            while ty is Var:
-                b = env.get(y)
-                if b is None:
-                    raise EvaluationError(
-                        "unbound variable %s in arithmetic" % y.name
-                    )
-                y = b
-                ty = type(y)
-            if ty is not int and ty is not float:
-                y = eval_arith(y, env)
+            x = eval_arith(t.args[0], env)
+            y = eval_arith(t.args[1], env)
             try:
                 return op(x, y)
             except ZeroDivisionError:

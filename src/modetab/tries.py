@@ -18,9 +18,8 @@ Dead leaves are only dropped when the table completes. Completion also
 drops the answer trie itself: from then on readers follow the chain
 only, and nothing inserts or invalidates.
 
-A frame also has fields the engine keeps for scheduling and completion:
-its generator, its suspended consumers, and the component of frames it
-waits with.
+A frame's generator slot is the engine's: it holds whatever the engine
+keeps while the table is incomplete, and completion clears it.
 """
 
 from .errors import ModetabError
@@ -57,48 +56,27 @@ class SubgoalFrame:
 
     __slots__ = (
         "entry",
-        "call_tokens",
         "subst_modes",
         "segments",
         "root",
         "first_answer",
         "last_answer",
         "complete",
-        "strategy",
         "generator",
-        "consumers",
-        "calls",
-        "leader",
-        "members",
-        "waits",
-        "any_order",
         "n_inserted",
         "n_invalidated",
         "n_purged",
     )
 
-    def __init__(self, entry, call_tokens, subst_modes):
+    def __init__(self, entry, subst_modes):
         self.entry = entry
-        self.call_tokens = call_tokens
         self.subst_modes = subst_modes  # tuple of (mode, var_count, arg_position)
         self.segments = None  # insertion plan, compiled on first insert
         self.root = {}  # the answer trie; None once the table completes
         self.first_answer = None
         self.last_answer = None
         self.complete = False
-        self.strategy = None
         self.generator = None
-        self.consumers = []  # suspended calls reading this table
-        self.calls = []  # frames that calls made evaluating this one wait on
-        # completion: the component this frame belongs to (its leader),
-        # and on a leader, the members and how many calls they have
-        # suspended on incomplete frames outside the component
-        self.leader = self
-        self.members = [self]
-        self.waits = 0
-        # no column whose content depends on delivery order; on a
-        # leader, true of every member
-        self.any_order = entry.any_order
         self.n_inserted = 0
         self.n_invalidated = 0
         self.n_purged = 0
@@ -171,7 +149,7 @@ def subgoal_lookup_insert(entry, call_args):
             (mode, n, pos)
             for (pos, mode), n in zip(entry.mode_array, counts)
         )
-        frame = node[last] = SubgoalFrame(entry, tokens, subst)
+        frame = node[last] = SubgoalFrame(entry, subst)
         entry.frames.append(frame)
     return frame, is_new, varmap
 
@@ -233,7 +211,7 @@ def invalidate_branch(frame, tokens, depth, token):
 
 def complete_table(frame):
     """Purge invalid leaves from the chain, freeze the table and drop its
-    answer trie.
+    answer trie and whatever its generator slot holds.
 
     Purged leaves keep their old forward pointers, so a reader parked on
     one still reaches the surviving suffix of the chain.

@@ -1,12 +1,13 @@
 """End-to-end evaluation: generators, consumers, scheduling, completion."""
 
+import gc
 from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from modetab import bench
-from modetab.engine import Engine, solve
+from modetab.engine import Consumer, Engine, solve
 from modetab.errors import DerivationLimitError, EvaluationError
 from modetab.lang import parse_program
 from modetab.terms import term_to_str
@@ -355,6 +356,30 @@ def test_a_sum_host_still_gets_dead_answers_of_a_min_producer():
     assert not beaten[0].valid
     assert len(to_sum) == len(changed)
     assert answers == [{"N": len(changed)}]
+
+
+@pytest.mark.parametrize("family, size, strategy", [
+    ("shortest_first", 12, "batched"),
+    ("lcs", 18, "local"),
+    ("lcs", 18, "batched"),
+    ("matrix", 8, "local"),
+    ("pagerank", 20, "local"),
+])
+def test_no_evaluation_state_outlives_completion(family, size, strategy):
+    program, query = bench_case(family, size, 1)
+    engine = Engine(program, strategy)
+    gc.collect()
+    gc.disable()
+    try:
+        engine.solve(query)
+        frames = [f for e in engine.space.entries.values() for f in e.frames]
+        assert frames and all(f.complete and f.generator is None
+                              for f in frames)
+        # reference counting alone freed the consumers, with their
+        # activation copies and frozen callers
+        assert [o for o in gc.get_objects() if type(o) is Consumer] == []
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("family, size, work", [

@@ -106,7 +106,7 @@ def test_call_arguments_are_stored_in_mode_order():
     frame, is_new, varmap = subgoal_lookup_insert(entry, [x, 1, y])
     assert is_new
     # bound second argument first, then the min variable, then the all one
-    assert frame.call_tokens == [1, var_token(0), var_token(1)]
+    assert entry.root == {1: {var_token(0): {var_token(1): frame}}}
     assert varmap == {y: 0, x: 1}
     assert frame.subst_modes == (("index", 0, 2), ("min", 1, 3), ("all", 1, 1))
 
@@ -115,7 +115,7 @@ def test_source_order_call_path_without_mode_reordering():
     space = TableSpace()
     entry = space.entry("p", 3, traditional_modes(3))
     frame, _, _ = subgoal_lookup_insert(entry, [Var(), 1, Var()])
-    assert frame.call_tokens == [var_token(0), 1, var_token(1)]
+    assert entry.root == {var_token(0): {1: {var_token(1): frame}}}
 
 
 def test_variant_call_reuses_frame():
