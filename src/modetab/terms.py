@@ -4,7 +4,8 @@ Atoms are plain Python strings, numbers are plain ints and floats; only
 variables and compound terms get wrapper classes. Any argument vector can
 be flattened into a token sequence in preorder, with variables numbered
 by first occurrence. Two terms are variants exactly when their token
-sequences are equal, and the sequence doubles as a trie path.
+sequences are equal: as a tuple the sequence keys a call table, and it
+is the path of an answer in an answer trie.
 
 Tokens are ordinary hashable values: an atom is its string, an integer is
 itself, and floats, variables and functors are small tagged tuples so
@@ -36,7 +37,6 @@ __all__ = [
     "cyclic_binding",
     "instantiate",
     "unify",
-    "undo_trail",
 ]
 
 
@@ -352,8 +352,3 @@ def unify(a, b, env, trail):
         return True
     # 1 and 1.0 unify with themselves only; mixed numeric types stay apart
     return ta is tb and a == b
-
-
-def undo_trail(env, trail, mark):
-    while len(trail) > mark:
-        del env[trail.pop()]

@@ -1,10 +1,10 @@
-"""The table space: tries of calls and answers with invalidatable leaf chains.
+"""The table space: a call table and answer tries with invalidatable chains.
 
-Each tabled predicate owns a TableEntry whose call trie maps one path per
-variant call to a SubgoalFrame. Every frame owns an answer trie holding
-only the substitution terms of the call's free variables. A trie node is
-a plain dict from token to child, with no pointer back to its parent: a
-call path ends in its frame, and an answer path in the answer's record,
+Each tabled predicate owns a TableEntry whose call table is one dict from
+a call's variant key, its token tuple, to its SubgoalFrame. Every frame
+owns an answer trie holding only the substitution terms of the call's
+free variables. A trie node is a plain dict from token to child, with no
+pointer back to its parent: an answer path ends in the answer's record,
 an AnswerLeaf created by grow_answer together with the path and holding
 the answer's terms, so readers never rebuild an answer from the trie.
 Records are chained in insertion order so readers can pick up new
@@ -30,7 +30,6 @@ __all__ = [
     "SubgoalFrame",
     "TableEntry",
     "TableSpace",
-    "trie_insert",
     "subgoal_lookup_insert",
     "grow_answer",
     "invalidate_branch",
@@ -86,9 +85,9 @@ class SubgoalFrame:
 
 
 class TableEntry:
-    """One per tabled predicate: its mode array and the trie of calls."""
+    """One per tabled predicate: its mode array and the table of calls."""
 
-    __slots__ = ("name", "arity", "mode_array", "any_order", "root", "frames")
+    __slots__ = ("name", "arity", "mode_array", "any_order", "calls", "frames")
 
     def __init__(self, name, arity, mode_array):
         self.name = name
@@ -96,8 +95,8 @@ class TableEntry:
         self.mode_array = mode_array  # tuple of (1-based position, mode)
         self.any_order = not any(
             mode in ("first", "last", "sum") for _pos, mode in mode_array)
-        self.root = {}
-        self.frames = []
+        self.calls = {}  # variant key (token tuple) -> frame
+        self.frames = self.calls.values()  # live, in creation order
 
 
 class TableSpace:
@@ -113,44 +112,27 @@ class TableSpace:
         return e
 
 
-def trie_insert(root, tokens):
-    """Ensure a path of nodes for tokens exists; returns (node, existed)."""
-    node = root
-    existed = True
-    for tok in tokens:
-        child = node.get(tok)
-        if child is None:
-            existed = False
-            child = node[tok] = {}
-        node = child
-    return node, existed
-
-
 def subgoal_lookup_insert(entry, call_args):
     """Find or create the frame for a call, reordering arguments by mode.
 
-    Arguments are tokenized in mode-array order, so variant calls land on
-    the same path no matter how their variables are named; the path's
-    last token maps to the frame (a call without tokens stores it under
-    None). Returns (frame, is_new, varmap) where varmap gives each
-    unbound variable of call_args its ordinal in the answer substitution
-    vector.
+    Arguments are tokenized in mode-array order, so variant calls get the
+    same key no matter how their variables are named; a call without
+    arguments gets the key (). Returns (frame, is_new, varmap) where
+    varmap gives each unbound variable of call_args its ordinal in the
+    answer substitution vector.
     """
     ordered = [call_args[pos - 1] for pos, _mode in entry.mode_array]
     varmap = {}
     counts = []
-    tokens = tokenize(ordered, varmap, counts)
-    node, _ = trie_insert(entry.root, tokens[:-1])
-    last = tokens[-1] if tokens else None
-    frame = node.get(last)
+    key = tuple(tokenize(ordered, varmap, counts))
+    frame = entry.calls.get(key)
     is_new = frame is None
     if is_new:
         subst = tuple(
             (mode, n, pos)
             for (pos, mode), n in zip(entry.mode_array, counts)
         )
-        frame = node[last] = SubgoalFrame(entry, subst)
-        entry.frames.append(frame)
+        frame = entry.calls[key] = SubgoalFrame(entry, subst)
     return frame, is_new, varmap
 
 

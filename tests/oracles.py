@@ -5,7 +5,7 @@ exhaustive fixpoints, sharing no code with the package internals they
 are meant to judge.
 """
 
-from modetab.terms import Struct, Var, resolve, undo_trail, unify
+from modetab.terms import Struct, Var, resolve, unify
 
 
 def flat_aggregate(modes, candidates):
@@ -115,11 +115,13 @@ def _solve_body(goals, env, facts, is_builtin, eval_builtin, decompose_goal):
         if eval_builtin(name, args, env, trail):
             yield from _solve_body(rest, env, facts, is_builtin, eval_builtin,
                                    decompose_goal)
-        undo_trail(env, trail, 0)
+        for v in trail:
+            del env[v]
         return
     for row in sorted(facts.get((name, len(args)), ()), key=repr):
         trail = []
         if all(unify(a, v, env, trail) for a, v in zip(args, row)):
             yield from _solve_body(rest, env, facts, is_builtin, eval_builtin,
                                    decompose_goal)
-        undo_trail(env, trail, 0)
+        for v in trail:
+            del env[v]

@@ -267,7 +267,7 @@ def test_callers_outside_the_component_read_in_chain_order():
     program, query = bench_case("shortest_pref", 10, 1)
     engine = Engine(program, "local", trace=True)
     engine.solve(query)
-    path = engine.entry("path", 3).frames[0]
+    path = next(iter(engine.entry("path", 3).frames))
     seen = [e["seq"] for e in deliveries(engine, frame="path/3",
                                          host="best/3")]
     assert seen == [leaf.seq for leaf in iterate_answers(path)]

@@ -1,4 +1,5 @@
-"""Table-space structure: call tries, answer chains, invalidation, purge."""
+"""Table-space structure: call tables, answer tries and chains, invalidation,
+purge."""
 
 import gc
 
@@ -10,7 +11,7 @@ from modetab.engine import Engine
 from modetab.errors import ModetabError
 from modetab.lang import parse_program
 from modetab.modes import compile_declaration, traditional_modes
-from modetab.terms import Struct, Var, tokenize, var_token
+from modetab.terms import Struct, Var, tokenize, var_token, variant
 from modetab.tries import (
     TableSpace,
     complete_table,
@@ -18,7 +19,6 @@ from modetab.tries import (
     invalidate_branch,
     iterate_answers,
     subgoal_lookup_insert,
-    trie_insert,
 )
 
 
@@ -74,26 +74,22 @@ def kill(frame, leaf):
 
 def test_insert_creates_one_node_per_token():
     frame = fresh_frame()
-    x, y = Var(), Var()
-    tokens = tokenize([x, 1, Struct("f", [y])])
-    leaf, existed = trie_insert(frame.root, tokens)
-    assert not existed
+    add(frame, Var(), 1, Struct("f", [Var()]))
     assert count_nodes(frame.root) == 4
 
 
 def test_reinsert_finds_same_leaf():
     frame = fresh_frame()
-    tokens = tokenize([Var(), 1, Struct("f", [Var()])])
-    leaf1, _ = trie_insert(frame.root, tokens)
-    leaf2, existed = trie_insert(frame.root, tokens)
-    assert existed and leaf1 is leaf2
+    leaf1 = add(frame, Var(), 1, Struct("f", [Var()]))
+    leaf2 = add(frame, Var(), 1, Struct("f", [Var()]))
+    assert leaf1 is leaf2 and frame.n_inserted == 1
     assert count_nodes(frame.root) == 4
 
 
 def test_common_prefix_is_shared():
     frame = fresh_frame()
-    trie_insert(frame.root, tokenize([Var(), 1, Struct("f", [Var()])]))
-    trie_insert(frame.root, tokenize([Var(), 1, "b"]))
+    add(frame, Var(), 1, Struct("f", [Var()]))
+    add(frame, Var(), 1, "b")
     # [VAR0, 1] is shared; only the b node is new
     assert count_nodes(frame.root) == 5
 
@@ -106,7 +102,7 @@ def test_call_arguments_are_stored_in_mode_order():
     frame, is_new, varmap = subgoal_lookup_insert(entry, [x, 1, y])
     assert is_new
     # bound second argument first, then the min variable, then the all one
-    assert entry.root == {1: {var_token(0): {var_token(1): frame}}}
+    assert entry.calls == {(1, var_token(0), var_token(1)): frame}
     assert varmap == {y: 0, x: 1}
     assert frame.subst_modes == (("index", 0, 2), ("min", 1, 3), ("all", 1, 1))
 
@@ -115,7 +111,16 @@ def test_source_order_call_path_without_mode_reordering():
     space = TableSpace()
     entry = space.entry("p", 3, traditional_modes(3))
     frame, _, _ = subgoal_lookup_insert(entry, [Var(), 1, Var()])
-    assert entry.root == {var_token(0): {1: {var_token(1): frame}}}
+    assert entry.calls == {(var_token(0), 1, var_token(1)): frame}
+
+
+def test_zero_arity_call_has_the_empty_key():
+    space = TableSpace()
+    entry = space.entry("p", 0, traditional_modes(0))
+    frame, is_new, varmap = subgoal_lookup_insert(entry, [])
+    assert is_new and varmap == {}
+    assert entry.calls == {(): frame}
+    assert subgoal_lookup_insert(entry, [])[:2] == (frame, False)
 
 
 def test_variant_call_reuses_frame():
@@ -324,6 +329,60 @@ def test_iterate_empty_table():
 
 # ---------------------------------------------------------------------------
 # Randomized model checks
+
+_VARS = [Var(), Var()]
+CallArgs = st.recursive(
+    st.sampled_from(["a", 1, 1.0]) | st.sampled_from(_VARS),
+    lambda kids: st.builds(Struct, st.sampled_from("fg"),
+                           st.lists(kids, min_size=1, max_size=2)),
+    max_leaves=4,
+)
+DECLARATIONS = [None, ["all", "index", "min"], ["index", "index", "first"]]
+
+
+def renamed(t, fresh):
+    """t with each variable consistently replaced by a fresh one."""
+    if type(t) is Var:
+        return fresh.setdefault(t, Var())
+    if type(t) is Struct:
+        return Struct(t.name, [renamed(a, fresh) for a in t.args])
+    return t
+
+
+@given(st.sampled_from(DECLARATIONS), st.data())
+def test_calls_share_a_frame_exactly_when_they_are_variants(modes, data):
+    ma = traditional_modes(3) if modes is None else compile_declaration(
+        "p", 3, modes)
+    entry = TableSpace().entry("p", 3, ma)
+    calls, frames = [], []
+    for _ in range(data.draw(st.integers(1, 12))):
+        if calls and data.draw(st.booleans()):
+            # a renamed copy of an earlier call, perhaps with one argument
+            # redrawn, two swapped or its integers made floats, so that
+            # near-variants occur
+            fresh = {}
+            args = [renamed(a, fresh) for a in data.draw(st.sampled_from(calls))]
+            i, j = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+            change = data.draw(st.sampled_from(["none", "redraw", "swap",
+                                                "float"]))
+            if change == "redraw":
+                args[i] = data.draw(CallArgs)
+            elif change == "swap":
+                args[i], args[j] = args[j], args[i]
+            elif change == "float":
+                args = [float(a) if type(a) is int else a for a in args]
+        else:
+            args = data.draw(st.lists(CallArgs, min_size=3, max_size=3))
+        frame, is_new, _ = subgoal_lookup_insert(entry, args)
+        assert is_new == (frame not in frames)
+        calls.append(args)
+        frames.append(frame)
+    for i, a in enumerate(calls):
+        for j, b in enumerate(calls):
+            assert (frames[i] is frames[j]) == variant(Struct("c", a),
+                                                       Struct("c", b))
+    assert list(entry.frames) == list(dict.fromkeys(frames))
+
 
 Values = (
     st.integers(0, 5)
