@@ -31,9 +31,9 @@ order or the number of deliveries.
   a component whose count is zero, consumers inside it are walked to a
   fixpoint, the component completes, its callers' counts drop, and only
   the surviving answers are released to outside callers, in chain
-  order. When no component is free, Tarjan's algorithm over the
-  components' wait edges finds a set of them that wait only on each
-  other, and that set is contracted into one component.
+  order. When no component is free, Tarjan's algorithm finds a set of
+  components that wait only on each other, and that set is contracted
+  into one. Its wait edges are read from the frames' consumer lists.
 
 While a table is incomplete, its frame's generator slot holds the
 engine's record of it: the generator call, the suspended consumers and
@@ -134,11 +134,11 @@ class _Sink:
 
 class _Eval:
     """What the engine keeps for an incomplete table, in its frame's
-    generator slot: the generator call, the calls reading the table, and
-    the component of tables it completes with."""
+    generator slot: the generator call, the calls reading the table (the
+    only record of who waits on it), and its component."""
 
-    __slots__ = ("args", "link", "subst", "local", "consumers", "calls",
-                 "leader", "members", "waits", "any_order")
+    __slots__ = ("args", "link", "subst", "local", "consumers", "leader",
+                 "members", "waits", "any_order")
 
     def __init__(self, frame, args, link, subst, local):
         self.args = args
@@ -146,7 +146,6 @@ class _Eval:
         self.subst = subst  # the call's Vars, in answer ordinal order
         self.local = local  # scheduled local, not batched
         self.consumers = []  # suspended calls reading this table
-        self.calls = []  # frames that calls made evaluating this one wait on
         # completion: the component this table belongs to (its leader's
         # record), and on a leader, the member frames and how many calls
         # they have suspended on incomplete frames outside the component
@@ -184,7 +183,7 @@ class Consumer:
         self.env = env
         self.parent = parent
         self.last = None  # chain position for walk-style delivery
-        self.cid = cid
+        self.cid = cid  # numbered only while tracing
 
 
 class Engine:
@@ -586,24 +585,23 @@ class Engine:
         plan = tuple((slot_of[v], o) for v, o in varmap.items() if v in slot_of)
         hplan = tuple((v, o) for v, o in varmap.items() if v not in slot_of)
         host = _host(parent)
-        self._next_cid += 1
+        cid = None
+        if self.events is not None:
+            self._next_cid += 1
+            cid = self._next_cid
         if frame.complete:
             # read now, within this walk: the activation and its callers
             # are live, and nothing waits on the read
-            consumer = Consumer(frame, host, plan, hplan, nxt, env, parent,
-                                self._next_cid)
+            consumer = Consumer(frame, host, plan, hplan, nxt, env, parent, cid)
         else:
             consumer = Consumer(frame, host, plan, hplan, nxt, self._copy(env),
-                                self._freeze(parent), self._next_cid)
+                                self._freeze(parent), cid)
             gen = frame.generator
             gen.consumers.append(consumer)
-            if host is not None:
-                # the host's component waits on this call unless the
-                # frame belongs to it
-                own = host.generator
-                own.calls.append(frame)
-                if gen.leader is not own.leader:
-                    own.leader.waits += 1
+            # the host's component waits on this call unless the frame
+            # belongs to it
+            if host is not None and gen.leader is not host.generator.leader:
+                host.generator.leader.waits += 1
             if consumer.settles:
                 return
         # catch up on the valid answers stored before registration (all
@@ -791,17 +789,22 @@ class Engine:
     def _close_cycle(self):
         """Every incomplete component waits on another: merge the first
         strongly connected set of them, which waits on nothing outside
-        itself, into one component; returns its leader."""
-        leads = list(dict.fromkeys(frame.generator.leader
-                                   for frame in self.incomplete))
-        adj = {lead: list(_waited_on(lead)) for lead in leads}
-        lead, *others = _tarjan(leads, adj)[0][::-1]
+        itself, into one component; returns its leader. The wait edges are
+        the consumers whose host sits in another component."""
+        adj = {frame.generator.leader: [] for frame in self.incomplete}
+        for frame in self.incomplete:
+            lead = frame.generator.leader
+            for consumer in frame.generator.consumers:
+                host = consumer.host
+                if host is not None and host.generator.leader is not lead:
+                    adj[host.generator.leader].append(lead)
+        lead, *others = _tarjan(list(adj), adj)[0][::-1]
         for other in others:
             for frame in other.members:
                 frame.generator.leader = lead
             lead.members.extend(other.members)
             lead.any_order = lead.any_order and other.any_order
-        lead.waits = sum(1 for _ in _waited_on(lead))
+        lead.waits = 0
         return lead
 
     # -- queries -----------------------------------------------------------
@@ -982,17 +985,6 @@ def _host(parent):
     while type(parent) is tuple:
         parent = parent[2]
     return parent.frame
-
-
-def _waited_on(lead):
-    """The leaders of other incomplete components a component's members
-    have suspended calls on, once per call."""
-    return (
-        frame.generator.leader
-        for member in lead.members
-        for frame in member.generator.calls
-        if not frame.complete and frame.generator.leader is not lead
-    )
 
 
 def _best(frame):

@@ -12,6 +12,8 @@ for a rejection happen before any mutation, so a rejected candidate
 leaves the table untouched.
 """
 
+import functools
+
 from .errors import EvaluationError, ModeError, ModetabError
 from .terms import (
     FLT,
@@ -138,6 +140,17 @@ def _steps(segments, offsets):
     )
 
 
+@functools.lru_cache(maxsize=1024)
+def _plan(subst_modes):
+    """The insertion plan of a substitution array, shared by the frames of
+    its shape: the segments, their walk steps for answers that are their
+    own tokens, and whether one of them is a sum."""
+    segments = build_segments(subst_modes)
+    n = segments[-1][2] if segments else 0
+    return (segments, _steps(segments, range(n + 1)),
+            any(seg[0] == "sum" for seg in segments))
+
+
 def _sum_value(frame, segments, steps, tokens, open_terms):
     """Validate the aggregating arguments; returns the sum contribution.
 
@@ -170,7 +183,7 @@ def insert_answer(frame, subst_terms):
     subst_terms holds the binding of each free call variable, listed in
     the order the variables appeared in the reordered call. Atoms and
     integers are their own tokens, so for answers made of them the walk
-    plan compiled with the frame applies as it is; other answers are
+    plan of the frame's shape applies as it is; other answers are
     flattened and the plan is moved to their token offsets.
     """
     root = frame.root
@@ -178,13 +191,7 @@ def insert_answer(frame, subst_terms):
         raise ModetabError("cannot insert into completed table %s" % frame.name())
     plan = frame.segments
     if plan is None:
-        segments = build_segments(frame.subst_modes)
-        n = segments[-1][2] if segments else 0
-        plan = frame.segments = (
-            segments,
-            _steps(segments, range(n + 1)),
-            any(seg[0] == "sum" for seg in segments),
-        )
+        plan = frame.segments = _plan(frame.subst_modes)
     segments, steps, has_sum = plan
     if not segments:
         # Fully bound call: the only possible answer is "yes".

@@ -1,13 +1,15 @@
 """The table space: a call table and answer tries with invalidatable chains.
 
 Each tabled predicate owns a TableEntry whose call table is one dict from
-a call's variant key, its token tuple, to its SubgoalFrame. Every frame
-owns an answer trie holding only the substitution terms of the call's
-free variables. A trie node is a plain dict from token to child, with no
-pointer back to its parent: an answer path ends in the answer's record,
-an AnswerLeaf created by grow_answer together with the path and holding
-the answer's terms, so readers never rebuild an answer from the trie.
-Records are chained in insertion order so readers can pick up new
+a call's variant key, its token tuple, to its SubgoalFrame. Frames with
+the same variable count per argument share the entry's one substitution
+array for that shape, and modes gives them one insertion plan. Every
+frame owns an answer trie holding only the substitution terms of the
+call's free variables. A trie node is a plain dict from token to child,
+with no pointer back to its parent: an answer path ends in the answer's
+record, an AnswerLeaf created by grow_answer together with the path and
+holding the answer's terms, so readers never rebuild an answer from the
+trie. Records are chained in insertion order so readers can pick up new
 answers by following a single pointer. The "yes" answer of a fully
 bound call has no tokens; its record is chained under no node.
 
@@ -70,7 +72,7 @@ class SubgoalFrame:
     def __init__(self, entry, subst_modes):
         self.entry = entry
         self.subst_modes = subst_modes  # tuple of (mode, var_count, arg_position)
-        self.segments = None  # insertion plan, compiled on first insert
+        self.segments = None  # insertion plan of the shape, on first insert
         self.root = {}  # the answer trie; None once the table completes
         self.first_answer = None
         self.last_answer = None
@@ -87,7 +89,8 @@ class SubgoalFrame:
 class TableEntry:
     """One per tabled predicate: its mode array and the table of calls."""
 
-    __slots__ = ("name", "arity", "mode_array", "any_order", "calls", "frames")
+    __slots__ = ("name", "arity", "mode_array", "any_order", "calls", "frames",
+                 "shapes")
 
     def __init__(self, name, arity, mode_array):
         self.name = name
@@ -97,6 +100,7 @@ class TableEntry:
             mode in ("first", "last", "sum") for _pos, mode in mode_array)
         self.calls = {}  # variant key (token tuple) -> frame
         self.frames = self.calls.values()  # live, in creation order
+        self.shapes = {}  # per-argument variable counts -> subst_modes
 
 
 class TableSpace:
@@ -128,10 +132,13 @@ def subgoal_lookup_insert(entry, call_args):
     frame = entry.calls.get(key)
     is_new = frame is None
     if is_new:
-        subst = tuple(
-            (mode, n, pos)
-            for (pos, mode), n in zip(entry.mode_array, counts)
-        )
+        counts = tuple(counts)
+        subst = entry.shapes.get(counts)
+        if subst is None:
+            subst = entry.shapes[counts] = tuple(
+                (mode, n, pos)
+                for (pos, mode), n in zip(entry.mode_array, counts)
+            )
         frame = entry.calls[key] = SubgoalFrame(entry, subst)
     return frame, is_new, varmap
 

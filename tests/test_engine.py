@@ -743,6 +743,35 @@ def test_mutually_recursive_tables_reach_the_fixpoint(strategy):
 
 
 # ---------------------------------------------------------------------------
+# components that wait on each other close a cycle
+
+# one frame per node, all waiting on each other: only a merge completes them
+CYCLIC_PATHS = {
+    "right": "path(X,Y,C) :- edge(X,Z,C1), path(Z,Y,C2), C is C1 + C2.\n",
+    "double": "path(X,Y,C) :- path(X,Z,C1), path(Z,Y,C2), C is C1 + C2.\n",
+}
+
+
+@pytest.mark.parametrize("strategy", BOTH)
+@pytest.mark.parametrize("rules", sorted(CYCLIC_PATHS))
+def test_many_frame_paths_close_their_cycle(rules, strategy):
+    for seed in range(1, 21):
+        inst = bench.gen_instance("shortest", 10, seed)
+        edges = [line for line in bench.program_text(inst).splitlines()
+                 if line.startswith("edge(")]
+        text = "\n".join([":- table path(index,index,min).",
+                          "path(X,Y,C) :- edge(X,Y,C).",
+                          CYCLIC_PATHS[rules], *edges]) + "\n"
+        engine = Engine(parse_program(text), strategy)
+        close, closed = engine._close_cycle, []
+        engine._close_cycle = lambda: closed.append(1) or close()
+        answers, _ = engine.solve(bench.query_text(inst))
+        rows = [(a["X"], a["Y"], a["C"]) for a in answers]
+        assert bench.check_answers(inst, rows), seed
+        assert closed, seed
+
+
+# ---------------------------------------------------------------------------
 # recursion deeper than the interpreter's stack is an evaluation error
 
 DEEP = (

@@ -10,7 +10,7 @@ from modetab import bench
 from modetab.engine import Engine
 from modetab.errors import ModetabError
 from modetab.lang import parse_program
-from modetab.modes import compile_declaration, traditional_modes
+from modetab.modes import compile_declaration, insert_answer, traditional_modes
 from modetab.terms import Struct, Var, tokenize, var_token, variant
 from modetab.tries import (
     TableSpace,
@@ -139,6 +139,30 @@ def test_distinct_calls_get_distinct_frames():
     f2, _, _ = subgoal_lookup_insert(entry, ["b", Var()])
     assert f1 is not f2
     assert len(entry.frames) == 2
+
+
+def test_calls_of_one_shape_share_their_modes_and_plan():
+    space = TableSpace()
+    ma = compile_declaration("p", 3, ["index", "index", "min"])
+    entry = space.entry("p", 3, ma)
+    f1, _, _ = subgoal_lookup_insert(entry, ["a", Var(), Var()])
+    f2, _, _ = subgoal_lookup_insert(entry, ["b", Var(), Var()])
+    f3, _, _ = subgoal_lookup_insert(entry, [Var(), "b", Var()])
+    assert f1 is not f2 and f1.subst_modes is f2.subst_modes
+    assert f3.subst_modes is not f1.subst_modes
+    insert_answer(f1, ("c", 1))
+    insert_answer(f2, ("d", 2))
+    assert f1.segments is f2.segments
+
+
+def test_lcs_frames_share_one_substitution_array():
+    inst = bench.gen_instance("lcs", 40, 1)
+    engine = Engine(parse_program(bench.program_text(inst)))
+    engine.solve(bench.query_text(inst))
+    frames = list(engine.space.entries[("lcs", 3)].frames)
+    assert len(frames) > 1000
+    assert len({id(f.subst_modes) for f in frames}) == 1
+    assert len({id(f.segments) for f in frames}) == 1
 
 
 # ---------------------------------------------------------------------------
