@@ -453,17 +453,11 @@ def run_benchmark(name, size, seed, strategy="local", runs=3):
         ms.append((time.perf_counter() - t0) * 1000.0)
     pick = operator.itemgetter(*names)
     rows = [pick(a) if len(names) > 1 else (pick(a),) for a in answers]
-    stats = engine.stats.as_dict()
     return {
         "instance": {"name": name, "size": size, "seed": seed},
         "strategy": strategy,
         "answers": len(rows),
         "match": check_answers(inst, rows),
         "ms": ms,
-        "stats": {
-            "insertions": stats["insertions"],
-            "invalidations": stats["invalidations"],
-            "propagations": stats["propagations"],
-            "resumptions": stats["resumptions"],
-        },
+        "stats": engine.stats.as_dict(),
     }

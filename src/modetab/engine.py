@@ -11,6 +11,15 @@ clause apart by making a fresh one. A variable that must outlive its
 activation unbound (inside a compound, or passed to a non-tabled rule)
 gets a Var, bound in a per-walk dict with a trail.
 
+A tabled goal whose arguments are distinct variables, atoms and
+integers compiles to a call site. It fetches its table entry when it
+first runs (entries stay in first-call order), then reads each call's
+variant key off the slots, so a call whose frame exists builds no
+arguments; a new frame is made by tries.subgoal_lookup_insert. A goal
+with a compound, a repeated variable or a float, and a call whose slot
+holds a Var, a compound or a float, take the general path: build the
+arguments and tokenize them.
+
 A call to a tabled predicate starts a generator (first call) and makes
 a consumer, which runs the next goal's closure once per delivered
 answer. On a completed table it is delivered every answer at once,
@@ -343,6 +352,10 @@ class Engine:
                 return make
             specs = tuple(term(a) for a in args)
             if self.program.is_tabled(name, arity):
+                seen = [s.i for s in specs if type(s) is _Slot]
+                if len(seen) == len(set(seen)) and all(
+                        type(s) in (_Slot, int, str) for s in specs):
+                    return lambda nxt: self._site_step(name, specs, nxt)
                 call = self._call_tabled
             elif not self.program.clauses_for(name, arity):
                 msg = "unknown predicate %s/%d" % (name, arity)
@@ -577,6 +590,39 @@ class Engine:
                 self._log("call", frame=frame.name(), new=True)
         return frame, varmap
 
+    def _site_step(self, name, specs, nxt):
+        """A compiled call site, as the module docstring describes."""
+        site = []  # entry, var tokens, (slot, read it, constant) in mode order
+
+        def step(env, parent):
+            if not site:
+                entry = self.entry(name, len(specs))
+                order = [specs[pos - 1] for pos, _ in entry.mode_array]
+                site.extend((entry, tokenize([Var("_") for _ in specs]), tuple(
+                    (s.i, not s.first, None) if type(s) is _Slot
+                    else (-1, False, s) for s in order)))
+            entry, vtoks, order = site
+            key = []
+            plan = []  # free slots, in answer ordinal order
+            for k, read, c in order:
+                v = env[k] if read else c
+                if v is None:
+                    key.append(vtoks[len(plan)])
+                    plan.append((k, len(plan)))
+                elif type(v) is int or type(v) is str:
+                    key.append(v)
+                else:  # a Var, a compound or a float
+                    return self._call_tabled(name, specs, env, parent, nxt)
+            frame = entry.calls.get(tuple(key))
+            if frame is None:
+                # a new frame: its generator needs the call's arguments
+                args = [s if type(s) is not _Slot else
+                        Var(s.name) if s.first or env[s.i] is None else env[s.i]
+                        for s in specs]
+                frame, _ = self._materialize(name, args)
+            self._consume(frame, tuple(plan), (), env, parent, nxt)
+        return step
+
     def _call_tabled(self, name, specs, env, parent, nxt):
         fresh = {}  # slot -> stand-in Var for slots unbound at the call
         args = [_call_arg(s, env, fresh, self.bind) for s in specs]
@@ -584,6 +630,10 @@ class Engine:
         slot_of = {v: k for k, v in fresh.items()}
         plan = tuple((slot_of[v], o) for v, o in varmap.items() if v in slot_of)
         hplan = tuple((v, o) for v, o in varmap.items() if v not in slot_of)
+        self._consume(frame, plan, hplan, env, parent, nxt)
+
+    def _consume(self, frame, plan, hplan, env, parent, nxt):
+        """Read the frame's answers into the call: now, or once suspended."""
         host = _host(parent)
         cid = None
         if self.events is not None:

@@ -169,7 +169,8 @@ def test_report_schema():
     assert len(rep["ms"]) == 3
     assert all(isinstance(x, float) for x in rep["ms"])
     assert set(rep["stats"]) == {
-        "insertions", "invalidations", "propagations", "resumptions"
+        "derivations", "insertions", "invalidations", "propagations",
+        "resumptions"
     }
 
 

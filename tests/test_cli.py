@@ -140,6 +140,19 @@ def test_run_stats_report_each_table(tmp_path, capsys, sched, line):
     assert err[1] == line
 
 
+def test_run_stats_list_tables_in_first_call_order(tmp_path, capsys):
+    # go's clauses compile a's call before b's, but a is called only once
+    # t's answer is released, after the second clause has called b
+    p = tmp_path / "order.pl"
+    p.write_text(":- table t/1.\n:- table a/1.\n:- table b/1.\n"
+                 "t(1).\na(2).\nb(3).\n"
+                 "go(Y) :- t(_), a(Y).\ngo(Y) :- b(Y).\n")
+    code = main(["run", str(p), "--query", "go(Y)", "--stats"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 0
+    assert [line.split()[2] for line in err[1:]] == ["t/1", "b/1", "a/1"]
+
+
 def test_run_sched_batched(reach_file, capsys):
     code = main(["run", reach_file, "--query", "path(a, X)", "--sched", "batched"])
     assert code == 0
@@ -216,7 +229,8 @@ def test_bench_runs_and_reports(capsys, tmp_path):
     assert report["match"] is True
     assert len(report["ms"]) == 3
     assert set(report["stats"]) == {
-        "insertions", "invalidations", "propagations", "resumptions"
+        "derivations", "insertions", "invalidations", "propagations",
+        "resumptions"
     }
 
 

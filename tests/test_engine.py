@@ -643,6 +643,84 @@ def test_zero_arity_goals(strategy):
 
 
 # ---------------------------------------------------------------------------
+# compiled call sites
+
+# p's mode order puts its index arguments before its min argument
+SITE = """
+:- table p(min, index, index).
+p(C, K, L) :- e(K, L, C).
+e(a, x, 3). e(a, x, 1). e(a, y, 2).
+e(1, x, 5). e(1, y, 6). e(1.0, x, 7).
+e(f(b), x, 2). e(f(b), y, 4). e(x, x, 9).
+one(X) :- X = 1.
+h(K, C, L) :- p(C, K, L).
+:- table z/0.
+z :- e(a, x, _).
+:- table r/2.
+r(K, C) :- p(C, K, x).
+:- table q/2.
+"""
+
+
+@pytest.mark.parametrize("rules, query, frames", [
+    ("q(C, L) :- p(C, a, L).", "?- q(C, L), q(D, M).", 1),  # atom
+    ("q(C, L) :- p(C, 1, L).", "?- q(C, L), q(D, M).", 1),  # integer
+    # 1 and 1.0 are different calls
+    ("q(C, L) :- p(C, 1, L).\nq(C, L) :- X = 1.0, p(C, X, L).",
+     "?- q(C, L).", 2),
+    # a Var bound to 1 in the walk's bindings is the call p(C, 1, L)
+    ("q(C, L) :- one(X), p(C, X, L).\nq(C, L) :- p(C, 1, L).",
+     "?- q(C, L).", 1),
+    # K is bound to atoms, integers, a float and a compound in turn
+    ("q(C, K) :- e(K, x, _), p(C, K, x).", "?- q(C, K).", 5),
+    # h's variables stay shared with the query's
+    ("", "?- h(K, C, L), e(K, L, _).", 1),
+    ("q(C, L) :- p(C, f(b), L).", "?- q(C, L), q(D, M).", 1),  # compound
+    ("q(C, K) :- p(C, K, K).", "?- q(C, K), q(D, J).", 1),  # repeated
+    ("q(C, L) :- z, p(C, a, L), z.", "?- q(C, L), q(D, M).", 1),  # arity 0
+    # q's and r's heads leave their variables unbound for the body's call
+    ("q(K, C) :- r(K, C).", "?- q(K, C), r(a, D).", 2),
+])
+@pytest.mark.parametrize("strategy", BOTH)
+def test_call_sites_match_the_general_path(rules, query, frames, strategy,
+                                           monkeypatch):
+    def outcome():
+        engine = Engine(parse_program(SITE + rules), strategy)
+        answers, stats = engine.solve(query)
+        tables = [(e.name, [(f.n_inserted, f.n_invalidated, f.n_purged,
+                             [term_to_str(t) for a in iterate_answers(f)
+                              for t in a.terms]) for f in e.frames])
+                  for e in engine.space.entries.values()]
+        return printed(answers), stats.as_dict(), tables
+
+    got = outcome()
+    # the reference: every tabled call takes the general path
+    monkeypatch.setattr(Engine, "_site_step", lambda self, name, specs, nxt: (
+        lambda env, parent: self._call_tabled(name, specs, env, parent, nxt)))
+    assert got == outcome()
+    assert got[0]
+    assert len(dict(got[2])["p"]) == frames
+
+
+def test_a_call_site_looks_up_each_frame_once(monkeypatch):
+    import modetab.engine as engine_mod
+    calls = []
+    real = engine_mod.subgoal_lookup_insert
+
+    def counted(entry, args):
+        calls.append(1)
+        return real(entry, args)
+
+    monkeypatch.setattr(engine_mod, "subgoal_lookup_insert", counted)
+    program, query = bench_case("lcs", 20, 3)
+    engine = Engine(program)
+    engine.solve(query)
+    frames = sum(len(e.calls) for e in engine.space.entries.values())
+    assert frames > 400
+    assert len(calls) == frames
+
+
+# ---------------------------------------------------------------------------
 # arithmetic through the engine
 
 
