@@ -72,13 +72,8 @@ def _cmd_run(args):
             for event in engine.events:
                 f.write(json.dumps(event) + "\n")
     if args.stats:
-        print(
-            "%% %d answers, derivations=%d insertions=%d invalidations=%d"
-            " propagations=%d resumptions=%d"
-            % (len(answers), stats.derivations, stats.insertions,
-               stats.invalidations, stats.propagations, stats.resumptions),
-            file=sys.stderr,
-        )
+        print("%% %d answers, %s" % (len(answers), " ".join(
+            "%s=%d" % kv for kv in stats.as_dict().items())), file=sys.stderr)
         # one line per table, numbered per predicate in call order
         for entry in engine.space.entries.values():
             for k, frame in enumerate(entry.frames, 1):

@@ -8,8 +8,9 @@ builtin whose operands are not arithmetic over numbers and bound
 variables runs through lang.eval_builtin instead. An activation is a
 list of slot values, None while unbound; a clause try renames its
 clause apart by making a fresh one. A variable that must outlive its
-activation unbound (inside a compound, or passed to a non-tabled rule)
-gets a Var, bound in a per-walk dict with a trail.
+activation unbound (inside a compound, or passed to a non-tabled rule or
+to a tabled call on the general path) gets a Var, bound in a per-walk
+dict with a trail.
 
 A tabled goal whose arguments are distinct variables, atoms and
 integers compiles to a call site. It fetches its table entry when it
@@ -18,7 +19,8 @@ variant key off the slots, so a call whose frame exists builds no
 arguments; a new frame is made by tries.subgoal_lookup_insert. A goal
 with a compound, a repeated variable or a float, and a call whose slot
 holds a Var, a compound or a float, take the general path: build the
-arguments and tokenize them.
+arguments as an untabled call does, giving unbound slots Vars, tokenize
+them, and read each answer through those Vars.
 
 A call to a tabled predicate starts a generator (first call) and makes
 a consumer, which runs the next goal's closure once per delivered
@@ -60,8 +62,6 @@ are left out because what they keep depends on the order or the
 number of deliveries.
 """
 
-import functools
-import operator
 from collections import deque
 from heapq import heappop, heappush
 
@@ -128,15 +128,12 @@ class _Sink:
     answer list (names set). outs holds slots of the top activation or
     terms resolved when the derivation suspended."""
 
-    __slots__ = ("engine", "frame", "outs", "get", "answers", "names")
+    __slots__ = ("engine", "frame", "outs", "answers", "names")
 
     def __init__(self, engine, frame, outs, answers=None, names=None):
         self.engine = engine
         self.frame = frame
         self.outs = outs
-        # reads every output at once when all are slots
-        self.get = (_getter(tuple(o.i for o in outs))
-                    if all(type(o) is _Slot for o in outs) else None)
         self.answers = answers
         self.names = names
 
@@ -169,10 +166,11 @@ class _Eval:
 class Consumer:
     """A tabled call: where it reads and how to go on.
 
-    plan maps answer ordinals to slots of env that were unbound at the
-    call, hplan to Vars; step(env, parent) runs the rest of the
-    derivation. env and the callers in parent were copied when the call
-    suspended; a read of a completed table keeps the caller's own.
+    plan maps answer ordinals to slots of env that were unbound at a
+    call site, hplan to the Vars of a general-path call; step(env,
+    parent) runs the rest of the derivation. env and the callers in
+    parent were copied when the call suspended; a read of a completed
+    table keeps the caller's own.
     """
 
     __slots__ = ("frame", "host", "plan", "hplan", "step", "env", "parent",
@@ -624,13 +622,11 @@ class Engine:
         return step
 
     def _call_tabled(self, name, specs, env, parent, nxt):
-        fresh = {}  # slot -> stand-in Var for slots unbound at the call
-        args = [_call_arg(s, env, fresh, self.bind) for s in specs]
+        args = [_build(s, env) for s in specs]
+        if self.bind:
+            args = [resolve(a, self.bind) for a in args]
         frame, varmap = self._materialize(name, args)
-        slot_of = {v: k for k, v in fresh.items()}
-        plan = tuple((slot_of[v], o) for v, o in varmap.items() if v in slot_of)
-        hplan = tuple((v, o) for v, o in varmap.items() if v not in slot_of)
-        self._consume(frame, plan, hplan, env, parent, nxt)
+        self._consume(frame, (), tuple(varmap.items()), env, parent, nxt)
 
     def _consume(self, frame, plan, hplan, env, parent, nxt):
         """Read the frame's answers into the call: now, or once suspended."""
@@ -922,9 +918,7 @@ def _emit(env, sink):
     st = engine.stats
     if st.derivations > engine.limit:
         _over(engine.limit)
-    get = sink.get
-    if get is None or engine.bind or None in (vals := get(env)):
-        vals = _outputs(sink, env)
+    vals = _outputs(sink, env)
     if sink.names is not None:
         sink.answers.append(dict(zip(sink.names, vals)))
         return
@@ -946,14 +940,6 @@ def _emit(env, sink):
         engine.tasks.extend(("event", consumer, outcome.leaf)
                             for consumer in frame.generator.consumers
                             if not consumer.settles)
-
-
-@functools.lru_cache(maxsize=1024)
-def _getter(slots):
-    """A function reading the given slots of an activation as a tuple."""
-    if len(slots) > 1:
-        return operator.itemgetter(*slots)
-    return lambda env: tuple([env[k] for k in slots])
 
 
 def _outputs(sink, env):
@@ -1007,26 +993,6 @@ def _build(s, env):
         return v
     if ts is _Tmpl:
         return instantiate(s.term, {v: _build(o, env) for v, o in s.slots})
-    return s
-
-
-def _call_arg(s, env, fresh, bind):
-    """A tabled call argument, resolved; slots unbound at the call get
-    a stand-in Var from fresh, so answers can be bound to the slot."""
-    ts = type(s)
-    if ts is _Slot:
-        v = fresh.get(s.i)
-        if v is not None:
-            return v
-        v = None if s.first else env[s.i]
-        if v is None:
-            v = fresh[s.i] = Var(s.name)
-        elif bind and (type(v) is Var or type(v) is Struct):
-            v = resolve(v, bind)
-        return v
-    if ts is _Tmpl:
-        return instantiate(s.term, {v: _call_arg(o, env, fresh, bind)
-                                    for v, o in s.slots})
     return s
 
 

@@ -487,6 +487,12 @@ def validate(program):
             out.append(
                 "warning: tabled predicate %s/%d has no clauses" % (d.name, d.arity)
             )
+    for name, arity in program.strategy_overrides:
+        if not program.is_tabled(name, arity):
+            out.append(
+                "warning: table_strategy for %s/%d has no effect: it has no"
+                " table declaration" % (name, arity)
+            )
     calls = {}  # predicate -> the predicates its clauses call
     for c in program.clauses:
         name, arity = c.functor()

@@ -680,6 +680,11 @@ r(K, C) :- p(C, K, x).
     ("q(C, L) :- z, p(C, a, L), z.", "?- q(C, L), q(D, M).", 1),  # arity 0
     # q's and r's heads leave their variables unbound for the body's call
     ("q(K, C) :- r(K, C).", "?- q(K, C), r(a, D).", 2),
+    # a compound call answers C and L through Vars; then a fact goal
+    # looks L up by its first argument, `is` reads C, and the second
+    # call, seeing a Var in L's slot, falls back to the general path
+    ("q(D, M) :- p(C, f(b), L), e(L, _, _), D is C * 2, p(M, L, _).",
+     "?- q(D, M).", 2),
 ])
 @pytest.mark.parametrize("strategy", BOTH)
 def test_call_sites_match_the_general_path(rules, query, frames, strategy,

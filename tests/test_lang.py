@@ -214,6 +214,13 @@ def test_sum_table_that_can_call_itself_warns(text):
         " transient answers under either strategy"]
 
 
+def test_strategy_for_an_untabled_predicate_warns():
+    out = validate(parse_program(
+        ":- table_strategy q/1, batched.\nq(a).\n"))
+    assert out == ["warning: table_strategy for q/1 has no effect: it has"
+                   " no table declaration"]
+
+
 def test_unknown_predicate_call_is_an_error():
     out = validate(parse_program("p(X) :- missing(X)."))
     assert out == ["error: unknown predicate missing/1 called on line 1"]
