@@ -18,9 +18,12 @@ first runs (entries stay in first-call order), then reads each call's
 variant key off the slots, so a call whose frame exists builds no
 arguments; a new frame is made by tries.subgoal_lookup_insert. A goal
 with a compound, a repeated variable or a float, and a call whose slot
-holds a Var, a compound or a float, take the general path: build the
-arguments as an untabled call does, giving unbound slots Vars, tokenize
-them, and read each answer through those Vars.
+holds an unbound Var, a compound or a float, take the general path:
+build the arguments as an untabled call does, giving unbound slots
+Vars, tokenize them, and read each answer through those Vars. A slot
+whose Var the walk has bound to an atom or an integer keys the site as
+that value. Each read of an answer that holds variables gets them
+renamed apart, as a clause try renames its clause.
 
 A call to a tabled predicate starts a generator (first call) and makes
 a consumer, which runs the next goal's closure once per delivered
@@ -609,14 +612,20 @@ class Engine:
                     plan.append((k, len(plan)))
                 elif type(v) is int or type(v) is str:
                     key.append(v)
-                else:  # a Var, a compound or a float
-                    return self._call_tabled(name, specs, env, parent, nxt)
+                else:
+                    if type(v) is Var:  # the walk may have bound it
+                        v = resolve(v, self.bind)
+                    if type(v) is not int and type(v) is not str:
+                        return self._call_tabled(name, specs, env, parent, nxt)
+                    key.append(v)
             frame = entry.calls.get(tuple(key))
             if frame is None:
                 # a new frame: its generator needs the call's arguments
                 args = [s if type(s) is not _Slot else
                         Var(s.name) if s.first or env[s.i] is None else env[s.i]
                         for s in specs]
+                if self.bind:  # a slot's Var may stand for its key value
+                    args = [resolve(a, self.bind) for a in args]
                 frame, _ = self._materialize(name, args)
             self._consume(frame, tuple(plan), (), env, parent, nxt)
         return step
@@ -698,6 +707,8 @@ class Engine:
                 resumed=resumed,
             )
         terms = leaf.terms
+        if consumer.frame.entry.open:
+            terms = _renamed(terms)
         env = list(consumer.env)
         for k, o in consumer.plan:
             env[k] = terms[o]
@@ -940,6 +951,15 @@ def _emit(env, sink):
         engine.tasks.extend(("event", consumer, outcome.leaf)
                             for consumer in frame.generator.consumers
                             if not consumer.settles)
+
+
+def _renamed(terms):
+    """An answer's terms with their variables renamed apart: each reader
+    of a table gets its own, as a clause try does."""
+    varmap = {}
+    tokenize(terms, varmap)
+    fresh = {v: Var(v.name) for v in varmap}
+    return [instantiate(t, fresh) for t in terms]
 
 
 def _outputs(sink, env):

@@ -211,6 +211,8 @@ def insert_answer(frame, subst_terms):
                 flatten_into(t, varmap, tokens)
                 offsets.append(len(tokens))
             steps = _steps(segments, offsets)
+            if varmap:
+                frame.entry.open = True
             break
     sum_value = None
     if varmap or has_sum:

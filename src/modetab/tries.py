@@ -90,7 +90,7 @@ class TableEntry:
     """One per tabled predicate: its mode array and the table of calls."""
 
     __slots__ = ("name", "arity", "mode_array", "any_order", "calls", "frames",
-                 "shapes")
+                 "shapes", "open")
 
     def __init__(self, name, arity, mode_array):
         self.name = name
@@ -101,6 +101,7 @@ class TableEntry:
         self.calls = {}  # variant key (token tuple) -> frame
         self.frames = self.calls.values()  # live, in creation order
         self.shapes = {}  # per-argument variable counts -> subst_modes
+        self.open = False  # an answer offered to a frame held a variable
 
 
 class TableSpace:

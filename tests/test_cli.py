@@ -70,6 +70,12 @@ q(X, Y, f(Y, X)).
 @pytest.mark.parametrize("query, rows", [
     ("q(A, B, C)", ["A = X, B = Y, C = f(Y, X)"]),
     ("q(A, A, C)", ["A = A, C = f(A, A)"]),
+    # each read gets the answer's variables renamed apart
+    ("q(A, A, C), A = z", ["A = z, C = f(z, z)"]),
+    ("q(A, A, C), q(B, B, D)", ["A = A, C = f(A, A), B = A, D = f(A, A)"]),
+    ("q(A, B, C), q(B, A, D)", ["A = Y, B = X, C = f(X, Y), D = f(Y, X)"]),
+    ("q(A, B, C), A = z, q(D, E, F)",
+     ["A = z, B = Y, C = f(Y, z), D = X, E = Y, F = f(Y, X)"]),
 ])
 def test_run_prints_non_ground_answers(tmp_path, capsys, query, rows):
     p = tmp_path / "open.pl"

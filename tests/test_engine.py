@@ -682,9 +682,13 @@ r(K, C) :- p(C, K, x).
     ("q(K, C) :- r(K, C).", "?- q(K, C), r(a, D).", 2),
     # a compound call answers C and L through Vars; then a fact goal
     # looks L up by its first argument, `is` reads C, and the second
-    # call, seeing a Var in L's slot, falls back to the general path
+    # call keys its site by the atom L's Var is bound to
     ("q(D, M) :- p(C, f(b), L), e(L, _, _), D is C * 2, p(M, L, _).",
      "?- q(D, M).", 2),
+    # w's answer holds a variable: the second call reads it through K's
+    # Var, and M = f(b) binds K for the compound call on N
+    ("q(C, L) :- w(K, M), w(K, N), M = f(b), p(C, N, L).\n"
+     ":- table w/2.\nw(X, f(X)).", "?- q(C, L), q(D, M).", 1),
 ])
 @pytest.mark.parametrize("strategy", BOTH)
 def test_call_sites_match_the_general_path(rules, query, frames, strategy,
@@ -705,6 +709,23 @@ def test_call_sites_match_the_general_path(rules, query, frames, strategy,
     assert got == outcome()
     assert got[0]
     assert len(dict(got[2])["p"]) == frames
+
+
+def test_a_call_site_reads_a_var_bound_to_an_atom(monkeypatch):
+    general = []
+    real = Engine._call_tabled
+
+    def counted(self, name, specs, env, parent, nxt):
+        general.append(name)
+        return real(self, name, specs, env, parent, nxt)
+
+    monkeypatch.setattr(Engine, "_call_tabled", counted)
+    engine = Engine(parse_program(
+        SITE + "q(C, M) :- p(C, f(b), L), e(L, _, _), p(M, L, _)."))
+    answers, _ = engine.solve("?- q(C, M).")
+    assert printed(answers) == [{"C": "2", "M": "9"}]
+    # only the compound call: the site reads L's Var, bound to x
+    assert general == ["p"]
 
 
 def test_a_call_site_looks_up_each_frame_once(monkeypatch):
