@@ -64,7 +64,11 @@ def _cmd_run(args):
     answers, stats = engine.solve(args.query)
     for a in answers:
         if a:
-            print(", ".join("%s = %s" % (n, term_to_str(t)) for n, t in a.items()))
+            # unbound variables print as _G1, _G2, ... within a row, so two
+            # distinct ones never print alike
+            names = {}
+            print(", ".join("%s = %s" % (n, term_to_str(t, names))
+                            for n, t in a.items()))
         else:
             print("true")
     if args.trace_events:

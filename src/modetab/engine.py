@@ -16,14 +16,18 @@ A tabled goal whose arguments are distinct variables, atoms and
 integers compiles to a call site. It fetches its table entry when it
 first runs (entries stay in first-call order), then reads each call's
 variant key off the slots, so a call whose frame exists builds no
-arguments; a new frame is made by tries.subgoal_lookup_insert. A goal
-with a compound, a repeated variable or a float, and a call whose slot
-holds an unbound Var, a compound or a float, take the general path:
-build the arguments as an untabled call does, giving unbound slots
-Vars, tokenize them, and read each answer through those Vars. A slot
-whose Var the walk has bound to an atom or an integer keys the site as
-that value. Each read of an answer that holds variables gets them
-renamed apart, as a clause try renames its clause.
+arguments. A call that misses hands that key to
+tries.subgoal_lookup_insert and builds its generator call from it,
+without tokenizing: each free slot is a fresh Var linked to its answer
+ordinal, and each bound slot is its key value. A goal with a compound,
+a repeated variable or a float, and a call whose slot holds an unbound
+Var, a compound or a float, take the general path: build the arguments
+as an untabled call does, giving unbound slots Vars, key them with
+tries.variant_key, and read each answer through those Vars. Both paths
+start a new frame's generator the same way. A slot whose Var the walk
+has bound to an atom or an integer keys the site as that value. Each
+read of an answer that holds variables gets them renamed apart, as a
+clause try renames its clause.
 
 A call to a tabled predicate starts a generator (first call) and makes
 a consumer, which runs the next goal's closure once per delivered
@@ -75,7 +79,7 @@ from .modes import REJECTED, compile_declaration, insert_answer, traditional_mod
 from .terms import (Struct, Var, cyclic_binding, instantiate, resolve,
                     term_to_str, tokenize, unify)
 from .tries import (TableSpace, complete_table, iterate_answers,
-                    subgoal_lookup_insert)
+                    subgoal_lookup_insert, variant_key)
 
 __all__ = ["Engine", "Stats", "solve", "DEFAULT_LIMIT"]
 
@@ -563,9 +567,12 @@ class Engine:
     # -- tabled calls ----------------------------------------------------
 
     def _materialize(self, name, args):
-        """Find or create the frame for a call; start its generator if new."""
+        """Find or create the frame for a general-path call or a tabled
+        query; start its generator if new. Returns the frame and the
+        ordinals of the call's variables."""
         entry = self.entry(name, len(args))
-        frame, is_new, varmap = subgoal_lookup_insert(entry, args)
+        key, counts, varmap = variant_key(entry, args)
+        frame, is_new = subgoal_lookup_insert(entry, key, counts)
         if is_new:
             # a call variable that stands alone as an argument and occurs
             # nowhere else is linked to the head argument it meets, so
@@ -580,16 +587,21 @@ class Engine:
             )
             # ordinals are handed out at first occurrence, so the map is
             # already in ordinal order
-            local = self.program.strategy_overrides.get(
-                (name, len(args)), self.strategy) == "local"
-            frame.generator = _Eval(frame, tuple(args), link, tuple(varmap),
-                                    local)
-            self.incomplete[frame] = None
-            self.ready.append(frame.generator)
-            self.tasks.append(("gen", frame))
-            if self.events is not None:
-                self._log("call", frame=frame.name(), new=True)
+            self._start(frame, tuple(args), link, tuple(varmap))
         return frame, varmap
+
+    def _start(self, frame, args, link, subst):
+        """Start a new frame's generator: args in source order, link per
+        argument, subst the call's Vars in answer ordinal order."""
+        entry = frame.entry
+        local = self.program.strategy_overrides.get(
+            (entry.name, entry.arity), self.strategy) == "local"
+        frame.generator = _Eval(frame, args, link, subst, local)
+        self.incomplete[frame] = None
+        self.ready.append(frame.generator)
+        self.tasks.append(("gen", frame))
+        if self.events is not None:
+            self._log("call", frame=frame.name(), new=True)
 
     def _site_step(self, name, specs, nxt):
         """A compiled call site, as the module docstring describes."""
@@ -618,17 +630,33 @@ class Engine:
                     if type(v) is not int and type(v) is not str:
                         return self._call_tabled(name, specs, env, parent, nxt)
                     key.append(v)
-            frame = entry.calls.get(tuple(key))
+            key = tuple(key)
+            frame = entry.calls.get(key)
             if frame is None:
-                # a new frame: its generator needs the call's arguments
-                args = [s if type(s) is not _Slot else
-                        Var(s.name) if s.first or env[s.i] is None else env[s.i]
-                        for s in specs]
-                if self.bind:  # a slot's Var may stand for its key value
-                    args = [resolve(a, self.bind) for a in args]
-                frame, _ = self._materialize(name, args)
+                frame = self._site_frame(entry, specs, key)
             self._consume(frame, tuple(plan), (), env, parent, nxt)
         return step
+
+    def _site_frame(self, entry, specs, key):
+        """A call site's new frame, made from the variant key it built:
+        each free slot is a fresh Var linked to its answer ordinal, and
+        each bound one is its key value."""
+        args = [None] * len(specs)
+        link = [None] * len(specs)
+        subst = []
+        counts = []
+        for t, (pos, _) in zip(key, entry.mode_array):
+            if type(t) is tuple:  # a variable's token
+                link[pos - 1] = len(subst)
+                t = Var(specs[pos - 1].name)
+                subst.append(t)
+                counts.append(1)
+            else:
+                counts.append(0)
+            args[pos - 1] = t
+        frame, _ = subgoal_lookup_insert(entry, key, tuple(counts))
+        self._start(frame, tuple(args), tuple(link), tuple(subst))
+        return frame
 
     def _call_tabled(self, name, specs, env, parent, nxt):
         args = [_build(s, env) for s in specs]

@@ -215,10 +215,15 @@ def _atom_str(name):
     return "'%s'" % name.replace("\\", "\\\\").replace("'", "\\'")
 
 
-def _leaf_str(t):
+def _leaf_str(t, names=None):
     tt = type(t)
     if tt is Var:
-        return t.name
+        if names is None:
+            return t.name
+        name = names.get(t)
+        if name is None:
+            name = names[t] = "_G%d" % (len(names) + 1)
+        return name
     if tt is str:
         return _atom_str(t)
     if tt is int:
@@ -226,18 +231,29 @@ def _leaf_str(t):
     return repr(t)
 
 
-def term_to_str(t):
-    """Print a term; iterative, so any depth of nesting prints."""
+def term_to_str(t, names=None):
+    """Print a term; iterative, so any depth of nesting prints.
+
+    A variable prints by its name, or, given a dict names, as _G1, _G2,
+    ... numbered at first occurrence; names carries the numbering on to
+    the next call, so distinct variables of several terms print apart.
+    """
     if type(t) is not Struct:
-        return _leaf_str(t)
+        return _leaf_str(t, names)
     out = []
-    stack = [t]  # pending output: printed text, or a Struct to expand
+    # pending output: printed text, or a Struct to expand or a Var to
+    # name, left as they are so variables are named in print order
+    stack = [t]
     while stack:
         t = stack.pop()
-        if type(t) is not Struct:
+        if type(t) is str:
             out.append(t)
             continue
-        args = [a if type(a) is Struct else _leaf_str(a) for a in t.args]
+        if type(t) is Var:
+            out.append(_leaf_str(t, names))
+            continue
+        args = [a if type(a) is Struct or type(a) is Var else _leaf_str(a)
+                for a in t.args]
         if t.name in _INFIX and len(args) == 2:
             out.append("(")
             stack += (")", args[1], " %s " % t.name, args[0])

@@ -1,9 +1,13 @@
 """The table space: a call table and answer tries with invalidatable chains.
 
 Each tabled predicate owns a TableEntry whose call table is one dict from
-a call's variant key, its token tuple, to its SubgoalFrame. Frames with
-the same variable count per argument share the entry's one substitution
-array for that shape, and modes gives them one insertion plan. Every
+a call's variant key, its token tuple, to its SubgoalFrame.
+variant_key tokenizes a call's arguments into that key, and
+subgoal_lookup_insert, the one frame maker, takes a key its caller has
+built: a caller that already knows the key, as the engine's call sites
+do, makes a frame without tokenizing anything. Frames with the same
+variable count per argument share the entry's one substitution array for
+that shape, and modes gives them one insertion plan. Every
 frame owns an answer trie holding only the substitution terms of the
 call's free variables. A trie node is a plain dict from token to child,
 with no pointer back to its parent: an answer path ends in the answer's
@@ -32,6 +36,7 @@ __all__ = [
     "SubgoalFrame",
     "TableEntry",
     "TableSpace",
+    "variant_key",
     "subgoal_lookup_insert",
     "grow_answer",
     "invalidate_branch",
@@ -117,31 +122,40 @@ class TableSpace:
         return e
 
 
-def subgoal_lookup_insert(entry, call_args):
-    """Find or create the frame for a call, reordering arguments by mode.
+def variant_key(entry, call_args):
+    """A call's variant key, the per-argument variable counts and the
+    variables' ordinals.
 
     Arguments are tokenized in mode-array order, so variant calls get the
     same key no matter how their variables are named; a call without
-    arguments gets the key (). Returns (frame, is_new, varmap) where
-    varmap gives each unbound variable of call_args its ordinal in the
-    answer substitution vector.
+    arguments gets the key (). counts gives, in the same order, how many
+    fresh variables each argument holds, and varmap each unbound variable
+    of call_args its ordinal in the answer substitution vector.
     """
     ordered = [call_args[pos - 1] for pos, _mode in entry.mode_array]
     varmap = {}
     counts = []
     key = tuple(tokenize(ordered, varmap, counts))
+    return key, tuple(counts), varmap
+
+
+def subgoal_lookup_insert(entry, key, counts):
+    """Find or create the frame for a call's variant key.
+
+    key and counts are what variant_key gives, or what a caller that
+    reads its arguments in mode order builds itself. A new frame gets
+    the entry's substitution array for its shape. Returns (frame,
+    is_new).
+    """
     frame = entry.calls.get(key)
-    is_new = frame is None
-    if is_new:
-        counts = tuple(counts)
-        subst = entry.shapes.get(counts)
-        if subst is None:
-            subst = entry.shapes[counts] = tuple(
-                (mode, n, pos)
-                for (pos, mode), n in zip(entry.mode_array, counts)
-            )
-        frame = entry.calls[key] = SubgoalFrame(entry, subst)
-    return frame, is_new, varmap
+    if frame is not None:
+        return frame, False
+    subst = entry.shapes.get(counts)
+    if subst is None:
+        subst = entry.shapes[counts] = tuple(
+            (mode, n, pos) for (pos, mode), n in zip(entry.mode_array, counts))
+    frame = entry.calls[key] = SubgoalFrame(entry, subst)
+    return frame, True
 
 
 def grow_answer(frame, node, tokens, start, terms):

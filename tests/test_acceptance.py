@@ -22,6 +22,7 @@ from modetab.tries import (
     complete_table,
     iterate_answers,
     subgoal_lookup_insert,
+    variant_key,
 )
 
 from oracles import flat_aggregate
@@ -102,7 +103,8 @@ def fresh_frame(modes):
     space = TableSpace()
     arity = len(modes)
     entry = space.entry("p", arity, compile_declaration("p", arity, list(modes)))
-    frame, _, _ = subgoal_lookup_insert(entry, [Var() for _ in range(arity)])
+    key, counts, _ = variant_key(entry, [Var() for _ in range(arity)])
+    frame, _ = subgoal_lookup_insert(entry, key, counts)
     return frame
 
 

@@ -68,14 +68,21 @@ q(X, Y, f(Y, X)).
 
 
 @pytest.mark.parametrize("query, rows", [
-    ("q(A, B, C)", ["A = X, B = Y, C = f(Y, X)"]),
-    ("q(A, A, C)", ["A = A, C = f(A, A)"]),
+    # unbound variables print as _G1, _G2, ... in order of first
+    # occurrence in the row
+    ("q(A, B, C)", ["A = _G1, B = _G2, C = f(_G2, _G1)"]),
+    ("q(A, A, C)", ["A = _G1, C = f(_G1, _G1)"]),
     # each read gets the answer's variables renamed apart
     ("q(A, A, C), A = z", ["A = z, C = f(z, z)"]),
-    ("q(A, A, C), q(B, B, D)", ["A = A, C = f(A, A), B = A, D = f(A, A)"]),
-    ("q(A, B, C), q(B, A, D)", ["A = Y, B = X, C = f(X, Y), D = f(Y, X)"]),
+    ("q(A, A, C), q(B, B, D)",
+     ["A = _G1, C = f(_G1, _G1), B = _G2, D = f(_G2, _G2)"]),
+    ("q(A, B, C), q(B, A, D)",
+     ["A = _G1, B = _G2, C = f(_G2, _G1), D = f(_G1, _G2)"]),
     ("q(A, B, C), A = z, q(D, E, F)",
-     ["A = z, B = Y, C = f(Y, z), D = X, E = Y, F = f(Y, X)"]),
+     ["A = z, B = _G1, C = f(_G1, z), D = _G2, E = _G3, F = f(_G3, _G2)"]),
+    # two reads' variables share their names in the table, yet print apart
+    ("q(A, B, C), q(D, E, F)",
+     ["A = _G1, B = _G2, C = f(_G2, _G1), D = _G3, E = _G4, F = f(_G4, _G3)"]),
 ])
 def test_run_prints_non_ground_answers(tmp_path, capsys, query, rows):
     p = tmp_path / "open.pl"

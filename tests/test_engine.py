@@ -696,9 +696,14 @@ def test_call_sites_match_the_general_path(rules, query, frames, strategy,
     def outcome():
         engine = Engine(parse_program(SITE + rules), strategy)
         answers, stats = engine.solve(query)
+        # per frame also its shape, which must be the entry's one tuple
+        # for that shape, and per entry its variant keys in calls order
         tables = [(e.name, [(f.n_inserted, f.n_invalidated, f.n_purged,
                              [term_to_str(t) for a in iterate_answers(f)
-                              for t in a.terms]) for f in e.frames])
+                              for t in a.terms], f.subst_modes,
+                             f.subst_modes is e.shapes[
+                                 tuple(n for _, n, _ in f.subst_modes)])
+                            for f in e.frames], list(e.calls))
                   for e in engine.space.entries.values()]
         return printed(answers), stats.as_dict(), tables
 
@@ -708,7 +713,9 @@ def test_call_sites_match_the_general_path(rules, query, frames, strategy,
         lambda env, parent: self._call_tabled(name, specs, env, parent, nxt)))
     assert got == outcome()
     assert got[0]
-    assert len(dict(got[2])["p"]) == frames
+    p = {name: fs for name, fs, _ in got[2]}["p"]
+    assert len(p) == frames
+    assert all(shared for *_, shared in p)
 
 
 def test_a_call_site_reads_a_var_bound_to_an_atom(monkeypatch):
@@ -733,9 +740,9 @@ def test_a_call_site_looks_up_each_frame_once(monkeypatch):
     calls = []
     real = engine_mod.subgoal_lookup_insert
 
-    def counted(entry, args):
+    def counted(entry, key, counts):
         calls.append(1)
-        return real(entry, args)
+        return real(entry, key, counts)
 
     monkeypatch.setattr(engine_mod, "subgoal_lookup_insert", counted)
     program, query = bench_case("lcs", 20, 3)
@@ -744,6 +751,40 @@ def test_a_call_site_looks_up_each_frame_once(monkeypatch):
     frames = sum(len(e.calls) for e in engine.space.entries.values())
     assert frames > 400
     assert len(calls) == frames
+
+
+def test_a_call_site_makes_its_frame_without_tokenizing(monkeypatch):
+    import modetab.engine as engine_mod
+    tokenized = []
+    sites = []
+
+    def counting(name, fn):
+        def counted(*args):
+            tokenized.append(name)
+            return fn(*args)
+        return counted
+
+    # a miss reads neither the tokenizer nor the general path's key helper
+    monkeypatch.setattr(engine_mod, "tokenize",
+                        counting("tokenize", engine_mod.tokenize))
+    monkeypatch.setattr(engine_mod, "variant_key",
+                        counting("variant_key", engine_mod.variant_key))
+    real = Engine._site_step
+
+    def compiled(self, name, specs, nxt):
+        sites.append(name)
+        return real(self, name, specs, nxt)
+
+    monkeypatch.setattr(Engine, "_site_step", compiled)
+    program, query = bench_case("lcs", 20, 3)
+    engine = Engine(program)
+    engine.solve(query)
+    frames = sum(len(e.calls) for e in engine.space.entries.values())
+    assert frames > 400
+    # each site tokenizes its variable tokens once, on its first run; the
+    # query numbers its variables, keys its own call and scans it for
+    # variables inside compounds
+    assert len(tokenized) <= len(sites) + 3
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from modetab.modes import (
 )
 from modetab.terms import Struct, Var
 from modetab.tries import (TableSpace, complete_table, iterate_answers,
-                           subgoal_lookup_insert)
+                           subgoal_lookup_insert, variant_key)
 
 from oracles import flat_aggregate
 
@@ -31,7 +31,8 @@ def make_frame(mode_names, call_args=None):
     entry = space.entry("p", arity, compile_declaration("p", arity, mode_names))
     if call_args is None:
         call_args = [Var() for _ in range(arity)]
-    frame, _, varmap = subgoal_lookup_insert(entry, list(call_args))
+    key, counts, varmap = variant_key(entry, list(call_args))
+    frame, _ = subgoal_lookup_insert(entry, key, counts)
     return frame, varmap
 
 
@@ -122,7 +123,8 @@ def test_substitution_array_counts_fresh_variables():
     arr = compile_declaration("p", 3, ["all", "index", "min"])
     x, y = Var(), Var()
     entry = TableSpace().entry("p", 3, arr)
-    assert subgoal_lookup_insert(entry, [x, 1, y])[0].subst_modes == (
+    key, counts, _ = variant_key(entry, [x, 1, y])
+    assert subgoal_lookup_insert(entry, key, counts)[0].subst_modes == (
         ("index", 0, 2),
         ("min", 1, 3),
         ("all", 1, 1),
@@ -132,7 +134,8 @@ def test_substitution_array_counts_fresh_variables():
 def test_repeated_variable_counts_as_fresh_only_once():
     x = Var()
     entry = TableSpace().entry("p", 2, traditional_modes(2))
-    assert subgoal_lookup_insert(entry, [x, x])[0].subst_modes == (
+    key, counts, _ = variant_key(entry, [x, x])
+    assert subgoal_lookup_insert(entry, key, counts)[0].subst_modes == (
         ("index", 1, 1),
         ("index", 0, 2),
     )

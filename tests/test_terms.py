@@ -201,6 +201,18 @@ def test_term_to_str_infix_arithmetic():
     assert term_to_str(Struct("+", [1, 2])) == "(1 + 2)"
 
 
+def test_term_to_str_numbers_variables_in_print_order():
+    x, y = Var("X"), Var("X")
+    names = {}
+    # y, inside the first argument, prints first, so it is named first
+    assert term_to_str(Struct("f", [Struct("g", [y]), x]), names) == \
+        "f(g(_G1), _G2)"
+    # the numbering carries on, and the same variable keeps its name
+    assert term_to_str(Struct("+", [x, Var("Z")]), names) == "(_G2 + _G3)"
+    assert term_to_str(y, names) == "_G1"
+    assert term_to_str(Struct("h", [x, y])) == "h(X, X)"
+
+
 def test_term_to_str_prints_a_deep_term():
     t = 0
     for _ in range(5000):

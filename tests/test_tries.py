@@ -19,14 +19,22 @@ from modetab.tries import (
     invalidate_branch,
     iterate_answers,
     subgoal_lookup_insert,
+    variant_key,
 )
+
+
+def frame_for(entry, args):
+    """Key a call and find or make its frame: (frame, is_new, varmap)."""
+    key, counts, varmap = variant_key(entry, args)
+    frame, is_new = subgoal_lookup_insert(entry, key, counts)
+    return frame, is_new, varmap
 
 
 def fresh_frame(arity=3):
     """A frame for an all-free traditionally tabled call, for raw trie tests."""
     space = TableSpace()
     entry = space.entry("p", arity, traditional_modes(arity))
-    frame, _, _ = subgoal_lookup_insert(entry, [Var() for _ in range(arity)])
+    frame, _, _ = frame_for(entry, [Var() for _ in range(arity)])
     return frame
 
 
@@ -99,7 +107,7 @@ def test_call_arguments_are_stored_in_mode_order():
     ma = compile_declaration("p", 3, ["all", "index", "min"])
     entry = space.entry("p", 3, ma)
     x, y = Var(), Var()
-    frame, is_new, varmap = subgoal_lookup_insert(entry, [x, 1, y])
+    frame, is_new, varmap = frame_for(entry, [x, 1, y])
     assert is_new
     # bound second argument first, then the min variable, then the all one
     assert entry.calls == {(1, var_token(0), var_token(1)): frame}
@@ -107,27 +115,41 @@ def test_call_arguments_are_stored_in_mode_order():
     assert frame.subst_modes == (("index", 0, 2), ("min", 1, 3), ("all", 1, 1))
 
 
+def test_a_key_built_in_mode_order_finds_the_tokenized_calls_frame():
+    # a caller that reads its arguments in mode order, as a compiled call
+    # site does, hands over its own key and per-argument variable counts
+    ma = compile_declaration("p", 3, ["all", "index", "min"])
+    entry = TableSpace().entry("p", 3, ma)
+    f1, _, _ = frame_for(entry, [Var(), 1, Var()])
+    frame, is_new = subgoal_lookup_insert(
+        entry, (1, var_token(0), var_token(1)), (0, 1, 1))
+    assert frame is f1 and not is_new
+    f2, is_new = subgoal_lookup_insert(
+        entry, (2, var_token(0), var_token(1)), (0, 1, 1))
+    assert is_new and f2.subst_modes is f1.subst_modes
+
+
 def test_source_order_call_path_without_mode_reordering():
     space = TableSpace()
     entry = space.entry("p", 3, traditional_modes(3))
-    frame, _, _ = subgoal_lookup_insert(entry, [Var(), 1, Var()])
+    frame, _, _ = frame_for(entry, [Var(), 1, Var()])
     assert entry.calls == {(var_token(0), 1, var_token(1)): frame}
 
 
 def test_zero_arity_call_has_the_empty_key():
     space = TableSpace()
     entry = space.entry("p", 0, traditional_modes(0))
-    frame, is_new, varmap = subgoal_lookup_insert(entry, [])
+    frame, is_new, varmap = frame_for(entry, [])
     assert is_new and varmap == {}
     assert entry.calls == {(): frame}
-    assert subgoal_lookup_insert(entry, [])[:2] == (frame, False)
+    assert frame_for(entry, [])[:2] == (frame, False)
 
 
 def test_variant_call_reuses_frame():
     space = TableSpace()
     entry = space.entry("p", 3, traditional_modes(3))
-    f1, new1, _ = subgoal_lookup_insert(entry, [Var(), 1, Var()])
-    f2, new2, _ = subgoal_lookup_insert(entry, [Var(), 1, Var()])
+    f1, new1, _ = frame_for(entry, [Var(), 1, Var()])
+    f2, new2, _ = frame_for(entry, [Var(), 1, Var()])
     assert new1 and not new2
     assert f1 is f2
 
@@ -135,8 +157,8 @@ def test_variant_call_reuses_frame():
 def test_distinct_calls_get_distinct_frames():
     space = TableSpace()
     entry = space.entry("p", 2, traditional_modes(2))
-    f1, _, _ = subgoal_lookup_insert(entry, ["a", Var()])
-    f2, _, _ = subgoal_lookup_insert(entry, ["b", Var()])
+    f1, _, _ = frame_for(entry, ["a", Var()])
+    f2, _, _ = frame_for(entry, ["b", Var()])
     assert f1 is not f2
     assert len(entry.frames) == 2
 
@@ -145,9 +167,9 @@ def test_calls_of_one_shape_share_their_modes_and_plan():
     space = TableSpace()
     ma = compile_declaration("p", 3, ["index", "index", "min"])
     entry = space.entry("p", 3, ma)
-    f1, _, _ = subgoal_lookup_insert(entry, ["a", Var(), Var()])
-    f2, _, _ = subgoal_lookup_insert(entry, ["b", Var(), Var()])
-    f3, _, _ = subgoal_lookup_insert(entry, [Var(), "b", Var()])
+    f1, _, _ = frame_for(entry, ["a", Var(), Var()])
+    f2, _, _ = frame_for(entry, ["b", Var(), Var()])
+    f3, _, _ = frame_for(entry, [Var(), "b", Var()])
     assert f1 is not f2 and f1.subst_modes is f2.subst_modes
     assert f3.subst_modes is not f1.subst_modes
     insert_answer(f1, ("c", 1))
@@ -397,7 +419,7 @@ def test_calls_share_a_frame_exactly_when_they_are_variants(modes, data):
                 args = [float(a) if type(a) is int else a for a in args]
         else:
             args = data.draw(st.lists(CallArgs, min_size=3, max_size=3))
-        frame, is_new, _ = subgoal_lookup_insert(entry, args)
+        frame, is_new, _ = frame_for(entry, args)
         assert is_new == (frame not in frames)
         calls.append(args)
         frames.append(frame)
