@@ -2,15 +2,20 @@
 
 Each clause is compiled once, on the first call of its predicate: its
 variables become numbered slots, each occurrence marked first or not,
-and its body a chain of closures, one per goal, each binding what its
-argument slots and compiled arithmetic say before calling the next. A
-builtin whose operands are not arithmetic over numbers and bound
-variables runs through lang.eval_builtin instead. An activation is a
-list of slot values, None while unbound; a clause try renames its
-clause apart by making a fresh one. A variable that must outlive its
-activation unbound (inside a compound, or passed to a non-tabled rule or
-to a tabled call on the general path) gets a Var, bound in a per-walk
-dict with a trail.
+and its body a chain of steps, each calling the next. A run of inline
+goals (ground-fact goals with distinct variables and no compound that
+holds one, and `is` and comparisons over numbers and bound variables)
+is one generated Python function: a fact goal is a loop over its
+indexed rows, arithmetic straight-line code and a comparison an if,
+with the next step at the innermost point. A fact goal whose slot holds
+an unbound Var, and an `is` whose left side is bound, hand the rest of
+the run to the closures that unify. Other goals are closures; a builtin
+whose operands are not such arithmetic runs through lang.eval_builtin.
+An activation is a list of slot values, None while unbound; a clause
+try renames its clause apart by making a fresh one. A variable that
+must outlive its activation unbound (inside a compound, or passed to a
+non-tabled rule or to a tabled call on the general path) gets a Var,
+bound in a per-walk dict with a trail.
 
 A tabled goal whose arguments are distinct variables, atoms and
 integers compiles to a call site. It fetches its table entry when it
@@ -70,11 +75,12 @@ number of deliveries.
 """
 
 from collections import deque
+from functools import lru_cache
 from heapq import heappop, heappush
 
 from .errors import DerivationLimitError, EvaluationError
-from .lang import (ARITH_OPS, COMPARE, decompose_goal, eval_arith, eval_builtin,
-                   fact_key, is_builtin, parse_query)
+from .lang import (decompose_goal, eval_arith, eval_builtin, fact_key,
+                   is_builtin, parse_query)
 from .modes import REJECTED, compile_declaration, insert_answer, traditional_modes
 from .terms import (Struct, Var, cyclic_binding, instantiate, resolve,
                     term_to_str, tokenize, unify)
@@ -256,7 +262,8 @@ class Engine:
         Occurrences are numbered in the order they run: left to right,
         except that `is` evaluates its right side and `=` builds its
         right side before touching the left. Each goal compiles to a
-        maker that, given the next goal's closure, returns its own.
+        maker that, given the next goal's step, returns its own, or, if
+        it is inline, to a tuple that joins a run for _run_step.
         """
         st = self.stats
 
@@ -281,20 +288,16 @@ class Engine:
             if tt is Var:
                 return t in slots
             if tt is Struct:
-                return (len(t.args) == 2 and t.name in ARITH_OPS
+                return (len(t.args) == 2 and t.name in _ARITH
                         and compiles(t.args[0]) and compiles(t.args[1]))
             return tt is int or tt is float
 
-        def expr(t):
-            """An operand (slot or -1, number, name) or an evaluator."""
-            tt = type(t)
-            if tt is int or tt is float:
-                return (-1, t, None)
-            if tt is Var:
-                s = term(t)
-                return (s.i, None, s.name)
-            return self._apply(ARITH_OPS[t.name], expr(t.args[0]),
-                               expr(t.args[1]))
+        def arith(t):
+            """Compiled arithmetic: a slot, a number, or (operator,
+            left, right)."""
+            if type(t) is Struct:
+                return (t.name, arith(t.args[0]), arith(t.args[1]))
+            return term(t)
 
         def goal(g):
             tg = type(g)
@@ -309,9 +312,8 @@ class Engine:
                 return lambda nxt: _raiser(msg)
             arity = len(args)
             if name == "is" and arity == 2 and compiles(args[1]):
-                ev = self._evaluator(expr(args[1]))
-                s = term(args[0])
-                return lambda nxt: self._is_step(s, ev, nxt)
+                e = arith(args[1])
+                return ("is", term(args[0]), e)
             if name == "=" and arity == 2:
                 right = term(args[1])
                 left = term(args[0])
@@ -322,18 +324,8 @@ class Engine:
                         self._then(left, _build(right, env), env, parent, nxt)
                     return step
                 return make
-            if name in COMPARE and all(map(compiles, args)):
-                fn = COMPARE[name]
-                ea = self._evaluator(expr(args[0]))
-                eb = self._evaluator(expr(args[1]))
-
-                def make(nxt):
-                    def step(env, parent):
-                        st.derivations += 1
-                        if fn(ea(env), eb(env)):
-                            nxt(env, parent)
-                    return step
-                return make
+            if name in _COMPARE and all(map(compiles, args)):
+                return ("cmp", name, arith(args[0]), arith(args[1]))
             if is_builtin(name, arity):
                 # what the compiler does not take apart (a variable not
                 # bound yet, an atom where a number belongs) is left to
@@ -367,7 +359,12 @@ class Engine:
                 return lambda nxt: _raiser(msg)
             elif self.program.facts(name, arity):
                 rows, index = self.program.facts(name, arity)
-                return lambda nxt: self._facts_step(rows, index, specs, nxt)
+                seen = [s.i for s in specs if type(s) is _Slot]
+                if len(seen) == len(set(seen)) and _Tmpl not in map(type, specs):
+                    return ("facts", rows, index, specs)
+                # a repeated variable or a compound: unify row by row
+                return lambda nxt: (lambda env, parent: self._rows(
+                    rows, index, specs, env, parent, nxt))
             else:
                 call = self._call_rules
             return lambda nxt: (
@@ -375,110 +372,39 @@ class Engine:
 
         head = tuple(term(a) for a in head)
         step = last
+        run = []  # the inline goals after the current one
         for make in reversed([goal(g) for g in body]):
+            if type(make) is tuple:
+                run.insert(0, make)
+                continue
+            if run:
+                step, run = self._run_step(run, step), []
             step = make(step)
+        if run:
+            step = self._run_step(run, step)
         return (len(slots), head, step)
 
-    def _apply(self, fn, a, b):
-        """An evaluator for fn over two compiled operands; slots and
-        numbers are read in place, nested expressions evaluated."""
-        ka, ca, na = a if type(a) is tuple else (-2, a, None)
-        kb, cb, nb = b if type(b) is tuple else (-2, b, None)
+    def _run_step(self, ops, nxt):
+        """One generated function for a run of inline goals, then nxt.
 
-        def ev(env):
-            x = env[ka] if ka >= 0 else ca if ka == -1 else ca(env)
-            if type(x) is not int and type(x) is not float:
-                x = _number(x, na, self.bind)
-            y = env[kb] if kb >= 0 else cb if kb == -1 else cb(env)
-            if type(y) is not int and type(y) is not float:
-                y = _number(y, nb, self.bind)
-            try:
-                return fn(x, y)
-            except ZeroDivisionError:
-                raise EvaluationError("division by zero") from None
-        return ev
+        The rest of the run after goal j, which a fallback goes on with,
+        is generated when it is first needed. A run longer than a
+        function can nest is cut into functions that call each other.
+        """
+        if len(ops) > _RUN:
+            nxt = self._run_step(ops[_RUN:], nxt)
+            ops = ops[:_RUN]
+        tails = {len(ops): nxt}
 
-    def _evaluator(self, e):
-        """A compiled operand as a function of the activation."""
-        if type(e) is not tuple:
-            return e
-        k, c, name = e
-        if k < 0:
-            return lambda env: c
-        return lambda env: _number(env[k], name, self.bind)
-
-    def _is_step(self, s, ev, nxt):
-        st = self.stats
-        k = s.i if type(s) is _Slot else None
-
-        def step(env, parent):
-            st.derivations += 1
-            val = ev(env)
-            if k is not None and env[k] is None:
-                env[k] = val
-                nxt(env, parent)
-                env[k] = None
-            else:
-                self._then(s, val, env, parent, nxt)
-        return step
-
-    def _facts_step(self, rows, index, specs, nxt):
-        """Resolve against ground facts, indexed on the first argument."""
-        st = self.stats
-        seen = [s.i for s in specs if type(s) is _Slot]
-        if len(seen) != len(set(seen)) or any(type(s) is _Tmpl for s in specs):
-            # a repeated variable or a compound: unify row by row
-            return lambda env, parent: self._rows(rows, index, specs, env,
-                                                  parent, nxt)
-        sets = [(k, s.i) for k, s in enumerate(specs)
-                if type(s) is _Slot and s.first]
-        gets = [(k, s) for k, s in enumerate(specs)
-                if not (type(s) is _Slot and s.first)]
-
-        def step(env, parent):
-            bind = self.bind
-            assign = list(sets)  # positions whose row value goes to a slot
-            checks = []  # positions whose row value must equal a term
-            for k, s in gets:
-                if type(s) is _Slot:
-                    v = env[s.i]
-                    if v is None:
-                        assign.append((k, s.i))
-                        continue
-                    while type(v) is Var and v in bind:
-                        v = bind[v]
-                    if type(v) is Var:  # a Var that may be shared: unify
-                        return self._rows(rows, index, specs, env, parent, nxt)
-                else:
-                    v = s
-                checks.append((k, v))
-            cands = rows
-            if checks and checks[0][0] == 0:
-                v = checks[0][1]
-                cands = index.get(
-                    v if type(v) is str or type(v) is int else fact_key(v), ())
-                if type(v) is not Struct:
-                    del checks[0]  # the key is type strict: position 0 matches
-            trail = self.trail
-            m = len(trail)
-            for row in cands:
-                st.derivations += 1
-                for k, v in checks:
-                    f = row[k]
-                    if f is v or (type(f) is type(v) and f == v):
-                        continue
-                    if type(v) is Struct and unify(v, f, bind, trail):
-                        continue
-                    break
-                else:
-                    for k, s in assign:
-                        env[s] = row[k]
-                    nxt(env, parent)
-                while len(trail) > m:
-                    del bind[trail.pop()]
-            for k, s in assign[len(sets):]:
-                env[s] = None
-        return step
+        def tail(j):
+            if j not in tails:
+                tails[j] = self._run_step(ops[j:], nxt)
+            return tails[j]
+        source, data = _generate(ops)
+        scope = {}
+        # the module's globals, so traced functions are found at call time
+        exec(_code(source), globals(), scope)
+        return scope["make"](self, data, nxt, tail)
 
     # -- resolution ----------------------------------------------------
 
@@ -1016,6 +942,191 @@ def _raiser(message):
     def fail(*args):
         raise EvaluationError(message)
     return fail
+
+
+# Python for the operators a run evaluates inline, by name: a program's
+# text picks an entry but never reaches the source
+_ARITH = {"+": "%s + %s", "-": "%s - %s", "*": "%s * %s", "/": "%s / %s",
+          "min": "min(%s, %s)", "max": "max(%s, %s)"}
+_COMPARE = {"=:=": "==", "=\\=": "!=", "=<": "<=", ">=": ">=", "<": "<",
+            ">": ">"}
+
+# CPython refuses a function that nests more than 20 for, while and try
+# blocks (CO_MAXBLOCKS). Each fact goal of a run opens a for loop, and
+# the code of any goal opens at most one more block inside them.
+_RUN = 20 - 1
+
+
+@lru_cache(maxsize=256)
+def _code(source):
+    return compile(source, "<modetab run>", "exec")
+
+
+def _generate(ops):
+    """Python source for a run of inline goals, and the data it reads.
+
+    The source defines make(self, D, nxt, tail), which returns the run's
+    step. Each fact goal is a for loop over its candidate rows,
+    arithmetic is straight-line code and a comparison an if, with
+    nxt(env, parent) at the innermost point; tail(j) is the step for
+    goals j on, which a fallback goes on with. The source is made of
+    slot numbers, argument positions and the tables above: constants,
+    variable names, fact tables and compiled terms come in D.
+    """
+    data = []
+    lines = []
+    temps = [0]
+
+    def const(v):
+        data.append(v)
+        return "d%d" % (len(data) - 1)
+
+    def emit(depth, text):
+        lines.append("    " * depth + text)
+
+    def value(e, depth):
+        """Emit the evaluation of compiled arithmetic, left to right;
+        returns the name that holds its value."""
+        if type(e) is not _Slot and type(e) is not tuple:
+            return const(e)
+        temps[0] += 1
+        x = "a%d" % temps[0]
+        if type(e) is tuple:
+            a = value(e[1], depth)
+            emit(depth, "%s = %s" % (x, _ARITH[e[0]] % (a, value(e[2], depth))))
+        else:
+            emit(depth, "%s = env[%d]" % (x, e.i))
+            emit(depth, "if type(%s) is not int and type(%s) is not float:"
+                 % (x, x))
+            emit(depth + 1, "%s = _number(%s, %s, bind)" % (x, x, const(e.name)))
+        return x
+
+    def evaluate(exprs, depth):
+        if not any(map(_divides, exprs)):
+            return [value(e, depth) for e in exprs]
+        emit(depth, "try:")
+        names = [value(e, depth + 1) for e in exprs]
+        emit(depth, "except ZeroDivisionError:")
+        emit(depth + 1, 'raise EvaluationError("division by zero") from None')
+        return names
+
+    def goals(j, depth, known):
+        """Emit goal j and the goals after it; known holds the slots that
+        this function has bound around them."""
+        if j == len(ops):
+            emit(depth, "nxt(env, parent)")
+            return
+        op = ops[j]
+        rest = "tail(%d)" % (j + 1)
+        if op[0] == "cmp":
+            emit(depth, "st.derivations += 1")
+            x, y = evaluate(op[2:], depth)
+            emit(depth, "if %s %s %s:" % (x, _COMPARE[op[1]], y))
+            goals(j + 1, depth + 1, known)
+            return
+        if op[0] == "is":
+            _, left, e = op
+            emit(depth, "st.derivations += 1")
+            x, = evaluate([e], depth)
+            then = "self._then(%s, %s, env, parent, %s)" % (const(left), x,
+                                                            rest)
+            if type(left) is not _Slot or left.i in known:
+                emit(depth, then)
+                return
+            emit(depth, "if env[%d] is None:" % left.i)
+            emit(depth + 1, "env[%d] = %s" % (left.i, x))
+            goals(j + 1, depth + 1, known | {left.i})
+            emit(depth + 1, "env[%d] = None" % left.i)
+            emit(depth, "else:")
+            emit(depth + 1, then)
+            return
+        _, rows, index, specs = op
+        rows, index, r = const(rows), const(index), "r%d" % j
+        # slots bound before the goal; one not bound here may hold None
+        # (the row value goes there) or a Var (the goal goes to _rows)
+        reads = [(k, s, "v%d_%d" % (j, k)) for k, s in enumerate(specs)
+                 if type(s) is _Slot and not s.first]
+        free = [read for read in reads if read[1].i not in known]
+        for k, s, v in reads:
+            emit(depth, "%s = env[%d]" % (v, s.i))
+        for k, s, v in free:
+            emit(depth, "while type(%s) is Var and %s in bind:" % (v, v))
+            emit(depth + 1, "%s = bind[%s]" % (v, v))
+        if free:
+            emit(depth, "if %s:" % " or ".join("type(%s) is Var" % v
+                                                 for _, _, v in free))
+            emit(depth + 1, "self._rows(%s, %s, %s, env, parent, %s)"
+                 % (rows, index, const(specs), rest))
+            emit(depth, "else:")
+            depth += 1
+            emit(depth, "m%d = len(trail)" % j)
+        # the index key is as strict as a match: an atom or a number at
+        # position 0 needs no check
+        s = specs[0]
+        if type(s) is not _Slot:
+            cands = const(op[2].get(fact_key(s), ()))
+        elif s.first:
+            cands = rows
+        else:
+            cands, v, kw = "c%d" % j, "v%d_0" % j, "if"
+            if s.i not in known:
+                emit(depth, "if %s is None:" % v)
+                emit(depth + 1, "%s = %s" % (cands, rows))
+                kw = "elif"
+            emit(depth, "%s type(%s) is str or type(%s) is int:" % (kw, v, v))
+            emit(depth + 1, "%s = %s.get(%s, ())" % (cands, index, v))
+            emit(depth, "else:")
+            emit(depth + 1, "%s = %s.get(fact_key(%s), ())" % (cands, index, v))
+        emit(depth, "for %s in %s:" % (r, cands))
+        emit(depth + 1, "st.derivations += 1")
+        if free:
+            emit(depth + 1, "while len(trail) > m%d:" % j)
+            emit(depth + 2, "del bind[trail.pop()]")
+        for k, s in enumerate(specs):
+            slot = type(s) is _Slot
+            if slot and s.first or not slot and k == 0 and type(s) is not Struct:
+                continue  # a row value to assign, or one the key matched
+            v = "v%d_%d" % (j, k) if slot else const(s)
+            test = "not (%s)" % _MATCH.format(f="%s[%d]" % (r, k), v=v)
+            if slot and k == 0:
+                test = "type(%s) is Struct and %s" % (v, test)
+            elif slot and s.i not in known:
+                test = "%s is not None and %s" % (v, test)
+            emit(depth + 1, "if %s:" % test)
+            emit(depth + 2, "continue")
+        bound = set(known)
+        for k, s in enumerate(specs):
+            if type(s) is _Slot and s.first:
+                emit(depth + 1, "env[%d] = %s[%d]" % (s.i, r, k))
+                bound.add(s.i)
+        for k, s, v in free:
+            emit(depth + 1, "if %s is None:" % v)
+            emit(depth + 2, "env[%d] = %s[%d]" % (s.i, r, k))
+        goals(j + 1, depth + 1, bound)
+        if free:
+            emit(depth, "while len(trail) > m%d:" % j)
+            emit(depth + 1, "del bind[trail.pop()]")
+        for k, s, v in free:
+            emit(depth, "if %s is None:" % v)
+            emit(depth + 1, "env[%d] = None" % s.i)
+
+    goals(0, 2, frozenset())
+    head = ["def make(self, D, nxt, tail):", "    st = self.stats"]
+    if data:
+        head.append("    %s, = D" % ", ".join(map("d%d".__mod__,
+                                                   range(len(data)))))
+    head += ["    def step(env, parent):", "        bind = self.bind",
+             "        trail = self.trail"]
+    return "\n".join(head + lines + ["    return step", ""]), tuple(data)
+
+
+_MATCH = ("{f} is {v} or (type({f}) is type({v}) and {f} == {v})"
+          " or (type({v}) is Struct and unify({v}, {f}, bind, trail))")
+
+
+def _divides(e):
+    return type(e) is tuple and (e[0] == "/" or _divides(e[1])
+                                 or _divides(e[2]))
 
 
 def _number(v, name, bind):

@@ -1,0 +1,85 @@
+"""Digest of the engine's observable work, for comparing two trees.
+
+    PYTHONPATH=src python tests/digest.py
+
+Prints one sha256 per sweep over, for every run in order: the answers
+in order, the Stats counters, and each table's n_inserted,
+n_invalidated and n_purged in table and frame creation order. Two trees
+that print the same digests gave the same answers by the same work.
+
+The sweeps:
+- families: the eight benchmark families at the acceptance-07 sizes,
+  seeds 1-10, under local and batched scheduling (pagerank local only);
+- randprog: tests/randprog.py seeds 0-399 under both strategies.
+
+pytest does not collect this file; it is a script.
+"""
+
+import hashlib
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+for _p in (HERE, os.path.join(os.path.dirname(HERE), "src")):
+    if _p not in sys.path:
+        sys.path.insert(0, _p)
+
+from modetab import bench  # noqa: E402
+from modetab.engine import Engine  # noqa: E402
+from modetab.lang import parse_program  # noqa: E402
+from modetab.terms import term_to_str  # noqa: E402
+
+from randprog import generate  # noqa: E402
+
+SIZES = (("shortest", 50), ("shortest_first", 50), ("shortest_all", 50),
+         ("shortest_pref", 50), ("knapsack", 14), ("lcs", 18), ("matrix", 8),
+         ("pagerank", 50))
+STRATEGIES = ("local", "batched")
+
+
+def record(program, query, strategy):
+    """One run's answers, Stats and table counters, as text."""
+    engine = Engine(program, strategy)
+    answers, stats = engine.solve(query)
+    lines = [strategy]
+    for answer in answers:
+        lines.append(", ".join("%s=%s:%s" % (k, type(v).__name__,
+                                             term_to_str(v))
+                               for k, v in answer.items()))
+    lines.append(repr(stats))
+    for entry in engine.space.entries.values():
+        for frame in entry.frames:
+            lines.append("%s %d %d %d" % (frame.name(), frame.n_inserted,
+                                          frame.n_invalidated, frame.n_purged))
+    return "\n".join(lines) + "\n"
+
+
+def families():
+    digest = hashlib.sha256()
+    for name, size in SIZES:
+        for seed in range(1, 11):
+            inst = bench.gen_instance(name, size, seed)
+            program = parse_program(bench.program_text(inst))
+            for strategy in STRATEGIES:
+                if name == "pagerank" and strategy != "local":
+                    continue
+                digest.update(("%s/%d/%d " % (name, size, seed)).encode())
+                digest.update(record(program, bench.query_text(inst),
+                                     strategy).encode())
+    return digest.hexdigest()
+
+
+def randprogs():
+    digest = hashlib.sha256()
+    for seed in range(400):
+        text, query, _ = generate(seed)
+        program = parse_program(text)
+        for strategy in STRATEGIES:
+            digest.update(("randprog/%d " % seed).encode())
+            digest.update(record(program, query, strategy).encode())
+    return digest.hexdigest()
+
+
+if __name__ == "__main__":
+    print("families %s" % families())
+    print("randprog %s" % randprogs())
