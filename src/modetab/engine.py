@@ -950,6 +950,9 @@ _ARITH = {"+": "%s + %s", "-": "%s - %s", "*": "%s * %s", "/": "%s / %s",
           "min": "min(%s, %s)", "max": "max(%s, %s)"}
 _COMPARE = {"=:=": "==", "=\\=": "!=", "=<": "<=", ">=": ">=", "<": "<",
             ">": ">"}
+# whether row value f matches term v: one type and equal, or unifiable
+_MATCH = ("{f} is {v} or (type({f}) is type({v}) and {f} == {v})"
+          " or (type({v}) is Struct and unify({v}, {f}, bind, trail))")
 
 # CPython refuses a function that nests more than 20 for, while and try
 # blocks (CO_MAXBLOCKS). Each fact goal of a run opens a for loop, and
@@ -1041,7 +1044,7 @@ def _generate(ops):
             emit(depth + 1, then)
             return
         _, rows, index, specs = op
-        rows, index, r = const(rows), const(index), "r%d" % j
+        dr, di, r = const(rows), const(index), "r%d" % j
         # slots bound before the goal; one not bound here may hold None
         # (the row value goes there) or a Var (the goal goes to _rows)
         reads = [(k, s, "v%d_%d" % (j, k)) for k, s in enumerate(specs)
@@ -1056,7 +1059,7 @@ def _generate(ops):
             emit(depth, "if %s:" % " or ".join("type(%s) is Var" % v
                                                  for _, _, v in free))
             emit(depth + 1, "self._rows(%s, %s, %s, env, parent, %s)"
-                 % (rows, index, const(specs), rest))
+                 % (dr, di, const(specs), rest))
             emit(depth, "else:")
             depth += 1
             emit(depth, "m%d = len(trail)" % j)
@@ -1064,19 +1067,19 @@ def _generate(ops):
         # position 0 needs no check
         s = specs[0]
         if type(s) is not _Slot:
-            cands = const(op[2].get(fact_key(s), ()))
+            cands = const(index.get(fact_key(s), ()))
         elif s.first:
-            cands = rows
+            cands = dr
         else:
             cands, v, kw = "c%d" % j, "v%d_0" % j, "if"
             if s.i not in known:
                 emit(depth, "if %s is None:" % v)
-                emit(depth + 1, "%s = %s" % (cands, rows))
+                emit(depth + 1, "%s = %s" % (cands, dr))
                 kw = "elif"
             emit(depth, "%s type(%s) is str or type(%s) is int:" % (kw, v, v))
-            emit(depth + 1, "%s = %s.get(%s, ())" % (cands, index, v))
+            emit(depth + 1, "%s = %s.get(%s, ())" % (cands, di, v))
             emit(depth, "else:")
-            emit(depth + 1, "%s = %s.get(fact_key(%s), ())" % (cands, index, v))
+            emit(depth + 1, "%s = %s.get(fact_key(%s), ())" % (cands, di, v))
         emit(depth, "for %s in %s:" % (r, cands))
         emit(depth + 1, "st.derivations += 1")
         if free:
@@ -1113,15 +1116,11 @@ def _generate(ops):
     goals(0, 2, frozenset())
     head = ["def make(self, D, nxt, tail):", "    st = self.stats"]
     if data:
-        head.append("    %s, = D" % ", ".join(map("d%d".__mod__,
-                                                   range(len(data)))))
+        head.append("    %s, = D" % ", ".join("d%d" % k
+                                                  for k in range(len(data))))
     head += ["    def step(env, parent):", "        bind = self.bind",
              "        trail = self.trail"]
     return "\n".join(head + lines + ["    return step", ""]), tuple(data)
-
-
-_MATCH = ("{f} is {v} or (type({f}) is type({v}) and {f} == {v})"
-          " or (type({v}) is Struct and unify({v}, {f}, bind, trail))")
 
 
 def _divides(e):

@@ -47,6 +47,16 @@ def test_a_run_of_60_fact_goals(strategy):
 
 
 @pytest.mark.parametrize("strategy", BOTH)
+@pytest.mark.parametrize("n", [19, 20, 25])
+def test_a_run_whose_fact_goals_each_read_a_slot_bound_before_it(n,
+                                                                  strategy):
+    # each goal dereferences A and undoes its bindings: the deepest code
+    body = ", ".join("e(A, B%d)" % i for i in range(n))
+    text = ":- table q/1.\nq(Z) :- A = 1, %s, Z is 6 / A.\n" % body + CHAIN
+    assert solve(text, "?- q(Z).", strategy) == [{"Z": "6.0"}]
+
+
+@pytest.mark.parametrize("strategy", BOTH)
 def test_an_expression_of_200_operators(strategy):
     # 1 + Y - Y + Y - ... with 200 operators, then a comparison as long
     ops = "".join(" %s Y" % "+-"[k % 2] for k in range(200))
