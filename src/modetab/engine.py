@@ -17,6 +17,19 @@ must outlive its activation unbound (inside a compound, or passed to a
 non-tabled rule or to a tabled call on the general path) gets a Var,
 bound in a per-walk dict with a trail.
 
+A body ends in its sink's put, one generated function per answer shape:
+which head slot, if any, holds each answer value (from the clause head
+and the generator call's link), and the frame's substitution array.
+Puts are cached per process by shape, so the frames of one shape share
+them, and reach the engine through the sink. A put checks the
+derivation limit and reads the answer. A query's put appends it to the
+answer list. A table's put walks an answer of atoms and integers into
+the answer trie itself, segment by segment of the insertion plan
+(index, all, min, max, first, last, sum), and hands any other answer to
+modes.insert_answer; then it counts the insertion, logs its trace event
+and, under batched scheduling, queues it for the consumers that do not
+settle. A run whose next step ends the body calls the put directly.
+
 A tabled goal whose arguments are distinct variables, atoms and
 integers compiles to a call site. It fetches its table entry when it
 first runs (entries stay in first-call order), then reads each call's
@@ -81,10 +94,12 @@ from heapq import heappop, heappush
 from .errors import DerivationLimitError, EvaluationError
 from .lang import (decompose_goal, eval_arith, eval_builtin, fact_key,
                    is_builtin, parse_query)
-from .modes import REJECTED, compile_declaration, insert_answer, traditional_modes
+from .modes import (ADDED, NEW, REJECTED, REPLACED, SUM_UPDATED,
+                    build_segments, compile_declaration, insert_answer,
+                    traditional_modes)
 from .terms import (Struct, Var, cyclic_binding, instantiate, resolve,
                     term_to_str, tokenize, unify)
-from .tries import (TableSpace, complete_table, iterate_answers,
+from .tries import (AnswerLeaf, TableSpace, complete_table, iterate_answers,
                     subgoal_lookup_insert, variant_key)
 
 __all__ = ["Engine", "Stats", "solve", "DEFAULT_LIMIT"]
@@ -139,14 +154,16 @@ class _Tmpl:
 class _Sink:
     """Where a finished derivation goes: a frame's table, or a query's
     answer list (names set). outs holds slots of the top activation or
-    terms resolved when the derivation suspended."""
+    terms resolved when the derivation suspended; put(env, sink) reads
+    them and stores the answer."""
 
-    __slots__ = ("engine", "frame", "outs", "answers", "names")
+    __slots__ = ("engine", "frame", "outs", "put", "answers", "names")
 
-    def __init__(self, engine, frame, outs, answers=None, names=None):
+    def __init__(self, engine, frame, outs, put, answers=None, names=None):
         self.engine = engine
         self.frame = frame
         self.outs = outs
+        self.put = put
         self.answers = answers
         self.names = names
 
@@ -222,6 +239,7 @@ class Engine:
         self.bind = {}  # Var bindings of the running walk
         self.trail = []
         self._code = {}
+        self._shapes = {}  # (entry, link, subst_modes) -> puts, per clause
         self._next_cid = 0
 
     # -- bookkeeping ---------------------------------------------------
@@ -400,7 +418,7 @@ class Engine:
             if j not in tails:
                 tails[j] = self._run_step(ops[j:], nxt)
             return tails[j]
-        source, data = _generate(ops)
+        source, data = _generate(ops, nxt is _emit)
         scope = {}
         # the module's globals, so traced functions are found at call time
         exec(_code(source), globals(), scope)
@@ -639,8 +657,8 @@ class Engine:
         if self.bind:
             outs = tuple(o if type(o) is _Slot else resolve(o, self.bind)
                          for o in parent.outs)
-            parent = _Sink(self, parent.frame, outs, parent.answers,
-                           parent.names)
+            parent = _Sink(self, parent.frame, outs, parent.put,
+                           parent.answers, parent.names)
         return parent
 
     def _deliver(self, consumer, leaf, resumed):
@@ -679,15 +697,37 @@ class Engine:
 
     def _run_generator(self, frame):
         gen = frame.generator
+        entry = frame.entry
         self.bind = {}
         self.trail = []
-        for clause in self._clauses(frame.entry.name, frame.entry.arity):
+        for clause, put in zip(self._clauses(entry.name, entry.arity),
+                               self._puts(entry, gen.link, frame.subst_modes)):
             outs = list(gen.subst)
             env = self._clause_copy(clause, gen.args, gen.link, outs)
             if env is not None:
-                clause[2](env, _Sink(self, frame, tuple(outs)))
+                clause[2](env, _Sink(self, frame, tuple(outs), put))
             self.bind.clear()
             self.trail.clear()
+
+    def _puts(self, entry, link, subst_modes):
+        """The put of each clause of entry's predicate for the frames of
+        one shape: the generator call's link and substitution array. A
+        clause's head argument that a link names is read from its slot;
+        every other output from the sink's outs."""
+        key = (entry, link, subst_modes)
+        puts = self._shapes.get(key)
+        if puts is None:
+            n = sum(count for _, count, _ in subst_modes)
+            shapes = []
+            for clause in self._clauses(entry.name, entry.arity):
+                shape = [-1] * n
+                for s, o in zip(clause[1], link):
+                    if o is not None and type(s) is _Slot:
+                        shape[o] = s.i
+                shapes.append(tuple(shape))
+            puts = self._shapes[key] = tuple(
+                _put(shape, subst_modes) for shape in shapes)
+        return puts
 
     def _walk_consumer(self, consumer):
         """Deliver every valid answer the consumer has not seen, and those
@@ -866,7 +906,8 @@ class Engine:
         nvars, _, body = self._compile((), goals, slots, _emit)
         outs = tuple(_Slot(slots[v], False, v.name) for v in qvars)
         answers = []
-        body([None] * nvars, _Sink(self, None, outs, answers, names))
+        put = _put(tuple(o.i for o in outs), None)
+        body([None] * nvars, _Sink(self, None, outs, put, answers, names))
         self.run()
         return answers, self.stats
 
@@ -878,33 +919,8 @@ def _return(env, parent):
 
 
 def _emit(env, sink):
-    """After a generator or query body: hand the result to the sink."""
-    engine = sink.engine
-    st = engine.stats
-    if st.derivations > engine.limit:
-        _over(engine.limit)
-    vals = _outputs(sink, env)
-    if sink.names is not None:
-        sink.answers.append(dict(zip(sink.names, vals)))
-        return
-    frame = sink.frame
-    outcome = insert_answer(frame, vals)
-    st.insertions += 1
-    if outcome.invalidated:
-        st.invalidations += outcome.invalidated
-    if engine.events is not None:
-        engine._log(
-            "insert",
-            frame=frame.name(),
-            outcome=outcome.kind,
-            invalidated=outcome.invalidated,
-            seq=outcome.leaf.seq if outcome.leaf is not None else None,
-            total=outcome.total,
-        )
-    if outcome.kind != REJECTED and not frame.generator.local:
-        engine.tasks.extend(("event", consumer, outcome.leaf)
-                            for consumer in frame.generator.consumers
-                            if not consumer.settles)
+    """After a generator or query body: hand the result to the sink's put."""
+    sink.put(env, sink)
 
 
 def _renamed(terms):
@@ -914,23 +930,6 @@ def _renamed(terms):
     tokenize(terms, varmap)
     fresh = {v: Var(v.name) for v in varmap}
     return [instantiate(t, fresh) for t in terms]
-
-
-def _outputs(sink, env):
-    """A sink's outputs, resolved; an unbound slot gets a Var."""
-    bind = sink.engine.bind
-    vals = []
-    for o in sink.outs:
-        if type(o) is _Slot:
-            v = env[o.i]
-            if v is None:
-                v = env[o.i] = Var(o.name)
-        else:
-            v = o
-        if bind and (type(v) is Var or type(v) is Struct):
-            v = resolve(v, bind)
-        vals.append(v)
-    return tuple(vals)
 
 
 def _over(limit):
@@ -965,14 +964,15 @@ def _code(source):
     return compile(source, "<modetab run>", "exec")
 
 
-def _generate(ops):
+def _generate(ops, emits):
     """Python source for a run of inline goals, and the data it reads.
 
     The source defines make(self, D, nxt, tail), which returns the run's
     step. Each fact goal is a for loop over its candidate rows,
     arithmetic is straight-line code and a comparison an if, with
-    nxt(env, parent) at the innermost point; tail(j) is the step for
-    goals j on, which a fallback goes on with. The source is made of
+    nxt(env, parent) at the innermost point, or, where nxt is _emit
+    (emits), the sink's put; tail(j) is the step for goals j on, which a
+    fallback goes on with. The source is made of
     slot numbers, argument positions and the tables above: constants,
     variable names, fact tables and compiled terms come in D.
     """
@@ -1017,7 +1017,8 @@ def _generate(ops):
         """Emit goal j and the goals after it; known holds the slots that
         this function has bound around them."""
         if j == len(ops):
-            emit(depth, "nxt(env, parent)")
+            emit(depth, "parent.put(env, parent)" if emits
+                 else "nxt(env, parent)")
             return
         op = ops[j]
         rest = "tail(%d)" % (j + 1)
@@ -1121,6 +1122,190 @@ def _generate(ops):
     head += ["    def step(env, parent):", "        bind = self.bind",
              "        trail = self.trail"]
     return "\n".join(head + lines + ["    return step", ""]), tuple(data)
+
+
+@lru_cache(maxsize=256)
+def _put(shape, subst_modes):
+    """The put of one sink shape: per answer ordinal, the slot its value
+    is read from, or -1 to read the sink's outs; subst_modes is the
+    frame's substitution array, None for a query's sink."""
+    segments = None if subst_modes is None else build_segments(subst_modes)
+    scope = {}
+    exec(_code(_put_source(shape, segments)), globals(), scope)
+    return scope["put"]
+
+
+def _put_source(shape, segments):
+    """Python source for a put(env, sink): check the derivation limit,
+    read the outputs (an unbound slot gets a Var; with bindings, each is
+    resolved through them), then append a query's answer (segments None)
+    or store a frame's.
+
+    An answer made of atoms and integers, which are their own tokens, is
+    walked down the answer trie inline, token by token of the insertion
+    plan. Where it first leaves the trie, _grown stores it; a beaten
+    min/max witness, a last value or a sum total is replaced the same
+    way; a duplicate, a worse witness or a later first is rejected
+    inline. Any other answer, one that meets a stored witness or total
+    that is not its own token, and every answer of a plan whose min, max
+    or sum spans more than one token, goes to _general. The walk changes
+    nothing before it has decided, so that fallback finds the table as
+    it was. The source is made of slot numbers, ordinals and mode names
+    only.
+    """
+    lines = ["def put(env, sink):", "    engine = sink.engine",
+             "    st = engine.stats", "    if st.derivations > engine.limit:",
+             "        _over(engine.limit)"]
+
+    def emit(depth, text):
+        lines.append("    " * depth + text)
+
+    def source():
+        return "\n".join(lines) + "\n"
+
+    n = len(shape)
+    for o, i in enumerate(shape):
+        if i < 0:
+            emit(1, "v%d = sink.outs[%d]" % (o, o))
+        else:
+            emit(1, "v%d = env[%d]" % (o, i))
+            emit(1, "if v%d is None:" % o)
+            emit(2, "v%d = env[%d] = Var(sink.outs[%d].name)" % (o, i, o))
+    if n:
+        emit(1, "bind = engine.bind")
+        emit(1, "if bind:")
+        for o in range(n):
+            emit(2, "v%d = resolve(v%d, bind)" % (o, o))
+    vals = "(%s)" % "".join("v%d, " % o for o in range(n))
+    if segments is None:
+        emit(1, "sink.answers.append(dict(zip(sink.names, %s)))" % vals)
+        return source()
+    emit(1, "frame = sink.frame")
+    general = "return _general(engine, frame, %s)" % vals
+    if any(hi - lo != 1 for mode, lo, hi, _ in segments
+           if mode in ("min", "max", "sum")):
+        emit(1, general)
+        return source()
+
+    sums = [lo for mode, lo, _, _ in segments if mode == "sum"]
+    # what is stored: a sum's total in place of the candidate's value
+    terms = "(%s)" % "".join("total, " if o in sums else "v%d, " % o
+                             for o in range(n))
+
+    def grow(depth, at, kind):
+        emit(depth, "return _grown(engine, frame, node, %d, %s, %s, %s)"
+             % (at, terms, kind, "total" if sums else None))
+
+    def reject(depth):
+        emit(depth, "if engine.events is not None:")
+        emit(depth + 1, "return _counted(engine, frame, REJECTED, None, 0,"
+             " None)")
+        emit(depth, "st.insertions += 1")
+
+    emit(1, "node = frame.root")
+    emit(1, "if %s:" % " or ".join(
+        ["node is None"] + ["type(v%d) is not int" % o if o in sums else
+                            "type(v%d) is not int and type(v%d) is not str"
+                            % (o, o) for o in range(n)]))
+    emit(2, general)
+    if sums:
+        emit(1, "total = v%d" % sums[0])
+    if not segments:  # a fully bound call: its one answer is "yes"
+        emit(1, "if frame.first_answer is None:")
+        grow(2, 0, "NEW")
+    for j, (mode, lo, hi, _) in enumerate(segments):
+        if mode == "index" or mode == "all":
+            for t in range(lo, hi):
+                emit(1, "c = node.get(v%d)" % t)
+                emit(1, "if c is None:")
+                grow(2, t, "ADDED if node else NEW" if mode == "all"
+                     else "NEW")
+                if t + 1 < hi or j + 1 < len(segments):
+                    emit(1, "node = c")
+            continue
+        emit(1, "if not node:")
+        grow(2, lo, "NEW")
+        if mode == "first":
+            break
+        if mode == "last":
+            grow(1, lo, "REPLACED")
+            return source()
+        emit(1, "s = next(iter(node))")
+        if mode == "sum":
+            emit(1, "if type(s) is not int:")
+            emit(2, general)
+            emit(1, "total = s + v%d" % lo)
+            grow(1, lo, "SUM_UPDATED")
+            return source()
+        emit(1, "if s != v%d:" % lo)  # min, max
+        emit(2, "if type(s) is not int or type(v%d) is not int:" % lo)
+        emit(3, general)
+        emit(2, "if v%d %s s:" % (lo, "<" if mode == "min" else ">"))
+        grow(3, lo, "REPLACED")
+        reject(2)
+        emit(2, "return")
+        if j + 1 < len(segments):
+            emit(1, "node = node[s]")
+    reject(1)  # every token matched: a duplicate
+    return source()
+
+
+def _general(engine, frame, vals):
+    """Store an answer through insert_answer, and count it."""
+    o = insert_answer(frame, vals)
+    _counted(engine, frame, o.kind, o.leaf, o.invalidated, o.total)
+
+
+def _grown(engine, frame, node, at, terms, kind, total):
+    """Store an answer of atoms and integers where a put's walk left the
+    trie: its path from token at on below node, and its record, as
+    tries.grow_answer makes them. A replacement first pops every branch
+    below node and tags its leaves invalid, as tries.invalidate_branch
+    does for one."""
+    dropped = 0
+    if kind is REPLACED or kind is SUM_UPDATED:
+        stack = list(node.values())
+        node.clear()
+        while stack:
+            x = stack.pop()
+            if type(x) is AnswerLeaf:
+                x.valid = False
+                dropped += 1
+            else:
+                stack.extend(x.values())
+        frame.n_invalidated += dropped
+    frame.n_inserted += 1
+    leaf = AnswerLeaf(frame.n_inserted, terms)
+    if terms:
+        last = len(terms) - 1
+        while at < last:
+            node[terms[at]] = node = {}
+            at += 1
+        node[terms[last]] = leaf
+    if frame.last_answer is None:
+        frame.first_answer = leaf
+    else:
+        frame.last_answer.next = leaf
+    frame.last_answer = leaf
+    _counted(engine, frame, kind, leaf, dropped, total)
+
+
+def _counted(engine, frame, kind, leaf, dropped, total):
+    """Count an insertion, log its trace event, and, if it changed a
+    table scheduled batched, queue it for each consumer that does not
+    settle."""
+    st = engine.stats
+    st.insertions += 1
+    if dropped:
+        st.invalidations += dropped
+    if engine.events is not None:
+        engine._log("insert", frame=frame.name(), outcome=kind,
+                    invalidated=dropped,
+                    seq=leaf.seq if leaf is not None else None, total=total)
+    if kind is not REJECTED and not frame.generator.local:
+        engine.tasks.extend(("event", consumer, leaf)
+                            for consumer in frame.generator.consumers
+                            if not consumer.settles)
 
 
 def _divides(e):

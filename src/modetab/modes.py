@@ -9,7 +9,11 @@ nodes at or below the point where the comparison happened.
 
 insert_answer walks the answer trie segment by segment. All reads needed
 for a rejection happen before any mutation, so a rejected candidate
-leaves the table untouched.
+leaves the table untouched. It is the general path: the engine's
+generated puts walk an answer made of atoms and integers with the same
+segments themselves, and hand it every other answer (floats, compounds,
+variables, or a stored min/max witness or sum total that is not its own
+token) before changing anything.
 """
 
 import functools

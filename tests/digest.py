@@ -10,7 +10,11 @@ that print the same digests gave the same answers by the same work.
 The sweeps:
 - families: the eight benchmark families at the acceptance-07 sizes,
   seeds 1-10, under local and batched scheduling (pagerank local only);
-- randprog: tests/randprog.py seeds 0-399 under both strategies.
+- randprog: tests/randprog.py seeds 0-399 under both strategies;
+- events: the trace event stream (calls, inserts with their outcome,
+  invalidation count, seq and total, deliveries, completions) of the
+  eight families at the acceptance-07 sizes, seeds 1-3, under both
+  strategies (pagerank local only).
 
 pytest does not collect this file; it is a script.
 """
@@ -54,18 +58,26 @@ def record(program, query, strategy):
     return "\n".join(lines) + "\n"
 
 
-def families():
+def events(program, query, strategy):
+    """One traced run's event stream, as text."""
+    engine = Engine(program, strategy, trace=True)
+    engine.solve(query)
+    return "".join(" ".join("%s=%r" % kv for kv in sorted(event.items()))
+                   + "\n" for event in engine.events)
+
+
+def families(seeds=range(1, 11), run=record):
     digest = hashlib.sha256()
     for name, size in SIZES:
-        for seed in range(1, 11):
+        for seed in seeds:
             inst = bench.gen_instance(name, size, seed)
             program = parse_program(bench.program_text(inst))
             for strategy in STRATEGIES:
                 if name == "pagerank" and strategy != "local":
                     continue
                 digest.update(("%s/%d/%d " % (name, size, seed)).encode())
-                digest.update(record(program, bench.query_text(inst),
-                                     strategy).encode())
+                digest.update(run(program, bench.query_text(inst),
+                                  strategy).encode())
     return digest.hexdigest()
 
 
@@ -83,3 +95,4 @@ def randprogs():
 if __name__ == "__main__":
     print("families %s" % families())
     print("randprog %s" % randprogs())
+    print("events %s" % families(range(1, 4), events))

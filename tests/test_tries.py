@@ -164,9 +164,9 @@ def test_distinct_calls_get_distinct_frames():
 
 
 def test_calls_of_one_shape_share_their_modes_and_plan():
-    space = TableSpace()
-    ma = compile_declaration("p", 3, ["index", "index", "min"])
-    entry = space.entry("p", 3, ma)
+    engine = Engine(parse_program(
+        ":- table p(index, index, min).\np(X, Y, 1) :- X = Y.\n"))
+    entry = engine.entry("p", 3)
     f1, _, _ = frame_for(entry, ["a", Var(), Var()])
     f2, _, _ = frame_for(entry, ["b", Var(), Var()])
     f3, _, _ = frame_for(entry, [Var(), "b", Var()])
@@ -175,16 +175,25 @@ def test_calls_of_one_shape_share_their_modes_and_plan():
     insert_answer(f1, ("c", 1))
     insert_answer(f2, ("d", 2))
     assert f1.segments is f2.segments
+    # and one put per clause, whose code walks the plan of the shape
+    puts = engine._puts(entry, (None, 0, 1), f1.subst_modes)
+    assert puts is engine._puts(entry, (None, 0, 1), f2.subst_modes)
+    assert puts[0] is not engine._puts(entry, (0, None, 1), f3.subst_modes)[0]
 
 
 def test_lcs_frames_share_one_substitution_array():
     inst = bench.gen_instance("lcs", 40, 1)
     engine = Engine(parse_program(bench.program_text(inst)))
+    lookup, puts = engine._puts, []
+    engine._puts = lambda *shape: puts.append(lookup(*shape)) or puts[-1]
     engine.solve(bench.query_text(inst))
     frames = list(engine.space.entries[("lcs", 3)].frames)
     assert len(frames) > 1000
     assert len({id(f.subst_modes) for f in frames}) == 1
     assert len({id(f.segments) for f in frames}) == 1
+    # each frame's generator stores through the same puts
+    assert len(puts) == len(frames)
+    assert len({id(p) for p in puts}) == 1
 
 
 # ---------------------------------------------------------------------------
