@@ -12,10 +12,19 @@ an unbound Var, and an `is` whose left side is bound, hand the rest of
 the run to the closures that unify. Other goals are closures; a builtin
 whose operands are not such arithmetic runs through lang.eval_builtin.
 An activation is a list of slot values, None while unbound; a clause
-try renames its clause apart by making a fresh one. A variable that
-must outlive its activation unbound (inside a compound, or passed to a
-non-tabled rule or to a tabled call on the general path) gets a Var,
-bound in a per-walk dict with a trail.
+try renames its clause apart by making a fresh one. A tabled
+generator tries its clauses through one generated function per call
+shape (the predicate, the call's link and its substitution array): per
+clause it counts the derivation, matches the unlinked head arguments
+against the call's atoms and integers inline and stores first
+occurrences into a fresh activation, then runs the body into a sink
+whose outputs were fixed with the shape. A call with another unlinked
+argument, a predicate whose heads hold a compound with variables, and
+one of more than _TRIES clauses copy each clause through _clause_copy
+instead, as untabled rules do.
+A variable that must outlive its activation unbound (inside a
+compound, or passed to a non-tabled rule or to a tabled call on the
+general path) gets a Var, bound in a per-walk dict with a trail.
 
 A body ends in its sink's put, one generated function per answer shape:
 which head slot, if any, holds each answer value (from the clause head
@@ -700,8 +709,10 @@ class Engine:
         entry = frame.entry
         self.bind = {}
         self.trail = []
-        for clause, put in zip(self._clauses(entry.name, entry.arity),
-                               self._puts(entry, gen.link, frame.subst_modes)):
+        puts, tries = self._shape(entry, gen.link, frame.subst_modes)
+        if tries is not None and tries(self, frame, gen.args):
+            return
+        for clause, put in zip(self._clauses(entry.name, entry.arity), puts):
             outs = list(gen.subst)
             env = self._clause_copy(clause, gen.args, gen.link, outs)
             if env is not None:
@@ -709,25 +720,38 @@ class Engine:
             self.bind.clear()
             self.trail.clear()
 
-    def _puts(self, entry, link, subst_modes):
-        """The put of each clause of entry's predicate for the frames of
-        one shape: the generator call's link and substitution array. A
-        clause's head argument that a link names is read from its slot;
-        every other output from the sink's outs."""
+    def _shape(self, entry, link, subst_modes):
+        """The puts and the tries of entry's predicate for the frames of
+        one shape: the generator call's link and substitution array.
+
+        A clause's head argument that a link names is read by its put
+        from its slot; every other output from the sink's outs. The
+        tries are None for a predicate of more than _TRIES clauses or
+        whose heads hold a compound with variables, and where a call
+        variable is not linked (such a call has an unlinked argument that
+        is no atom or integer).
+        """
         key = (entry, link, subst_modes)
-        puts = self._shapes.get(key)
-        if puts is None:
+        found = self._shapes.get(key)
+        if found is None:
+            clauses = self._clauses(entry.name, entry.arity)
             n = sum(count for _, count, _ in subst_modes)
-            shapes = []
-            for clause in self._clauses(entry.name, entry.arity):
+            puts = []
+            for clause in clauses:
                 shape = [-1] * n
                 for s, o in zip(clause[1], link):
                     if o is not None and type(s) is _Slot:
                         shape[o] = s.i
-                shapes.append(tuple(shape))
-            puts = self._shapes[key] = tuple(
-                _put(shape, subst_modes) for shape in shapes)
-        return puts
+                puts.append(_put(tuple(shape), subst_modes))
+            tries = None
+            if (len(clauses) <= _TRIES and len(link) - link.count(None) == n
+                    and _Tmpl not in {type(s) for c in clauses for s in c[1]}):
+                source, data = _tries_source(clauses, link, puts)
+                scope = {}
+                exec(_code(source), globals(), scope)
+                tries = scope["make"](data)
+            found = self._shapes[key] = (tuple(puts), tries)
+        return found
 
     def _walk_consumer(self, consumer):
         """Deliver every valid answer the consumer has not seen, and those
@@ -952,11 +976,18 @@ _COMPARE = {"=:=": "==", "=\\=": "!=", "=<": "<=", ">=": ">=", "<": "<",
 # whether row value f matches term v: one type and equal, or unifiable
 _MATCH = ("{f} is {v} or (type({f}) is type({v}) and {f} == {v})"
           " or (type({v}) is Struct and unify({v}, {f}, bind, trail))")
+# the same for an atom or an integer f, which unifies only with its equal
+_MATCH_ATOM = "({f} is {v} or type({f}) is type({v}) and {f} == {v})"
 
 # CPython refuses a function that nests more than 20 for, while and try
 # blocks (CO_MAXBLOCKS). Each fact goal of a run opens a for loop, and
 # the code of any goal opens at most one more block inside them.
 _RUN = 20 - 1
+
+# A predicate of more clauses keeps _run_generator's loop: each clause
+# adds about 290 characters to the source of its tries, and about 0.5 ms
+# and 30 KiB to compiling it.
+_TRIES = 16
 
 
 @lru_cache(maxsize=256)
@@ -1122,6 +1153,72 @@ def _generate(ops, emits):
     head += ["    def step(env, parent):", "        bind = self.bind",
              "        trail = self.trail"]
     return "\n".join(head + lines + ["    return step", ""]), tuple(data)
+
+
+def _tries_source(clauses, link, puts):
+    """Python source for the tries of one generator call shape, and the
+    data it reads.
+
+    The source defines make(D), which returns tries(engine, frame,
+    args). That returns False, having done nothing, when an unlinked
+    argument is not an atom or an integer. Otherwise it tries each
+    clause in order, as _clause_copy and _run_generator's loop do:
+    count the derivation and check the limit, match each unlinked head
+    argument (a constant or a repeated variable by _MATCH's atomic test),
+    run the body on a fresh activation that holds the first occurrences
+    and a sink of the clause's outs and put, and clear the walk's
+    bindings. The source is made of slot numbers, argument positions and
+    counts; bodies, constants, outs and puts come in D.
+    """
+    data = []
+
+    def const(v):
+        data.append(v)
+        return "d%d" % (len(data) - 1)
+
+    free = [k for k, o in enumerate(link) if o is None]
+    linked = [k for _, k in sorted((o, k) for k, o in enumerate(link)
+                                   if o is not None)]
+    lines = ["    def tries(engine, frame, args):"]
+    for k in free:
+        lines.append("        a%d = args[%d]" % (k, k))
+    if free:
+        lines.append("        if %s:" % " or ".join(
+            "type(a%d) is not int and type(a%d) is not str" % (k, k)
+            for k in free))
+        lines.append("            return False")
+    lines += ["        st = engine.stats", "        limit = engine.limit",
+              "        bind = engine.bind", "        trail = engine.trail"]
+    for (n, head, body), put in zip(clauses, puts):
+        lines += ["        st.derivations += 1",
+                  "        if st.derivations > limit:",
+                  "            _over(limit)"]
+        tests = []
+        env = ["None"] * n  # the fresh activation
+        seen = {}
+        for k in free:
+            s = head[k]
+            a = "a%d" % k
+            if type(s) is not _Slot:
+                tests.append(_MATCH_ATOM.format(f=a, v=const(s)))
+            elif s.i in seen:
+                tests.append(_MATCH_ATOM.format(f=a, v=seen[s.i]))
+            else:
+                seen[s.i] = env[s.i] = a
+        pad = "        "
+        if tests:
+            lines.append(pad + "if %s:" % " and ".join(tests))
+            pad += "    "
+        outs = tuple(head[k] for k in linked)
+        lines += [pad + "%s([%s], _Sink(engine, frame, %s, %s))"
+                  % (const(body), ", ".join(env), const(outs), const(put)),
+                  pad + "bind.clear()", pad + "trail.clear()"]
+    lines.append("        return True")
+    head = ["def make(D):"]
+    if data:
+        head.append("    %s, = D" % ", ".join("d%d" % k
+                                              for k in range(len(data))))
+    return "\n".join(head + lines + ["    return tries", ""]), tuple(data)
 
 
 @lru_cache(maxsize=256)

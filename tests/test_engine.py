@@ -836,6 +836,34 @@ def test_fuse_trips_at_a_clause_try():
     assert tripped_in(excinfo) == "_clause_copy"
 
 
+def test_fuse_trips_at_a_tabled_clause_try():
+    # no head of c matches the call, so each try is a derivation and
+    # nothing else is
+    text = ":- table c/1.\n" + "".join("c(%d).\n" % i for i in range(12))
+    engine = Engine(parse_program(text), limit=8)
+    with pytest.raises(DerivationLimitError) as excinfo:
+        engine.solve("?- c(99).")
+    assert tripped_in(excinfo) == "tries"
+    assert engine.stats.derivations == 9
+
+
+def test_tabled_clause_tries_copy_no_clause(monkeypatch):
+    copies = []
+    real = Engine._clause_copy
+
+    def counted(self, *args):
+        copies.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(Engine, "_clause_copy", counted)
+    program, query = bench_case("lcs", 20, 3)
+    assert len(Engine(program).solve(query)[0]) == 1
+    assert not copies
+    # a compound argument makes the generator copy its clauses
+    assert printed(run(COMPOUND, "?- wrap(f(X)).")[0]) == INNER
+    assert copies
+
+
 @pytest.mark.parametrize("strategy", BOTH)
 def test_fuse_trips_at_a_delivery(strategy):
     engine = Engine(parse_program(JOIN), strategy, limit=50)

@@ -176,24 +176,26 @@ def test_calls_of_one_shape_share_their_modes_and_plan():
     insert_answer(f2, ("d", 2))
     assert f1.segments is f2.segments
     # and one put per clause, whose code walks the plan of the shape
-    puts = engine._puts(entry, (None, 0, 1), f1.subst_modes)
-    assert puts is engine._puts(entry, (None, 0, 1), f2.subst_modes)
-    assert puts[0] is not engine._puts(entry, (0, None, 1), f3.subst_modes)[0]
+    puts, _ = engine._shape(entry, (None, 0, 1), f1.subst_modes)
+    assert puts is engine._shape(entry, (None, 0, 1), f2.subst_modes)[0]
+    assert puts[0] is not engine._shape(entry, (0, None, 1),
+                                        f3.subst_modes)[0][0]
 
 
 def test_lcs_frames_share_one_substitution_array():
     inst = bench.gen_instance("lcs", 40, 1)
     engine = Engine(parse_program(bench.program_text(inst)))
-    lookup, puts = engine._puts, []
-    engine._puts = lambda *shape: puts.append(lookup(*shape)) or puts[-1]
+    lookup, shapes = engine._shape, []
+    engine._shape = lambda *key: shapes.append(lookup(*key)) or shapes[-1]
     engine.solve(bench.query_text(inst))
     frames = list(engine.space.entries[("lcs", 3)].frames)
     assert len(frames) > 1000
     assert len({id(f.subst_modes) for f in frames}) == 1
     assert len({id(f.segments) for f in frames}) == 1
-    # each frame's generator stores through the same puts
-    assert len(puts) == len(frames)
-    assert len({id(p) for p in puts}) == 1
+    # each frame's generator looks its shape up once, and every frame
+    # tries and stores through the same puts and tries
+    assert len(shapes) == len(frames)
+    assert len({id(s) for s in shapes}) == 1
 
 
 # ---------------------------------------------------------------------------
