@@ -108,8 +108,8 @@ from .modes import (ADDED, NEW, REJECTED, REPLACED, SUM_UPDATED,
                     traditional_modes)
 from .terms import (Struct, Var, cyclic_binding, instantiate, resolve,
                     term_to_str, tokenize, unify)
-from .tries import (AnswerLeaf, TableSpace, complete_table, iterate_answers,
-                    subgoal_lookup_insert, variant_key)
+from .tries import (AnswerLeaf, TableSpace, complete_table, grow_answer,
+                    iterate_answers, subgoal_lookup_insert, variant_key)
 
 __all__ = ["Engine", "Stats", "solve", "DEFAULT_LIMIT"]
 
@@ -1165,10 +1165,12 @@ def _tries_source(clauses, link, puts):
     clause in order, as _clause_copy and _run_generator's loop do:
     count the derivation and check the limit, match each unlinked head
     argument (a constant or a repeated variable by _MATCH's atomic test),
-    run the body on a fresh activation that holds the first occurrences
-    and a sink of the clause's outs and put, and clear the walk's
-    bindings. The source is made of slot numbers, argument positions and
-    counts; bodies, constants, outs and puts come in D.
+    and run the body on a fresh activation that holds the first
+    occurrences and a sink of the clause's outs and put. No head binds
+    anything and every body step undoes its own bindings, so nothing is
+    left to clear between clauses. The source is made of slot numbers,
+    argument positions and counts; bodies, constants, outs and puts come
+    in D.
     """
     data = []
 
@@ -1187,8 +1189,7 @@ def _tries_source(clauses, link, puts):
             "type(a%d) is not int and type(a%d) is not str" % (k, k)
             for k in free))
         lines.append("            return False")
-    lines += ["        st = engine.stats", "        limit = engine.limit",
-              "        bind = engine.bind", "        trail = engine.trail"]
+    lines += ["        st = engine.stats", "        limit = engine.limit"]
     for (n, head, body), put in zip(clauses, puts):
         lines += ["        st.derivations += 1",
                   "        if st.derivations > limit:",
@@ -1210,9 +1211,8 @@ def _tries_source(clauses, link, puts):
             lines.append(pad + "if %s:" % " and ".join(tests))
             pad += "    "
         outs = tuple(head[k] for k in linked)
-        lines += [pad + "%s([%s], _Sink(engine, frame, %s, %s))"
-                  % (const(body), ", ".join(env), const(outs), const(put)),
-                  pad + "bind.clear()", pad + "trail.clear()"]
+        lines.append(pad + "%s([%s], _Sink(engine, frame, %s, %s))"
+                     % (const(body), ", ".join(env), const(outs), const(put)))
     lines.append("        return True")
     head = ["def make(D):"]
     if data:
@@ -1355,10 +1355,10 @@ def _general(engine, frame, vals):
 
 def _grown(engine, frame, node, at, terms, kind, total):
     """Store an answer of atoms and integers where a put's walk left the
-    trie: its path from token at on below node, and its record, as
-    tries.grow_answer makes them. A replacement first pops every branch
-    below node and tags its leaves invalid, as tries.invalidate_branch
-    does for one."""
+    trie: its path from token at on below node, and its record, through
+    tries.grow_answer. A replacement first pops every branch below node
+    and tags its leaves invalid, as tries.invalidate_branch does for
+    one, without walking again from the root."""
     dropped = 0
     if kind is REPLACED or kind is SUM_UPDATED:
         stack = list(node.values())
@@ -1371,19 +1371,7 @@ def _grown(engine, frame, node, at, terms, kind, total):
             else:
                 stack.extend(x.values())
         frame.n_invalidated += dropped
-    frame.n_inserted += 1
-    leaf = AnswerLeaf(frame.n_inserted, terms)
-    if terms:
-        last = len(terms) - 1
-        while at < last:
-            node[terms[at]] = node = {}
-            at += 1
-        node[terms[last]] = leaf
-    if frame.last_answer is None:
-        frame.first_answer = leaf
-    else:
-        frame.last_answer.next = leaf
-    frame.last_answer = leaf
+    leaf = grow_answer(frame, node, terms, at, terms)
     _counted(engine, frame, kind, leaf, dropped, total)
 
 

@@ -7,13 +7,14 @@ stored in that order, which keeps every aggregation decision local to a
 subtree of the answer trie: replacing a beaten value only ever touches
 nodes at or below the point where the comparison happened.
 
-insert_answer walks the answer trie segment by segment. All reads needed
-for a rejection happen before any mutation, so a rejected candidate
-leaves the table untouched. It is the general path: the engine's
-generated puts walk an answer made of atoms and integers with the same
-segments themselves, and hand it every other answer (floats, compounds,
-variables, or a stored min/max witness or sum total that is not its own
-token) before changing anything.
+insert_answer flattens a candidate into tokens and walks the answer trie
+segment by segment, reading each stored min/max witness in full before
+comparing. All reads needed for a rejection happen before any mutation,
+so a rejected candidate leaves the table untouched. It is the general
+path: the engine's generated puts walk an answer made of atoms and
+integers with the same segments themselves, and hand it every other
+answer (floats, compounds, variables, or a stored min/max witness or sum
+total that is not its own token) before changing anything.
 """
 
 import functools
@@ -99,6 +100,7 @@ def traditional_modes(arity):
     return tuple((pos, "index") for pos in range(1, arity + 1))
 
 
+@functools.lru_cache(maxsize=1024)
 def build_segments(subst_modes):
     """Compile a substitution array into the insertion walk plan.
 
@@ -106,7 +108,9 @@ def build_segments(subst_modes):
     and adjacent index/all/first entries merge, which is behaviour
     preserving for those modes. Aggregating entries stay separate: each
     min/max argument is its own decision, applied left to right. Yields
-    (mode, first_ordinal, last_ordinal_exclusive, arg_position).
+    (mode, first_ordinal, last_ordinal_exclusive, arg_position). The
+    plan is cached per substitution array, so frames of one shape share
+    one tuple.
     """
     segments = []
     ordinal = 0
@@ -132,30 +136,7 @@ def _numeric(frame, tok, pos):
     )
 
 
-# walk step codes; index and all are below 2, min and max below 4
-_CODES = {"index": 0, "all": 1, "min": 2, "max": 3, "first": 4, "last": 5, "sum": 6}
-
-
-def _steps(segments, offsets):
-    """Segments as walk steps (code, first_token, end_token, lo, hi, pos)."""
-    return tuple(
-        (_CODES[mode], offsets[lo], offsets[hi], lo, hi, pos)
-        for mode, lo, hi, pos in segments
-    )
-
-
-@functools.lru_cache(maxsize=1024)
-def _plan(subst_modes):
-    """The insertion plan of a substitution array, shared by the frames of
-    its shape: the segments, their walk steps for answers that are their
-    own tokens, and whether one of them is a sum."""
-    segments = build_segments(subst_modes)
-    n = segments[-1][2] if segments else 0
-    return (segments, _steps(segments, range(n + 1)),
-            any(seg[0] == "sum" for seg in segments))
-
-
-def _sum_value(frame, segments, steps, tokens, open_terms):
+def _sum_value(frame, steps, tokens, open_terms):
     """Validate the aggregating arguments; returns the sum contribution.
 
     This runs before the walk: a divergence in an earlier segment grows
@@ -163,15 +144,15 @@ def _sum_value(frame, segments, steps, tokens, open_terms):
     their checks cannot wait until the walk reaches them.
     """
     value = None
-    for (mode, _, _, pos), (code, t0, t1, lo, hi, _) in zip(segments, steps):
-        if code < 2:
+    for mode, t0, t1, lo, hi, pos in steps:
+        if mode == "index" or mode == "all":
             continue
         if open_terms and any(map(is_var_token, tokens[t0:t1])):
             raise EvaluationError(
                 "%s: argument %d under %s needs a ground value"
                 % (frame.name(), pos, mode)
             )
-        if code == 6:
+        if mode == "sum":
             if hi - lo != 1 or t1 - t0 != 1:
                 raise EvaluationError(
                     "%s: argument %d under sum must be a single number"
@@ -185,106 +166,79 @@ def insert_answer(frame, subst_terms):
     """Insert one candidate answer, already resolved, into a frame's trie.
 
     subst_terms holds the binding of each free call variable, listed in
-    the order the variables appeared in the reordered call. Atoms and
-    integers are their own tokens, so for answers made of them the walk
-    plan of the frame's shape applies as it is; other answers are
-    flattened and the plan is moved to their token offsets.
+    the order the variables appeared in the reordered call. The answer
+    is flattened into tokens, and the walk plan of the frame's shape is
+    moved to their offsets.
     """
     root = frame.root
     if root is None:
         raise ModetabError("cannot insert into completed table %s" % frame.name())
-    plan = frame.segments
-    if plan is None:
-        plan = frame.segments = _plan(frame.subst_modes)
-    segments, steps, has_sum = plan
+    segments = build_segments(frame.subst_modes)
     if not segments:
         # Fully bound call: the only possible answer is "yes".
         if frame.first_answer is not None:
             return _REJECT
         return InsertOutcome(NEW, grow_answer(frame, None, (), 0, ()))
 
-    tokens = subst_terms
-    varmap = None
+    varmap = {}
+    tokens = []
+    offsets = [0]
     for t in subst_terms:
-        tt = type(t)
-        if tt is not str and tt is not int:
-            varmap = {}
-            tokens = []
-            offsets = [0]
-            for t in subst_terms:
-                flatten_into(t, varmap, tokens)
-                offsets.append(len(tokens))
-            steps = _steps(segments, offsets)
-            if varmap:
-                frame.entry.open = True
-            break
-    sum_value = None
-    if varmap or has_sum:
-        sum_value = _sum_value(frame, segments, steps, tokens, varmap)
+        flatten_into(t, varmap, tokens)
+        offsets.append(len(tokens))
+    if varmap:
+        frame.entry.open = True
+    # walk steps (mode, first_token, end_token, lo, hi, pos)
+    steps = [(mode, offsets[lo], offsets[hi], lo, hi, pos)
+             for mode, lo, hi, pos in segments]
+    sum_value = _sum_value(frame, steps, tokens, varmap)
+    terms = tuple(subst_terms)
 
     node = root
-    for code, t0, t1, lo, hi, pos in steps:
-        if code < 2:  # index, all: follow the path, grow where it ends
+    for mode, t0, t1, lo, hi, pos in steps:
+        if mode == "index" or mode == "all":  # follow the path, grow where it ends
             while t0 < t1:
                 child = node.get(tokens[t0])
                 if child is None:
-                    kind = ADDED if code and node else NEW
-                    leaf = grow_answer(frame, node, tokens, t0, tuple(subst_terms))
+                    kind = ADDED if mode == "all" and node else NEW
+                    leaf = grow_answer(frame, node, tokens, t0, terms)
                     return InsertOutcome(kind, leaf, 0, sum_value)
                 node = child
                 t0 += 1
             continue
 
         if not node:
-            leaf = grow_answer(frame, node, tokens, t0, tuple(subst_terms))
+            leaf = grow_answer(frame, node, tokens, t0, terms)
             return InsertOutcome(NEW, leaf, 0, sum_value)
 
-        if code < 4:  # min, max: compare with the one live witness
+        kind = REPLACED  # min, max and last; sum updates its total
+        if mode == "min" or mode == "max":
+            # Read the one live witness: walk its branch until as many
+            # complete terms as this segment holds are spelled out.
             stok = next(iter(node))
-            if t1 - t0 == 1 and not (type(stok) is tuple and stok[0] == FUN):
-                # single flat token on both sides, the usual case
-                ctok = tokens[t0]
-                if ctok == stok:
-                    node = node[stok]
-                    continue
-                if type(ctok) is int and type(stok) is int:
-                    better = ctok < stok if code == 2 else ctok > stok
-                else:
-                    c = compare_token_seqs((ctok,), (stok,))
-                    better = c == (-1 if code == 2 else 1)
-            else:
-                # Read the stored witness: walk the (single) live branch
-                # until as many complete terms as this segment holds are
-                # spelled out.
-                snode = node[stok]
-                stored = [stok]
-                pending = hi - lo - 1
-                if type(stok) is tuple and stok[0] == FUN:
-                    pending += stok[2]
-                while pending:
-                    tok = next(iter(snode))
-                    snode = snode[tok]
-                    stored.append(tok)
-                    pending -= 1
-                    if type(tok) is tuple and tok[0] == FUN:
-                        pending += tok[2]
-                cand = list(tokens[t0:t1])
-                if cand == stored:
-                    node = snode
-                    continue
-                better = compare_token_seqs(cand, stored) == (-1 if code == 2 else 1)
-            if not better:
+            snode = node[stok]
+            stored = [stok]
+            pending = hi - lo - 1
+            if type(stok) is tuple and stok[0] == FUN:
+                pending += stok[2]
+            while pending:
+                tok = next(iter(snode))
+                snode = snode[tok]
+                stored.append(tok)
+                pending -= 1
+                if type(tok) is tuple and tok[0] == FUN:
+                    pending += tok[2]
+            cand = tokens[t0:t1]
+            if cand == stored:
+                node = snode
+                continue
+            if compare_token_seqs(cand, stored) != (-1 if mode == "min" else 1):
                 # Worse, or numerically tied with a differently typed
                 # value: the stored witness stays.
                 return _REJECT
-            kind = REPLACED
-            terms = tuple(subst_terms)
-        elif code == 4:  # first: keep whatever arrived first
+        elif mode == "first":  # keep whatever arrived first
             return _REJECT
-        elif code == 5:  # last
-            kind = REPLACED
-            terms = tuple(subst_terms)
-        else:  # sum
+        elif mode == "sum":
             total = _numeric(frame, next(iter(node)), pos) + sum_value
             tok = (FLT, total) if type(total) is float else total
             tokens = [*tokens[:t0], tok, *tokens[t1:]]
@@ -298,5 +252,5 @@ def insert_answer(frame, subst_terms):
         return InsertOutcome(kind, leaf, dropped, sum_value)
 
     # Every segment matched an existing path: exact duplicate.
-    assert not tokens or type(node) is AnswerLeaf
+    assert type(node) is AnswerLeaf
     return _REJECT

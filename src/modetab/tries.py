@@ -7,7 +7,7 @@ subgoal_lookup_insert, the one frame maker, takes a key its caller has
 built: a caller that already knows the key, as the engine's call sites
 do, makes a frame without tokenizing anything. Frames with the same
 variable count per argument share the entry's one substitution array for
-that shape, and modes gives them one insertion plan. Every
+that shape, and so modes.build_segments's one cached plan tuple. Every
 frame owns an answer trie holding only the substitution terms of the
 call's free variables. A trie node is a plain dict from token to child,
 with no pointer back to its parent: an answer path ends in the answer's
@@ -63,7 +63,6 @@ class SubgoalFrame:
     __slots__ = (
         "entry",
         "subst_modes",
-        "segments",
         "root",
         "first_answer",
         "last_answer",
@@ -77,7 +76,6 @@ class SubgoalFrame:
     def __init__(self, entry, subst_modes):
         self.entry = entry
         self.subst_modes = subst_modes  # tuple of (mode, var_count, arg_position)
-        self.segments = None  # insertion plan of the shape, on first insert
         self.root = {}  # the answer trie; None once the table completes
         self.first_answer = None
         self.last_answer = None

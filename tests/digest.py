@@ -11,6 +11,9 @@ The sweeps:
 - families: the eight benchmark families at the acceptance-07 sizes,
   seeds 1-10, under local and batched scheduling (pagerank local only);
 - randprog: tests/randprog.py seeds 0-399 under both strategies;
+- randfloat: the same programs with each e(U,V,W). weight written as
+  W.5, so the min, max and all tables get float costs, which take
+  modes.insert_answer's witness compare rather than the generated puts;
 - events: the trace event stream (calls, inserts with their outcome,
   invalidation count, seq and total, deliveries, completions) of the
   eight families at the acceptance-07 sizes, seeds 1-3, under both
@@ -21,6 +24,7 @@ pytest does not collect this file; it is a script.
 
 import hashlib
 import os
+import re
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -81,10 +85,12 @@ def families(seeds=range(1, 11), run=record):
     return digest.hexdigest()
 
 
-def randprogs():
+def randprogs(edit=None):
     digest = hashlib.sha256()
     for seed in range(400):
         text, query, _ = generate(seed)
+        if edit is not None:
+            text = edit(text)
         program = parse_program(text)
         for strategy in STRATEGIES:
             digest.update(("randprog/%d " % seed).encode())
@@ -95,4 +101,6 @@ def randprogs():
 if __name__ == "__main__":
     print("families %s" % families())
     print("randprog %s" % randprogs())
+    print("randfloat %s" % randprogs(lambda text: re.sub(
+        r"^(e\(\d+,\d+,\d+)\)\.$", r"\1.5).", text, flags=re.M)))
     print("events %s" % families(range(1, 4), events))

@@ -5,6 +5,7 @@ the general path, under both strategies."""
 
 import pytest
 
+import modetab.engine as engine_mod
 from modetab import bench
 from modetab.engine import Engine
 from modetab.lang import parse_program
@@ -189,3 +190,63 @@ def test_tries_match_the_loop_on_the_families(family, size, strategy,
 def test_heads_keep_one_and_one_point_zero_apart(query, values):
     answers, _ = Engine(parse_program(CONSTANTS)).solve(query)
     assert [term_to_str(a["V"]) for a in answers] == values
+
+
+# One tabled predicate per kind of body step that binds through
+# engine.bind and engine.trail. A general builtin is not among them: what
+# the compiler leaves to lang holds an unbound variable, an atom or a
+# compound that is not arithmetic, so that step only returns by raising.
+STEPS = """
+e(a, 1). e(b, 2).
+g(h(a, a)). g(h(a, b)).
+:- table q/1.
+q(h(a, b)).
+r(f(Y)) :- e(Y, _).
+:- table unified/1.
+unified(X) :- Y = f(Z), Y = f(a), X = Z.
+:- table rows/1.
+rows(X) :- g(h(X, X)).
+:- table loop/1.
+loop(N) :- Y = f(V), Y = f(b), e(V, N).
+loop(N) :- Y = f(V), e(V, N).
+:- table general/1.
+general(X) :- q(h(a, X)).
+:- table rule/1.
+rule(X) :- r(f(X)).
+"""
+
+
+@pytest.mark.parametrize("strategy", BOTH)
+@pytest.mark.parametrize("query, answers, method", [
+    ("?- unified(X).", ["a"], "_then"),
+    ("?- rows(X).", ["a"], "_rows"),
+    ("?- loop(N).", ["2", "1"], "_rows"),
+    ("?- general(X).", ["b"], "_call_tabled"),
+    ("?- rule(X).", ["a", "b"], "_call_rules"),
+])
+def test_tried_clauses_leave_no_binding(query, answers, method, strategy,
+                                        monkeypatch):
+    # the tries clear nothing between clauses: every step undoes its own
+    tried = []
+    real = engine_mod._tries_source
+
+    def checked(body):
+        def run(env, sink):
+            body(env, sink)
+            tried.append((dict(sink.engine.bind), list(sink.engine.trail)))
+        return run
+
+    monkeypatch.setattr(engine_mod, "_tries_source", lambda clauses, *rest: (
+        real([(n, head, checked(body)) for n, head, body in clauses], *rest)))
+    reached = []
+    step = getattr(Engine, method)
+
+    def counted(*args):
+        reached.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(Engine, method, counted)
+    got, _ = Engine(parse_program(STEPS), strategy).solve(query)
+    assert [term_to_str(v) for a in got for v in a.values()] == answers
+    assert reached and tried
+    assert all(bind == {} and trail == [] for bind, trail in tried)

@@ -10,7 +10,8 @@ from modetab import bench
 from modetab.engine import Engine
 from modetab.errors import ModetabError
 from modetab.lang import parse_program
-from modetab.modes import compile_declaration, insert_answer, traditional_modes
+from modetab.modes import (build_segments, compile_declaration, insert_answer,
+                           traditional_modes)
 from modetab.terms import Struct, Var, tokenize, var_token, variant
 from modetab.tries import (
     TableSpace,
@@ -174,7 +175,8 @@ def test_calls_of_one_shape_share_their_modes_and_plan():
     assert f3.subst_modes is not f1.subst_modes
     insert_answer(f1, ("c", 1))
     insert_answer(f2, ("d", 2))
-    assert f1.segments is f2.segments
+    # the plan is cached per substitution array, so a shape has one
+    assert build_segments(f1.subst_modes) is build_segments(f2.subst_modes)
     # and one put per clause, whose code walks the plan of the shape
     puts, _ = engine._shape(entry, (None, 0, 1), f1.subst_modes)
     assert puts is engine._shape(entry, (None, 0, 1), f2.subst_modes)[0]
@@ -191,7 +193,7 @@ def test_lcs_frames_share_one_substitution_array():
     frames = list(engine.space.entries[("lcs", 3)].frames)
     assert len(frames) > 1000
     assert len({id(f.subst_modes) for f in frames}) == 1
-    assert len({id(f.segments) for f in frames}) == 1
+    assert len({id(build_segments(f.subst_modes)) for f in frames}) == 1
     # each frame's generator looks its shape up once, and every frame
     # tries and stores through the same puts and tries
     assert len(shapes) == len(frames)
