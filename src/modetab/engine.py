@@ -32,12 +32,15 @@ and the generator call's link), and the frame's substitution array.
 Puts are cached per process by shape, so the frames of one shape share
 them, and reach the engine through the sink. A put checks the
 derivation limit and reads the answer. A query's put appends it to the
-answer list. A table's put walks an answer of atoms and integers into
-the answer trie itself, segment by segment of the insertion plan
-(index, all, min, max, first, last, sum), and hands any other answer to
-modes.insert_answer; then it counts the insertion, logs its trace event
-and, under batched scheduling, queues it for the consumers that do not
-settle. A run whose next step ends the body calls the put directly.
+answer list. A table's put stores an answer of atoms and numbers
+itself, from its first read to the counted record: it walks the answer
+trie segment by segment of the insertion plan (index, all, min, max,
+first, last, sum), each value as its token (a float v as (FLT, v)),
+grows the new path and chains its record, and hands any other answer to
+modes.insert_answer. Only a traced insertion, or one that changed a
+table scheduled batched, makes a call more, to log its trace event and
+queue it for the consumers that do not settle. A run whose next step
+ends the body calls the put directly.
 
 A tabled goal whose arguments are distinct variables, atoms and
 integers compiles to a call site. It fetches its table entry when it
@@ -106,10 +109,10 @@ from .lang import (decompose_goal, eval_arith, eval_builtin, fact_key,
 from .modes import (ADDED, NEW, REJECTED, REPLACED, SUM_UPDATED,
                     build_segments, compile_declaration, insert_answer,
                     traditional_modes)
-from .terms import (Struct, Var, cyclic_binding, instantiate, resolve,
+from .terms import (FLT, Struct, Var, cyclic_binding, instantiate, resolve,
                     term_to_str, tokenize, unify)
-from .tries import (AnswerLeaf, TableSpace, complete_table, grow_answer,
-                    iterate_answers, subgoal_lookup_insert, variant_key)
+from .tries import (AnswerLeaf, TableSpace, complete_table, iterate_answers,
+                    subgoal_lookup_insert, variant_key)
 
 __all__ = ["Engine", "Stats", "solve", "DEFAULT_LIMIT"]
 
@@ -354,9 +357,11 @@ class Engine:
             if name in _COMPARE and all(map(compiles, args)):
                 return ("cmp", name, arith(args[0]), arith(args[1]))
             if is_builtin(name, arity):
-                # what the compiler does not take apart (a variable not
-                # bound yet, an atom where a number belongs) is left to
-                # lang; `is` reads its right side first
+                # what the compiler does not take apart (a variable at
+                # its first occurrence, an atom or a compound where a
+                # number belongs) is left to lang, whose eval_arith
+                # raises on it, so nothing here binds; `is` reads its
+                # right side first
                 order = (1, 0) if name == "is" else (0, 1)
                 specs = [(k, term(args[k])) for k in order]
 
@@ -366,12 +371,8 @@ class Engine:
                         vals = [None, None]
                         for k, s in specs:
                             vals[k] = _build(s, env)
-                        trail = self.trail
-                        m = len(trail)
-                        if eval_builtin(name, vals, self.bind, trail):
+                        if eval_builtin(name, vals, self.bind, self.trail):
                             nxt(env, parent)
-                        while len(trail) > m:
-                            del self.bind[trail.pop()]
                     return step
                 return make
             specs = tuple(term(a) for a in args)
@@ -1238,17 +1239,24 @@ def _put_source(shape, segments):
     resolved through them), then append a query's answer (segments None)
     or store a frame's.
 
-    An answer made of atoms and integers, which are their own tokens, is
-    walked down the answer trie inline, token by token of the insertion
-    plan. Where it first leaves the trie, _grown stores it; a beaten
-    min/max witness, a last value or a sum total is replaced the same
-    way; a duplicate, a worse witness or a later first is rejected
-    inline. Any other answer, one that meets a stored witness or total
-    that is not its own token, and every answer of a plan whose min, max
-    or sum spans more than one token, goes to _general. The walk changes
+    An answer made of atoms and numbers is walked down the answer trie
+    inline, token by token of the insertion plan: an atom or an integer
+    is its own token, a float v the token (FLT, v). A min/max witness is
+    compared by value, numbers before atoms, and a numeric tie between
+    an integer and a float keeps the stored witness, as
+    compare_token_seqs does; a sum adds to the stored total, stored as
+    (FLT, total) when it is a float. Where the walk first leaves the
+    trie, the put grows the rest of the path as one nested dict display
+    ending in the new AnswerLeaf and chains the leaf; a beaten witness,
+    a last value or a sum total is replaced the same way, after _drop
+    has popped the branches it replaces. A duplicate, a worse witness or
+    a later first is rejected inline. Any other answer, one that meets a
+    compound witness, and every answer of a plan whose min, max or sum
+    spans more than one token, goes to _general. The walk changes
     nothing before it has decided, so that fallback finds the table as
-    it was. The source is made of slot numbers, ordinals and mode names
-    only.
+    it was. Only a traced insertion, or one into a table scheduled
+    batched, calls _announce. The source is made of slot numbers,
+    ordinals and mode names only.
     """
     lines = ["def put(env, sink):", "    engine = sink.engine",
              "    st = engine.stats", "    if st.derivations > engine.limit:",
@@ -1285,35 +1293,66 @@ def _put_source(shape, segments):
         return source()
 
     sums = [lo for mode, lo, _, _ in segments if mode == "sum"]
+    emit(1, "node = frame.root")
+    emit(1, "if node is None:")
+    emit(2, general)
+    # t<o> is the token of value v<o>; a sum takes numbers only
+    for o in range(n):
+        emit(1, "t%d = v%d" % (o, o))
+        emit(1, "if type(v%d) is not int:" % o if o in sums else
+             "if type(v%d) is not int and type(v%d) is not str:" % (o, o))
+        emit(2, "if type(v%d) is not float:" % o)
+        emit(3, general)
+        emit(2, "t%d = (FLT, v%d)" % (o, o))
+    if sums:
+        emit(1, "total = v%d" % sums[0])
     # what is stored: a sum's total in place of the candidate's value
     terms = "(%s)" % "".join("total, " if o in sums else "v%d, " % o
                              for o in range(n))
+    total = "total" if sums else "None"
 
     def grow(depth, at, kind):
-        emit(depth, "return _grown(engine, frame, node, %d, %s, %s, %s)"
-             % (at, terms, kind, "total" if sums else None))
+        """Store the answer below node from ordinal at on; a replacement
+        first drops what is below node."""
+        dropped = "0"
+        if kind in ("REPLACED", "SUM_UPDATED"):
+            dropped = "dropped"
+            emit(depth, "dropped = _drop(frame, node)")
+            emit(depth, "st.invalidations += dropped")
+        elif kind != "NEW":  # decided before node changes
+            emit(depth, "kind = %s" % kind)
+            kind = "kind"
+        emit(depth, "frame.n_inserted += 1")
+        emit(depth, "leaf = AnswerLeaf(frame.n_inserted, %s)" % terms)
+        if at < n:
+            path = "leaf"
+            for o in range(n - 1, at, -1):
+                path = "{t%d: %s}" % (o, path)
+            emit(depth, "node[t%d] = %s" % (at, path))
+        emit(depth, "if frame.last_answer is None:")
+        emit(depth + 1, "frame.first_answer = leaf")
+        emit(depth, "else:")
+        emit(depth + 1, "frame.last_answer.next = leaf")
+        emit(depth, "frame.last_answer = leaf")
+        emit(depth, "st.insertions += 1")
+        emit(depth, "if engine.events is not None or not frame.generator.local:")
+        emit(depth + 1, "_announce(engine, frame, %s, leaf, %s, %s)"
+             % (kind, dropped, total))
+        emit(depth, "return")
 
     def reject(depth):
-        emit(depth, "if engine.events is not None:")
-        emit(depth + 1, "return _counted(engine, frame, REJECTED, None, 0,"
-             " None)")
         emit(depth, "st.insertions += 1")
+        emit(depth, "if engine.events is not None:")
+        emit(depth + 1, "_announce(engine, frame, REJECTED, None, 0, None)")
+        emit(depth, "return")
 
-    emit(1, "node = frame.root")
-    emit(1, "if %s:" % " or ".join(
-        ["node is None"] + ["type(v%d) is not int" % o if o in sums else
-                            "type(v%d) is not int and type(v%d) is not str"
-                            % (o, o) for o in range(n)]))
-    emit(2, general)
-    if sums:
-        emit(1, "total = v%d" % sums[0])
     if not segments:  # a fully bound call: its one answer is "yes"
         emit(1, "if frame.first_answer is None:")
         grow(2, 0, "NEW")
     for j, (mode, lo, hi, _) in enumerate(segments):
         if mode == "index" or mode == "all":
             for t in range(lo, hi):
-                emit(1, "c = node.get(v%d)" % t)
+                emit(1, "c = node.get(t%d)" % t)
                 emit(1, "if c is None:")
                 grow(2, t, "ADDED if node else NEW" if mode == "all"
                      else "NEW")
@@ -1328,19 +1367,32 @@ def _put_source(shape, segments):
             grow(1, lo, "REPLACED")
             return source()
         emit(1, "s = next(iter(node))")
-        if mode == "sum":
-            emit(1, "if type(s) is not int:")
-            emit(2, general)
-            emit(1, "total = s + v%d" % lo)
+        if mode == "sum":  # a stored total is an int or (FLT, total)
+            emit(1, "total = (s if type(s) is int else s[1]) + v%d" % lo)
+            emit(1, "t%d = (FLT, total) if type(total) is float else total"
+                 % lo)
             grow(1, lo, "SUM_UPDATED")
             return source()
-        emit(1, "if s != v%d:" % lo)  # min, max
-        emit(2, "if type(s) is not int or type(v%d) is not int:" % lo)
-        emit(3, general)
-        emit(2, "if v%d %s s:" % (lo, "<" if mode == "min" else ">"))
+        # min, max: a witness of the candidate's type compares as it is;
+        # otherwise w is its value, and numbers come before atoms
+        op = "<" if mode == "min" else ">"
+        emit(1, "if s != t%d:" % lo)
+        emit(2, "if type(s) is type(v%d):" % lo)
+        emit(3, "better = v%d %s s" % (lo, op))
+        emit(2, "else:")
+        emit(3, "w = s")
+        emit(3, "if type(s) is tuple:")
+        emit(4, "if s[0] != FLT:")  # a compound witness
+        emit(5, general)
+        emit(4, "w = s[1]")
+        emit(3, "if (type(v%d) is str) is (type(w) is str):" % lo)
+        emit(4, "better = v%d %s w" % (lo, op))
+        emit(3, "else:")
+        emit(4, "better = type(%s) is str" % ("w" if mode == "min" else
+                                              "v%d" % lo))
+        emit(2, "if better:")
         grow(3, lo, "REPLACED")
         reject(2)
-        emit(2, "return")
         if j + 1 < len(segments):
             emit(1, "node = node[s]")
     reject(1)  # every token matched: a duplicate
@@ -1348,41 +1400,36 @@ def _put_source(shape, segments):
 
 
 def _general(engine, frame, vals):
-    """Store an answer through insert_answer, and count it."""
+    """Store an answer through insert_answer, count and announce it."""
     o = insert_answer(frame, vals)
-    _counted(engine, frame, o.kind, o.leaf, o.invalidated, o.total)
-
-
-def _grown(engine, frame, node, at, terms, kind, total):
-    """Store an answer of atoms and integers where a put's walk left the
-    trie: its path from token at on below node, and its record, through
-    tries.grow_answer. A replacement first pops every branch below node
-    and tags its leaves invalid, as tries.invalidate_branch does for
-    one, without walking again from the root."""
-    dropped = 0
-    if kind is REPLACED or kind is SUM_UPDATED:
-        stack = list(node.values())
-        node.clear()
-        while stack:
-            x = stack.pop()
-            if type(x) is AnswerLeaf:
-                x.valid = False
-                dropped += 1
-            else:
-                stack.extend(x.values())
-        frame.n_invalidated += dropped
-    leaf = grow_answer(frame, node, terms, at, terms)
-    _counted(engine, frame, kind, leaf, dropped, total)
-
-
-def _counted(engine, frame, kind, leaf, dropped, total):
-    """Count an insertion, log its trace event, and, if it changed a
-    table scheduled batched, queue it for each consumer that does not
-    settle."""
     st = engine.stats
     st.insertions += 1
-    if dropped:
-        st.invalidations += dropped
+    st.invalidations += o.invalidated
+    _announce(engine, frame, o.kind, o.leaf, o.invalidated, o.total)
+
+
+def _drop(frame, node):
+    """Pop every branch below node and tag its leaves invalid, as
+    tries.invalidate_branch does for one, without walking again from
+    the root; returns how many were tagged."""
+    dropped = 0
+    stack = list(node.values())
+    node.clear()
+    while stack:
+        x = stack.pop()
+        if type(x) is AnswerLeaf:
+            x.valid = False
+            dropped += 1
+        else:
+            stack.extend(x.values())
+    frame.n_invalidated += dropped
+    return dropped
+
+
+def _announce(engine, frame, kind, leaf, dropped, total):
+    """Log an insertion's trace event and, if it changed a table
+    scheduled batched, queue it for each consumer that does not
+    settle."""
     if engine.events is not None:
         engine._log("insert", frame=frame.name(), outcome=kind,
                     invalidated=dropped,

@@ -11,10 +11,10 @@ insert_answer flattens a candidate into tokens and walks the answer trie
 segment by segment, reading each stored min/max witness in full before
 comparing. All reads needed for a rejection happen before any mutation,
 so a rejected candidate leaves the table untouched. It is the general
-path: the engine's generated puts walk an answer made of atoms and
-integers with the same segments themselves, and hand it every other
-answer (floats, compounds, variables, or a stored min/max witness or sum
-total that is not its own token) before changing anything.
+path: the engine's generated puts store an answer made of atoms and
+numbers with the same segments themselves, and hand it every other
+answer (compounds, variables, or one that meets a compound min/max
+witness) before changing anything.
 """
 
 import functools

@@ -11,9 +11,11 @@ that shape, and so modes.build_segments's one cached plan tuple. Every
 frame owns an answer trie holding only the substitution terms of the
 call's free variables. A trie node is a plain dict from token to child,
 with no pointer back to its parent: an answer path ends in the answer's
-record, an AnswerLeaf created by grow_answer together with the path and
-holding the answer's terms, so readers never rebuild an answer from the
-trie. Records are chained in insertion order so readers can pick up new
+record, an AnswerLeaf created together with the path and holding the
+answer's terms, so readers never rebuild an answer from the trie.
+grow_answer makes both for modes.insert_answer, the general insertion
+path; the engine's generated puts grow the answers of atoms and numbers
+the same way inline. Records are chained in insertion order so readers can pick up new
 answers by following a single pointer. The "yes" answer of a fully
 bound call has no tokens; its record is chained under no node.
 
@@ -160,7 +162,8 @@ def grow_answer(frame, node, tokens, start, terms):
     """Create the path tokens[start:] below node and chain its record.
 
     The path's last token maps to the new answer's record, holding
-    terms. An answer without tokens gets a record under no node.
+    terms. An answer without tokens gets a record under no node. This
+    is modes.insert_answer's; the engine's puts grow inline.
     """
     frame.n_inserted += 1
     leaf = AnswerLeaf(frame.n_inserted, terms)

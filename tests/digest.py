@@ -12,8 +12,8 @@ The sweeps:
   seeds 1-10, under local and batched scheduling (pagerank local only);
 - randprog: tests/randprog.py seeds 0-399 under both strategies;
 - randfloat: the same programs with each e(U,V,W). weight written as
-  W.5, so the min, max and all tables get float costs, which take
-  modes.insert_answer's witness compare rather than the generated puts;
+  W.5, so the min, max and all tables get float costs, which the
+  generated puts walk as (FLT, v) tokens and compare by value;
 - events: the trace event stream (calls, inserts with their outcome,
   invalidation count, seq and total, deliveries, completions) of the
   eight families at the acceptance-07 sizes, seeds 1-3, under both

@@ -787,6 +787,29 @@ def test_a_call_site_makes_its_frame_without_tokenizing(monkeypatch):
     assert len(tokenized) <= len(sites) + 3
 
 
+def test_answers_of_atoms_and_numbers_skip_insert_answer(monkeypatch):
+    import modetab.engine as engine_mod
+    tables = []
+    real = engine_mod.insert_answer
+
+    def counted(frame, vals):
+        tables.append(frame.name())
+        return real(frame, vals)
+
+    monkeypatch.setattr(engine_mod, "insert_answer", counted)
+    # pagerank's sum answers are floats: the puts store them inline
+    program, query = bench_case("pagerank", 30, 3)
+    engine = Engine(program)
+    engine.solve(query)
+    assert engine.stats.insertions > 100
+    assert tables == []
+    # a compound answer and an answer that holds a variable do not
+    assert printed(run(COMPOUND, "?- pair(P).")[0])
+    assert "pair/1" in tables
+    assert printed(run(":- table q/2.\nq(X, f(Y)).\n", "?- q(A, B).")[0])
+    assert "q/2" in tables
+
+
 # ---------------------------------------------------------------------------
 # arithmetic through the engine
 
@@ -803,6 +826,31 @@ def test_arithmetic_errors_name_their_cause(query, message):
     with pytest.raises(EvaluationError) as excinfo:
         Engine(parse_program("n(1).\n")).solve(query)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("goal, message", [
+    ("X is Y", "unbound variable Y in arithmetic"),
+    ("X is a", "not an arithmetic term: a"),
+    ("X is f(1)", "not an arithmetic term: f(1)"),
+    ("1 < a", "not an arithmetic term: a"),
+])
+def test_the_general_builtin_step_only_raises(goal, message, monkeypatch):
+    # what the compiler does not inline reaches lang.eval_builtin, which
+    # cannot succeed on it, so the step keeps no trail mark to undo to
+    import modetab.engine as engine_mod
+    reached = []
+    real = engine_mod.eval_builtin
+
+    def counted(*args):
+        reached.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(engine_mod, "eval_builtin", counted)
+    engine = Engine(parse_program("p(X) :- %s.\n" % goal))
+    with pytest.raises(EvaluationError) as excinfo:
+        engine.solve("?- p(X).")
+    assert str(excinfo.value) == message
+    assert len(reached) == 1
 
 
 def test_arithmetic_evaluates_a_bound_expression():

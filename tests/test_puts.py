@@ -1,11 +1,13 @@
 """Generated puts against modes.insert_answer.
 
 A put reads a sink's outputs and stores the answer: answers of atoms and
-integers through its own inline walk of the answer trie, every other
-one through insert_answer. Each property feeds the same candidates to a
-put on one frame and, as the engine did before puts, to insert_answer on
-a twin frame, and requires the same tables, counters, outcomes and
-errors.
+numbers through its own inline walk of the answer trie, floats as their
+(FLT, v) tokens, every other one through insert_answer. Each property
+feeds the same candidates to a put on one frame and, as the engine did
+before puts, to insert_answer on a twin frame, and requires the same
+tables, counters, outcomes and errors. Integers and floats of equal
+value meet often, so the put's min/max tie rule and its float sum
+totals are checked against compare_token_seqs and insert_answer's.
 """
 
 import pytest
@@ -74,14 +76,15 @@ def reference(engine, frame, vals):
 # a column is one free variable, bound to an atom, or a compound holding
 # two free variables, whose min, max or sum spans two tokens
 COLUMN = st.sampled_from(["free", "free", "free", "bound", "pair"])
-# mostly atoms and integers, which a put walks inline, from a small
-# pool so that equal, better and worse candidates meet; "var" stands for
-# a fresh Var, "bound" for a Var the walk has bound to 2, and None for an
-# unbound slot, which the put gives a Var
+# mostly atoms and numbers, which a put walks inline, from a small pool
+# so that equal, better and worse candidates meet, and floats that tie
+# with integers; "var" stands for a fresh Var, "bound" for a Var the walk
+# has bound to 2, and None for an unbound slot, which the put gives a Var
 OWN = st.sampled_from([1, "a", 2, 0, "b", 3, -1])
-VALUE = st.one_of(OWN, OWN, OWN, OWN, OWN, OWN, OWN, OWN, st.sampled_from(
-    [1.0, 2.5, Struct("f", ("a",)), Struct("f", (2,)), "var", "bound",
-     None]))
+FLOAT = st.sampled_from([1.0, 2.0, -1.0, 0.5, 2.5])
+VALUE = st.one_of(OWN, OWN, OWN, OWN, OWN, OWN, FLOAT, FLOAT, FLOAT,
+                  st.sampled_from([Struct("f", ("a",)), Struct("f", (2,)),
+                                   "var", "bound", None]))
 ROWS = st.lists(st.lists(VALUE, min_size=8, max_size=8), min_size=3,
                 max_size=24)
 AT = st.one_of(st.none(), st.none(), st.integers(1, 24))
@@ -116,6 +119,22 @@ def declarations(draw):
          candidates(("a",), (1,), ("b",), (1.0,), (0,)), None, None)
 @example((["last", "first"], ["free", "free"]), "local", [True] * 8,
          candidates((1, "a"), (2, "b"), (2, "c"), (3, "a")), 3, 1)
+@example((["index", "min"], ["free", "free"]), "batched", [True] * 8,
+         candidates(("a", 1), ("a", 1.0), ("b", 1.0), ("b", 1), ("b", 0.5),
+                    ("b", -1)), None, None)
+@example((["index", "max"], ["free", "free"]), "local", [False] * 8,
+         candidates(("a", 1), ("a", 1.0), ("b", 1.0), ("b", 1), ("b", 2.0),
+                    ("b", 3)), None, None)
+@example((["max"], ["free"]), "local", [True] * 8,
+         candidates((1,), ("a",), (2.0,), ("b",), ("a",)), None, None)
+@example((["index", "sum"], ["free", "free"]), "batched", [True] * 8,
+         candidates(("a", 0.5), ("a", 0.5), ("a", 1), ("b", 1), ("b", 1.0)),
+         None, None)
+@example((["min"], ["pair"]), "local", [True] * 8,
+         candidates((1, 2), (1.0, 2), (0.5, "a"), (0.5, "a")), None, None)
+@example((["min", "all"], ["free", "free"]), "local", [True] * 8,
+         candidates((Struct("f", ("a",)), 1), (1.0, 2), (1, 2), (0.5, 1)),
+         None, None)
 def test_a_put_stores_as_insert_answer_does(decl, strategy, from_slot, rows,
                                             complete_at, limit_at):
     """rows are the candidates; both tables complete before row
