@@ -9,7 +9,7 @@ from .errors import (
     ParseError,
 )
 from .lang import Program, parse_program, parse_query, validate
-from .terms import Struct, Var, compare_ground, term_to_str, variant
+from .terms import Struct, Var, term_to_str, variant
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,6 @@ __all__ = [
     "Stats",
     "Struct",
     "Var",
-    "compare_ground",
     "parse_program",
     "parse_query",
     "solve",

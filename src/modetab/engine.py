@@ -35,12 +35,13 @@ derivation limit and reads the answer. A query's put appends it to the
 answer list. A table's put stores an answer of atoms and numbers
 itself, from its first read to the counted record: it walks the answer
 trie segment by segment of the insertion plan (index, all, min, max,
-first, last, sum), each value as its token (a float v as (FLT, v)),
+first, last, sum), each value as its trie key (a float v as (FLT, v)),
 grows the new path and chains its record, and hands any other answer to
-modes.insert_answer. Only a traced insertion, or one that changed a
-table scheduled batched, makes a call more, to log its trace event and
-queue it for the consumers that do not settle. A run whose next step
-ends the body calls the put directly.
+modes.insert_answer, whose trie keys, witness compare (modes.beats)
+and branch drop (tries.drop_below) it shares. Only a traced insertion,
+or one that changed a table scheduled batched, makes a call more, to
+log its trace event and queue it for the consumers that do not settle.
+A run whose next step ends the body calls the put directly.
 
 A tabled goal whose arguments are distinct variables, atoms and
 integers compiles to a call site. It fetches its table entry when it
@@ -106,13 +107,13 @@ from heapq import heappop, heappush
 from .errors import DerivationLimitError, EvaluationError
 from .lang import (decompose_goal, eval_arith, eval_builtin, fact_key,
                    is_builtin, parse_query)
-from .modes import (ADDED, NEW, REJECTED, REPLACED, SUM_UPDATED,
+from .modes import (ADDED, NEW, REJECTED, REPLACED, SUM_UPDATED, beats,
                     build_segments, compile_declaration, insert_answer,
                     traditional_modes)
 from .terms import (FLT, Struct, Var, cyclic_binding, instantiate, resolve,
                     term_to_str, tokenize, unify)
-from .tries import (AnswerLeaf, TableSpace, complete_table, iterate_answers,
-                    subgoal_lookup_insert, variant_key)
+from .tries import (AnswerLeaf, TableSpace, complete_table, drop_below,
+                    iterate_answers, subgoal_lookup_insert, variant_key)
 
 __all__ = ["Engine", "Stats", "solve", "DEFAULT_LIMIT"]
 
@@ -1240,23 +1241,24 @@ def _put_source(shape, segments):
     or store a frame's.
 
     An answer made of atoms and numbers is walked down the answer trie
-    inline, token by token of the insertion plan: an atom or an integer
-    is its own token, a float v the token (FLT, v). A min/max witness is
-    compared by value, numbers before atoms, and a numeric tie between
-    an integer and a float keeps the stored witness, as
-    compare_token_seqs does; a sum adds to the stored total, stored as
-    (FLT, total) when it is a float. Where the walk first leaves the
-    trie, the put grows the rest of the path as one nested dict display
-    ending in the new AnswerLeaf and chains the leaf; a beaten witness,
-    a last value or a sum total is replaced the same way, after _drop
-    has popped the branches it replaces. A duplicate, a worse witness or
-    a later first is rejected inline. Any other answer, one that meets a
-    compound witness, and every answer of a plan whose min, max or sum
-    spans more than one token, goes to _general. The walk changes
-    nothing before it has decided, so that fallback finds the table as
-    it was. Only a traced insertion, or one into a table scheduled
-    batched, calls _announce. The source is made of slot numbers,
-    ordinals and mode names only.
+    inline, one key per ordinal of the insertion plan: an atom or an
+    integer is its own key, a float v the key (FLT, v). A min/max
+    witness whose value has the candidate's type is compared inline;
+    one of another type (an integer against a float, a number against
+    an atom, or a compound) is compared by modes.beats, so a numeric
+    tie between an integer and a float keeps the stored witness. A sum
+    adds to the stored total, stored as (FLT, total) when it is a
+    float. Where the walk first leaves the trie, the put grows the rest
+    of the path as one nested dict display ending in the new AnswerLeaf
+    and chains the leaf; a beaten witness, a last value or a sum total
+    is replaced the same way, after drop_below has popped the branches
+    it replaces. A duplicate, a worse witness or a later first is
+    rejected inline. Any other answer, and every answer of a plan whose
+    min, max or sum spans more than one ordinal, goes to _general. The
+    walk changes nothing before it has decided, so that fallback finds
+    the table as it was. Only a traced insertion, or one into a table
+    scheduled batched, calls _announce. The source is made of slot
+    numbers, ordinals and mode names only.
     """
     lines = ["def put(env, sink):", "    engine = sink.engine",
              "    st = engine.stats", "    if st.derivations > engine.limit:",
@@ -1317,7 +1319,7 @@ def _put_source(shape, segments):
         dropped = "0"
         if kind in ("REPLACED", "SUM_UPDATED"):
             dropped = "dropped"
-            emit(depth, "dropped = _drop(frame, node)")
+            emit(depth, "dropped = drop_below(frame, node)")
             emit(depth, "st.invalidations += dropped")
         elif kind != "NEW":  # decided before node changes
             emit(depth, "kind = %s" % kind)
@@ -1373,23 +1375,15 @@ def _put_source(shape, segments):
                  % lo)
             grow(1, lo, "SUM_UPDATED")
             return source()
-        # min, max: a witness of the candidate's type compares as it is;
-        # otherwise w is its value, and numbers come before atoms
-        op = "<" if mode == "min" else ">"
+        # min, max: w is the witness's value; one of the candidate's type
+        # compares as it is, any other through beats
         emit(1, "if s != t%d:" % lo)
-        emit(2, "if type(s) is type(v%d):" % lo)
-        emit(3, "better = v%d %s s" % (lo, op))
+        emit(2, "w = s[1] if type(s) is tuple and s[0] == FLT else s")
+        emit(2, "if type(w) is type(v%d):" % lo)
+        emit(3, "better = v%d %s w" % (lo, "<" if mode == "min" else ">"))
         emit(2, "else:")
-        emit(3, "w = s")
-        emit(3, "if type(s) is tuple:")
-        emit(4, "if s[0] != FLT:")  # a compound witness
-        emit(5, general)
-        emit(4, "w = s[1]")
-        emit(3, "if (type(v%d) is str) is (type(w) is str):" % lo)
-        emit(4, "better = v%d %s w" % (lo, op))
-        emit(3, "else:")
-        emit(4, "better = type(%s) is str" % ("w" if mode == "min" else
-                                              "v%d" % lo))
+        emit(3, "better = beats((t%d,), (s,), %d)"
+             % (lo, -1 if mode == "min" else 1))
         emit(2, "if better:")
         grow(3, lo, "REPLACED")
         reject(2)
@@ -1406,24 +1400,6 @@ def _general(engine, frame, vals):
     st.insertions += 1
     st.invalidations += o.invalidated
     _announce(engine, frame, o.kind, o.leaf, o.invalidated, o.total)
-
-
-def _drop(frame, node):
-    """Pop every branch below node and tag its leaves invalid, as
-    tries.invalidate_branch does for one, without walking again from
-    the root; returns how many were tagged."""
-    dropped = 0
-    stack = list(node.values())
-    node.clear()
-    while stack:
-        x = stack.pop()
-        if type(x) is AnswerLeaf:
-            x.valid = False
-            dropped += 1
-        else:
-            stack.extend(x.values())
-    frame.n_invalidated += dropped
-    return dropped
 
 
 def _announce(engine, frame, kind, leaf, dropped, total):

@@ -20,7 +20,6 @@ __all__ = [
     "fact_key",
     "parse_program",
     "parse_query",
-    "program_to_text",
     "validate",
     "goal_to_str",
     "decompose_goal",
@@ -454,20 +453,6 @@ def clause_to_text(clause):
     if not clause.body:
         return "%s." % head
     return "%s :- %s." % (head, ", ".join(goal_to_str(g) for g in clause.body))
-
-
-def program_to_text(program):
-    lines = []
-    for d in program.declarations:
-        if d.modes is None:
-            lines.append(":- table %s/%d." % (d.name, d.arity))
-        else:
-            lines.append(":- table %s(%s)." % (d.name, ",".join(d.modes)))
-    for (name, arity), strat in program.strategy_overrides.items():
-        lines.append(":- table_strategy %s/%d, %s." % (name, arity, strat))
-    for c in program.clauses:
-        lines.append(clause_to_text(c))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

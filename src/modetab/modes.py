@@ -7,27 +7,22 @@ stored in that order, which keeps every aggregation decision local to a
 subtree of the answer trie: replacing a beaten value only ever touches
 nodes at or below the point where the comparison happened.
 
-insert_answer flattens a candidate into tokens and walks the answer trie
-segment by segment, reading each stored min/max witness in full before
-comparing. All reads needed for a rejection happen before any mutation,
-so a rejected candidate leaves the table untouched. It is the general
-path: the engine's generated puts store an answer made of atoms and
-numbers with the same segments themselves, and hand it every other
-answer (compounds, variables, or one that meets a compound min/max
-witness) before changing anything.
+An answer is stored one trie key per term (answer_keys). insert_answer
+walks the keys segment by segment and reads a stored min/max witness in
+full before comparing it with beats. All reads needed for a rejection
+happen before any mutation, so a rejected candidate leaves the table
+untouched. It is the general path: the engine's generated puts store an
+answer made of atoms and numbers with the same keys themselves, sharing
+beats and tries.drop_below, and hand every other answer (compounds,
+variables, or a min, max or sum over more than one term) to
+insert_answer before changing anything.
 """
 
 import functools
 
 from .errors import EvaluationError, ModeError, ModetabError
-from .terms import (
-    FLT,
-    FUN,
-    compare_token_seqs,
-    flatten_into,
-    is_var_token,
-)
-from .tries import AnswerLeaf, grow_answer, invalidate_branch
+from .terms import FLT, Struct, compare_token_seqs, flatten_into, is_var_token
+from .tries import AnswerLeaf, drop_below, grow_answer
 
 MODES = ("index", "first", "last", "min", "max", "sum", "all")
 
@@ -51,6 +46,8 @@ __all__ = [
     "compile_declaration",
     "traditional_modes",
     "build_segments",
+    "answer_keys",
+    "beats",
     "insert_answer",
 ]
 
@@ -126,40 +123,65 @@ def build_segments(subst_modes):
     return tuple(segments)
 
 
-def _numeric(frame, tok, pos):
-    if type(tok) is int:
-        return tok
-    if type(tok) is tuple and tok[0] == FLT:
-        return tok[1]
-    raise EvaluationError(
-        "%s: argument %d under sum needs a number" % (frame.name(), pos)
-    )
+def _tokens(keys):
+    """The preorder tokens of the terms that keys hold, in order."""
+    out = []
+    for key in keys:
+        if type(key) is tuple and type(key[0]) is tuple:  # a compound
+            out += key
+        else:
+            out.append(key)
+    return out
 
 
-def _sum_value(frame, steps, tokens, open_terms):
-    """Validate the aggregating arguments; returns the sum contribution.
+def answer_keys(frame, segments, subst_terms):
+    """An answer's trie keys, one per ordinal, and its sum contribution.
 
-    This runs before the walk: a divergence in an earlier segment grows
-    the rest of the path without revisiting the deeper segments, so
-    their checks cannot wait until the walk reaches them.
+    An atom or an integer is its own key, a float v is (FLT, v), a
+    variable its var token and a compound the tuple of its preorder
+    tokens, with variables numbered at first occurrence across the
+    answer. A variable marks the table's entry open. The aggregating
+    arguments are checked before the walk: a divergence in an earlier
+    segment grows the rest of the path without visiting the deeper
+    segments.
     """
+    varmap = {}
+    keys = []
+    for t in subst_terms:
+        if type(t) is Struct:
+            tokens = []
+            flatten_into(t, varmap, tokens)
+            keys.append(tuple(tokens))
+        else:
+            flatten_into(t, varmap, keys)
+    if varmap:
+        frame.entry.open = True
     value = None
-    for mode, t0, t1, lo, hi, pos in steps:
+    for mode, lo, hi, pos in segments:
         if mode == "index" or mode == "all":
             continue
-        if open_terms and any(map(is_var_token, tokens[t0:t1])):
-            raise EvaluationError(
-                "%s: argument %d under %s needs a ground value"
-                % (frame.name(), pos, mode)
-            )
-        if mode == "sum":
-            if hi - lo != 1 or t1 - t0 != 1:
-                raise EvaluationError(
-                    "%s: argument %d under sum must be a single number"
-                    % (frame.name(), pos)
-                )
-            value = _numeric(frame, tokens[t0], pos)
-    return value
+        tokens = _tokens(keys[lo:hi])
+        if varmap and any(map(is_var_token, tokens)):
+            problem = "under %s needs a ground value" % mode
+        elif mode != "sum":
+            continue
+        elif len(tokens) != 1 or hi - lo != 1:
+            problem = "under sum must be a single number"
+        elif type(subst_terms[lo]) is int or type(subst_terms[lo]) is float:
+            value = subst_terms[lo]
+            continue
+        else:
+            problem = "under sum needs a number"
+        raise EvaluationError(
+            "%s: argument %d %s" % (frame.name(), pos, problem))
+    return keys, value
+
+
+def beats(cand, stored, sign):
+    """True when the ground keys cand order before (sign -1) or after
+    (sign 1) the stored keys. An integer and a float of one value tie,
+    so neither beats the other."""
+    return compare_token_seqs(_tokens(cand), _tokens(stored)) == sign
 
 
 def insert_answer(frame, subst_terms):
@@ -167,8 +189,8 @@ def insert_answer(frame, subst_terms):
 
     subst_terms holds the binding of each free call variable, listed in
     the order the variables appeared in the reordered call. The answer
-    is flattened into tokens, and the walk plan of the frame's shape is
-    moved to their offsets.
+    is walked one trie key per term, segment by segment of the frame's
+    plan.
     """
     root = frame.root
     if root is None:
@@ -180,76 +202,49 @@ def insert_answer(frame, subst_terms):
             return _REJECT
         return InsertOutcome(NEW, grow_answer(frame, None, (), 0, ()))
 
-    varmap = {}
-    tokens = []
-    offsets = [0]
-    for t in subst_terms:
-        flatten_into(t, varmap, tokens)
-        offsets.append(len(tokens))
-    if varmap:
-        frame.entry.open = True
-    # walk steps (mode, first_token, end_token, lo, hi, pos)
-    steps = [(mode, offsets[lo], offsets[hi], lo, hi, pos)
-             for mode, lo, hi, pos in segments]
-    sum_value = _sum_value(frame, steps, tokens, varmap)
+    keys, total = answer_keys(frame, segments, subst_terms)
     terms = tuple(subst_terms)
-
     node = root
-    for mode, t0, t1, lo, hi, pos in steps:
+    for mode, lo, hi, _pos in segments:
         if mode == "index" or mode == "all":  # follow the path, grow where it ends
-            while t0 < t1:
-                child = node.get(tokens[t0])
+            for o in range(lo, hi):
+                child = node.get(keys[o])
                 if child is None:
                     kind = ADDED if mode == "all" and node else NEW
-                    leaf = grow_answer(frame, node, tokens, t0, terms)
-                    return InsertOutcome(kind, leaf, 0, sum_value)
+                    leaf = grow_answer(frame, node, keys, o, terms)
+                    return InsertOutcome(kind, leaf, 0, total)
                 node = child
-                t0 += 1
             continue
 
         if not node:
-            leaf = grow_answer(frame, node, tokens, t0, terms)
-            return InsertOutcome(NEW, leaf, 0, sum_value)
+            leaf = grow_answer(frame, node, keys, lo, terms)
+            return InsertOutcome(NEW, leaf, 0, total)
 
         kind = REPLACED  # min, max and last; sum updates its total
         if mode == "min" or mode == "max":
-            # Read the one live witness: walk its branch until as many
-            # complete terms as this segment holds are spelled out.
-            stok = next(iter(node))
-            snode = node[stok]
-            stored = [stok]
-            pending = hi - lo - 1
-            if type(stok) is tuple and stok[0] == FUN:
-                pending += stok[2]
-            while pending:
-                tok = next(iter(snode))
-                snode = snode[tok]
-                stored.append(tok)
-                pending -= 1
-                if type(tok) is tuple and tok[0] == FUN:
-                    pending += tok[2]
-            cand = tokens[t0:t1]
-            if cand == stored:
-                node = snode
+            # Read the one live witness, one key per ordinal.
+            stored, witness = [], node
+            while len(stored) < hi - lo:
+                stored.append(next(iter(witness)))
+                witness = witness[stored[-1]]
+            if stored == keys[lo:hi]:
+                node = witness
                 continue
-            if compare_token_seqs(cand, stored) != (-1 if mode == "min" else 1):
+            if not beats(keys[lo:hi], stored, -1 if mode == "min" else 1):
                 # Worse, or numerically tied with a differently typed
                 # value: the stored witness stays.
                 return _REJECT
         elif mode == "first":  # keep whatever arrived first
             return _REJECT
         elif mode == "sum":
-            total = _numeric(frame, next(iter(node)), pos) + sum_value
-            tok = (FLT, total) if type(total) is float else total
-            tokens = [*tokens[:t0], tok, *tokens[t1:]]
+            s = next(iter(node))
+            total += s if type(s) is int else s[1]
+            keys[lo] = (FLT, total) if type(total) is float else total
             kind = SUM_UPDATED
-            terms = (*subst_terms[:lo], total, *subst_terms[hi:])
-            sum_value = total
-        dropped = 0
-        for key in list(node):
-            dropped += invalidate_branch(frame, tokens, t0, key)
-        leaf = grow_answer(frame, node, tokens, t0, terms)
-        return InsertOutcome(kind, leaf, dropped, sum_value)
+            terms = (*terms[:lo], total, *terms[hi:])
+        dropped = drop_below(frame, node)
+        leaf = grow_answer(frame, node, keys, lo, terms)
+        return InsertOutcome(kind, leaf, dropped, total)
 
     # Every segment matched an existing path: exact duplicate.
     assert type(node) is AnswerLeaf

@@ -30,7 +30,6 @@ __all__ = [
     "flatten_into",
     "variant",
     "compare_token_seqs",
-    "compare_ground",
     "term_to_str",
     "deref",
     "resolve",
@@ -187,19 +186,6 @@ def compare_token_seqs(a, b):
     if len(a) != len(b):  # complete terms are prefix-free; guard anyway
         return -1 if len(a) < len(b) else 1
     return 0
-
-
-def compare_ground(a, b):
-    """Total order on ground terms; raises EvaluationError on open terms."""
-    sa = tokenize([a])
-    sb = tokenize([b])
-    for tok in sa:
-        if is_var_token(tok):
-            raise EvaluationError("compare_ground: left term is not ground")
-    for tok in sb:
-        if is_var_token(tok):
-            raise EvaluationError("compare_ground: right term is not ground")
-    return compare_token_seqs(sa, sb)
 
 
 # ---------------------------------------------------------------------------

@@ -9,22 +9,24 @@ do, makes a frame without tokenizing anything. Frames with the same
 variable count per argument share the entry's one substitution array for
 that shape, and so modes.build_segments's one cached plan tuple. Every
 frame owns an answer trie holding only the substitution terms of the
-call's free variables. A trie node is a plain dict from token to child,
-with no pointer back to its parent: an answer path ends in the answer's
-record, an AnswerLeaf created together with the path and holding the
-answer's terms, so readers never rebuild an answer from the trie.
-grow_answer makes both for modes.insert_answer, the general insertion
-path; the engine's generated puts grow the answers of atoms and numbers
-the same way inline. Records are chained in insertion order so readers can pick up new
-answers by following a single pointer. The "yes" answer of a fully
-bound call has no tokens; its record is chained under no node.
+call's free variables, one level per term: a node is a plain dict from
+a term's key, as modes.answer_keys makes it, to its child, with no
+pointer back to its parent. An answer path ends in the answer's record,
+an AnswerLeaf created together with the path and holding the answer's
+terms, so readers never rebuild an answer from the trie. grow_answer
+makes both for modes.insert_answer, the general insertion path; the
+engine's generated puts grow the answers of atoms and numbers the same
+way inline. Records are chained in insertion order so readers can pick
+up new answers by following a single pointer. The "yes" answer of a
+fully bound call has no keys; its record is chained under no node.
 
-Superseding an answer pops its branch from the trie (making it
-invisible to fresh lookups) and tags its leaves invalid, but the leaves
-stay on the chain so a reader parked on a dead leaf can keep walking.
-Dead leaves are only dropped when the table completes. Completion also
-drops the answer trie itself: from then on readers follow the chain
-only, and nothing inserts or invalidates.
+Superseding an answer pops every branch below the node where the
+decision fell (drop_below, for insert_answer and the puts alike),
+making them invisible to fresh lookups, and tags their leaves invalid,
+but the leaves stay on the chain so a reader parked on a dead leaf can
+keep walking. Dead leaves are only dropped when the table completes.
+Completion also drops the answer trie itself: from then on readers
+follow the chain only, and nothing inserts or invalidates.
 
 A frame's generator slot is the engine's: it holds whatever the engine
 keeps while the table is incomplete, and completion clears it.
@@ -41,7 +43,7 @@ __all__ = [
     "variant_key",
     "subgoal_lookup_insert",
     "grow_answer",
-    "invalidate_branch",
+    "drop_below",
     "complete_table",
     "iterate_answers",
 ]
@@ -158,21 +160,21 @@ def subgoal_lookup_insert(entry, key, counts):
     return frame, True
 
 
-def grow_answer(frame, node, tokens, start, terms):
-    """Create the path tokens[start:] below node and chain its record.
+def grow_answer(frame, node, keys, start, terms):
+    """Create the path keys[start:] below node and chain its record.
 
-    The path's last token maps to the new answer's record, holding
-    terms. An answer without tokens gets a record under no node. This
+    The path's last key maps to the new answer's record, holding
+    terms. An answer without keys gets a record under no node. This
     is modes.insert_answer's; the engine's puts grow inline.
     """
     frame.n_inserted += 1
     leaf = AnswerLeaf(frame.n_inserted, terms)
-    if tokens:
-        last = len(tokens) - 1
+    if keys:
+        last = len(keys) - 1
         for i in range(start, last):
-            child = node[tokens[i]] = {}
+            child = node[keys[i]] = {}
             node = child
-        node[tokens[last]] = leaf
+        node[keys[last]] = leaf
     if frame.last_answer is None:
         frame.first_answer = leaf
     else:
@@ -181,37 +183,25 @@ def grow_answer(frame, node, tokens, start, terms):
     return leaf
 
 
-def invalidate_branch(frame, tokens, depth, token):
-    """Pop one answer branch and tag its leaves invalid.
+def drop_below(frame, node):
+    """Pop every branch below node and tag its leaves invalid.
 
-    The branch is the child under token of the node that tokens[:depth]
-    leads to from the frame's root. Once popped, root-down lookups no
-    longer see it; its leaves keep their chain links so lagging readers
-    can still walk past them. Returns the number of leaves tagged.
+    Once popped, root-down lookups no longer see them; their leaves keep
+    their chain links so lagging readers can still walk past them.
+    Returns the number of leaves tagged.
     """
-    if frame.complete:
-        raise ModetabError("cannot invalidate answers of a completed table")
-    # The path must be live in this frame's trie: a branch already
-    # popped, or one of another frame, is refused.
-    node = frame.root
-    for i in range(depth):
-        node = node.get(tokens[i])
-        if type(node) is not dict:
-            raise ModetabError("path is not a live branch of this answer trie")
-    branch = node.pop(token, None)
-    if branch is None:
-        raise ModetabError("path is not a live branch of this answer trie")
-    tagged = 0
-    stack = [branch]
+    dropped = 0
+    stack = list(node.values())
+    node.clear()
     while stack:
-        n = stack.pop()
-        if type(n) is AnswerLeaf:
-            n.valid = False
-            tagged += 1
+        x = stack.pop()
+        if type(x) is AnswerLeaf:
+            x.valid = False
+            dropped += 1
         else:
-            stack.extend(n.values())
-    frame.n_invalidated += tagged
-    return tagged
+            stack.extend(x.values())
+    frame.n_invalidated += dropped
+    return dropped
 
 
 def complete_table(frame):

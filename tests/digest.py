@@ -14,6 +14,10 @@ The sweeps:
 - randfloat: the same programs with each e(U,V,W). weight written as
   W.5, so the min, max and all tables get float costs, which the
   generated puts walk as (FLT, v) tokens and compare by value;
+- randcompound: the same programs, but those of seed % 7 == 5, whose
+  rules do arithmetic on nodes, with each node U written n(U) in the
+  e(U,V,W). and s(S). facts, so the tables hold compound answers,
+  which the generated puts hand to modes.insert_answer;
 - events: the trace event stream (calls, inserts with their outcome,
   invalidation count, seq and total, deliveries, completions) of the
   eight families at the acceptance-07 sizes, seeds 1-3, under both
@@ -85,17 +89,23 @@ def families(seeds=range(1, 11), run=record):
     return digest.hexdigest()
 
 
-def randprogs(edit=None):
+def randprogs(edit=None, name="randprog", seeds=range(400)):
     digest = hashlib.sha256()
-    for seed in range(400):
+    for seed in seeds:
         text, query, _ = generate(seed)
         if edit is not None:
             text = edit(text)
         program = parse_program(text)
         for strategy in STRATEGIES:
-            digest.update(("randprog/%d " % seed).encode())
+            digest.update(("%s/%d " % (name, seed)).encode())
             digest.update(record(program, query, strategy).encode())
     return digest.hexdigest()
+
+
+def compound_nodes(text):
+    """Write each node U of the e(U,V,W). and s(S). facts as n(U)."""
+    text = re.sub(r"^e\((\d+),(\d+),", r"e(n(\1),n(\2),", text, flags=re.M)
+    return re.sub(r"^s\((\d+)\)\.$", r"s(n(\1)).", text, flags=re.M)
 
 
 if __name__ == "__main__":
@@ -103,4 +113,7 @@ if __name__ == "__main__":
     print("randprog %s" % randprogs())
     print("randfloat %s" % randprogs(lambda text: re.sub(
         r"^(e\(\d+,\d+,\d+)\)\.$", r"\1.5).", text, flags=re.M)))
+    print("randcompound %s" % randprogs(
+        compound_nodes, "randcompound",
+        [seed for seed in range(400) if seed % 7 != 5]))
     print("events %s" % families(range(1, 4), events))

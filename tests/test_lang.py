@@ -8,16 +8,32 @@ from modetab.lang import (
     Clause,
     Declaration,
     Program,
+    clause_to_text,
     decompose_goal,
     eval_arith,
     eval_builtin,
     is_builtin,
     parse_program,
     parse_query,
-    program_to_text,
     validate,
 )
 from modetab.terms import Struct, Var, deref, variant
+
+
+def program_to_text(program):
+    """A parsed program printed back as source, for round trips."""
+    lines = []
+    for d in program.declarations:
+        if d.modes is None:
+            lines.append(":- table %s/%d." % (d.name, d.arity))
+        else:
+            lines.append(":- table %s(%s)." % (d.name, ",".join(d.modes)))
+    for (name, arity), strat in program.strategy_overrides.items():
+        lines.append(":- table_strategy %s/%d, %s." % (name, arity, strat))
+    for c in program.clauses:
+        lines.append(clause_to_text(c))
+    return "\n".join(lines) + "\n"
+
 
 REACH = """
 :- table path/2.

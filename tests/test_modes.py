@@ -20,7 +20,7 @@ from modetab.terms import Struct, Var
 from modetab.tries import (TableSpace, complete_table, iterate_answers,
                            subgoal_lookup_insert, variant_key)
 
-from oracles import flat_aggregate
+from oracles import TableModel, flat_aggregate
 
 GROUP = {"index": 0, "min": 1, "max": 1, "all": 2, "sum": 3, "last": 3, "first": 4}
 
@@ -377,3 +377,87 @@ def test_insertion_stream_matches_flat_reference(modes, rows):
     for row in rows:
         insert_answer(frame, row)
     assert set(valid_terms(frame)) == flat_aggregate(modes, rows)
+
+
+# ---------------------------------------------------------------------------
+# Every candidate against the naive table model
+
+# a call column is one free variable, an atom, or a compound holding two
+# free variables, whose min, max or sum spans two ordinals
+COLUMN = st.sampled_from(["free", "free", "free", "bound", "pair"])
+# a small pool, so that equal, better and worse candidates meet, with
+# floats that tie with integers; "X" and "Y" stand for two variables of
+# the candidate, so that one may occur twice
+OWN = st.sampled_from([1, "a", 2, 0, "b", 3, -1])
+FLOAT = st.sampled_from([1.0, 2.0, -1.0, 0.5, 2.5])
+COMPOUND = st.sampled_from([("f", "a"), ("f", 2), ("f", 2.0), ("g", 1, "a"),
+                            ("f", ("f", 1)), ("f", "X"), ("g", "X", "Y")])
+VALUE = st.one_of(OWN, OWN, OWN, OWN, FLOAT, FLOAT, COMPOUND, COMPOUND,
+                  st.sampled_from(["X", "Y"]))
+
+
+def term(v, names):
+    if v in ("X", "Y"):
+        return names[v]
+    if type(v) is tuple:
+        return Struct(v[0], [term(a, names) for a in v[1:]])
+    return v
+
+
+def exact(t):
+    """t with 1 and 1.0 apart and each variable by identity."""
+    if type(t) is Var:
+        return ("var", id(t))
+    if type(t) is Struct:
+        return (t.name, tuple(map(exact, t.args)))
+    return (type(t).__name__, t)
+
+
+def shown(chain):
+    return [(seq, tuple(map(exact, terms)), valid)
+            for seq, terms, valid in chain]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(MODES), min_size=1, max_size=4)
+       .filter(lambda ms: sum(m in ("sum", "last") for m in ms) <= 1),
+       st.data())
+def test_insert_answer_matches_the_table_model(modes, data):
+    columns = data.draw(st.lists(COLUMN, min_size=len(modes),
+                                 max_size=len(modes)))
+    call = [Var() if c == "free" else "k" if c == "bound"
+            else Struct("g", (Var(), Var())) for c in columns]
+    frame, _ = make_frame(modes, call)
+    model = TableModel(frame.name(), frame.subst_modes)
+    n = sum(count for _mode, count, _pos in frame.subst_modes)
+    rows = data.draw(st.lists(st.lists(VALUE, min_size=n, max_size=n),
+                              min_size=1, max_size=24))
+    complete_at = data.draw(st.one_of(st.none(), st.integers(1, 24)))
+    for k, row in enumerate(rows):
+        if k == complete_at:
+            complete_table(frame)
+            model.finish()
+        names = {"X": Var("X"), "Y": Var("Y")}
+        terms = tuple(term(v, names) for v in row)
+        try:
+            o = insert_answer(frame, terms)
+            got = (o.kind, o.invalidated, o.total,
+                   o.leaf.seq if o.leaf is not None else None)
+        except ModetabError as exc:
+            got = exc
+        try:
+            expected = model.insert(terms)
+        except ModetabError as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+        else:
+            assert got == expected
+            assert type(got[2]) is type(expected[2])
+        chain = []
+        leaf = frame.first_answer
+        while leaf is not None:
+            chain.append((leaf.seq, leaf.terms, leaf.valid))
+            leaf = leaf.next
+        assert shown(chain) == shown(model.chain())
+        assert (frame.n_inserted, frame.n_invalidated, frame.n_purged) == (
+            model.n_inserted, model.n_invalidated, model.n_purged)
+        assert frame.entry.open == model.open

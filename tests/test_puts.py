@@ -2,12 +2,16 @@
 
 A put reads a sink's outputs and stores the answer: answers of atoms and
 numbers through its own inline walk of the answer trie, floats as their
-(FLT, v) tokens, every other one through insert_answer. Each property
+(FLT, v) keys, every other one through insert_answer. Each property
 feeds the same candidates to a put on one frame and, as the engine did
 before puts, to insert_answer on a twin frame, and requires the same
 tables, counters, outcomes and errors. Integers and floats of equal
 value meet often, so the put's min/max tie rule and its float sum
-totals are checked against compare_token_seqs and insert_answer's.
+totals are checked against insert_answer's. The two share the witness
+compare of another type (modes.beats) and the branch drop
+(tries.drop_below), so the twin cannot judge those on its own:
+test_modes.py checks insert_answer against the table model in
+oracles.py.
 """
 
 import pytest
@@ -74,7 +78,7 @@ def reference(engine, frame, vals):
 
 
 # a column is one free variable, bound to an atom, or a compound holding
-# two free variables, whose min, max or sum spans two tokens
+# two free variables, whose min, max or sum spans two ordinals
 COLUMN = st.sampled_from(["free", "free", "free", "bound", "pair"])
 # mostly atoms and numbers, which a put walks inline, from a small pool
 # so that equal, better and worse candidates meet, and floats that tie

@@ -16,8 +16,8 @@ from modetab.terms import Struct, Var, tokenize, var_token, variant
 from modetab.tries import (
     TableSpace,
     complete_table,
+    drop_below,
     grow_answer,
-    invalidate_branch,
     iterate_answers,
     subgoal_lookup_insert,
     variant_key,
@@ -50,7 +50,8 @@ def count_nodes(root):
 
 
 def add(frame, *terms):
-    """Store an answer as insert_answer does; returns its record."""
+    """Store an answer one trie level per token, growing its path with
+    grow_answer; returns its record."""
     tokens = tokenize(list(terms))
     node = frame.root
     for i, tok in enumerate(tokens):
@@ -72,9 +73,13 @@ def lookup(frame, *terms):
 
 
 def kill(frame, leaf):
-    """Invalidate a record's branch by its token path, as insert_answer does."""
+    """Invalidate one record: pop the last edge of its token path and
+    drop what it held with drop_below; returns how many were tagged."""
     tokens = tokenize(list(leaf.terms))
-    return invalidate_branch(frame, tokens, len(tokens) - 1, tokens[-1])
+    node = frame.root
+    for tok in tokens[:-1]:
+        node = node[tok]
+    return drop_below(frame, {tokens[-1]: node.pop(tokens[-1])})
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +241,7 @@ def test_appending_after_invalidating_the_head():
 def test_invalidate_detaches_branch_but_keeps_chain():
     frame = fresh_frame(2)
     worse = add(frame, 5, Struct("f", ["a"]))
-    assert invalidate_branch(frame, [5], 0, 5) == 1
+    assert drop_below(frame, frame.root) == 1
     better = add(frame, 3, "b")
     assert not worse.valid and better.valid
     assert lookup(frame, 5, Struct("f", ["a"])) is None
@@ -263,20 +268,22 @@ def test_invalidate_keeps_shared_prefix_for_the_survivor():
     assert lookup(frame, 1, "b") is None
 
 
-def test_invalidate_foreign_node_is_an_error():
-    frame = fresh_frame(1)
-    other = fresh_frame(1)
-    leaf = add(other, "a")
-    with pytest.raises(ModetabError):
-        kill(frame, leaf)
-
-
-def test_invalidate_after_completion_is_an_error():
-    frame = fresh_frame(1)
-    leaf = add(frame, "a")
-    complete_table(frame)
-    with pytest.raises(ModetabError):
-        kill(frame, leaf)
+def test_drop_below_tags_every_leaf_under_its_node():
+    frame = fresh_frame(2)
+    first = add(frame, 5, Struct("f", ["a"]))
+    survivor = add(frame, 4, "c")
+    second = add(frame, 5, "b")
+    node = frame.root[5]
+    assert drop_below(frame, node) == 2
+    # the node stays, empty, for the replacement to grow into
+    assert frame.root[5] is node and node == {}
+    assert not first.valid and not second.valid and survivor.valid
+    assert frame.n_invalidated == 2
+    assert lookup(frame, 5, "b") is None and lookup(frame, 4, "c") is survivor
+    better = add(frame, 5, "a")
+    assert frame.root[5] == {"a": better}
+    assert [l.seq for l in (first, survivor, second, better)] == [1, 2, 3, 4]
+    assert first.next is survivor and second.next is better
 
 
 def test_stats_counters_track_inserts_and_invalidations():
