@@ -13,15 +13,16 @@ the run to the closures that unify. Other goals are closures; a builtin
 whose operands are not such arithmetic runs through lang.eval_builtin.
 An activation is a list of slot values, None while unbound; a clause
 try renames its clause apart by making a fresh one. A tabled
-generator tries its clauses through one generated function per call
-shape (the predicate, the call's link and its substitution array): per
-clause it counts the derivation, matches the unlinked head arguments
-against the call's atoms and integers inline and stores first
+generator tries its clauses through generated functions, one per
+_TRIES clauses, for each call shape (the predicate, the call's link and
+its substitution array): per clause it counts the derivation, matches
+the head against the call's unlinked arguments, storing first
 occurrences into a fresh activation, then runs the body into a sink
-whose outputs were fixed with the shape. A call with another unlinked
-argument, a predicate whose heads hold a compound with variables, and
-one of more than _TRIES clauses copy each clause through _clause_copy
-instead, as untabled rules do.
+whose outputs were fixed with the shape. Where every call variable is
+linked, the unlinked arguments are ground, and a head that holds no
+compound with variables is matched inline and binds nothing; any other
+head meets the call through _unify, argument by argument, and its
+bindings are undone before the next clause.
 A variable that must outlive its activation unbound (inside a
 compound, or passed to a non-tabled rule or to a tabled call on the
 general path) gets a Var, bound in a per-walk dict with a trail.
@@ -486,24 +487,16 @@ class Engine:
             while len(trail) > m:
                 del self.bind[trail.pop()]
 
-    def _clause_copy(self, clause, args, link=None, outs=None):
+    def _clause_copy(self, clause, args):
         """Rename a compiled clause apart: a fresh activation whose head
-        meets the call's arguments, or None when the head does not match.
-
-        A call argument linked to an answer ordinal (link) is not
-        unified; the head argument goes to outs at that ordinal instead,
-        to be read when the body has run.
-        """
+        meets the call's arguments, or None when the head does not match."""
         st = self.stats
         st.derivations += 1
         if st.derivations > self.limit:
             _over(self.limit)
         env = [None] * clause[0]
-        for k, s in enumerate(clause[1]):
-            o = link[k] if link is not None else None
-            if o is not None and type(s) is not _Tmpl:
-                outs[o] = s
-            elif not self._unify(s, args[k], env, []):
+        for s, a in zip(clause[1], args):
+            if not self._unify(s, a, env, []):
                 return None
         return env
 
@@ -708,51 +701,27 @@ class Engine:
 
     def _run_generator(self, frame):
         gen = frame.generator
-        entry = frame.entry
         self.bind = {}
         self.trail = []
-        puts, tries = self._shape(entry, gen.link, frame.subst_modes)
-        if tries is not None and tries(self, frame, gen.args):
-            return
-        for clause, put in zip(self._clauses(entry.name, entry.arity), puts):
-            outs = list(gen.subst)
-            env = self._clause_copy(clause, gen.args, gen.link, outs)
-            if env is not None:
-                clause[2](env, _Sink(self, frame, tuple(outs), put))
-            self.bind.clear()
-            self.trail.clear()
+        for tries in self._shape(frame.entry, gen.link, frame.subst_modes):
+            tries(self, frame, gen.args, gen.subst)
 
     def _shape(self, entry, link, subst_modes):
-        """The puts and the tries of entry's predicate for the frames of
-        one shape: the generator call's link and substitution array.
-
-        A clause's head argument that a link names is read by its put
-        from its slot; every other output from the sink's outs. The
-        tries are None for a predicate of more than _TRIES clauses or
-        whose heads hold a compound with variables, and where a call
-        variable is not linked (such a call has an unlinked argument that
-        is no atom or integer).
-        """
+        """The tries of entry's predicate for the frames of one shape,
+        the generator call's link and substitution array: one function
+        per _TRIES clauses, run in turn."""
         key = (entry, link, subst_modes)
         found = self._shapes.get(key)
         if found is None:
             clauses = self._clauses(entry.name, entry.arity)
-            n = sum(count for _, count, _ in subst_modes)
-            puts = []
-            for clause in clauses:
-                shape = [-1] * n
-                for s, o in zip(clause[1], link):
-                    if o is not None and type(s) is _Slot:
-                        shape[o] = s.i
-                puts.append(_put(tuple(shape), subst_modes))
-            tries = None
-            if (len(clauses) <= _TRIES and len(link) - link.count(None) == n
-                    and _Tmpl not in {type(s) for c in clauses for s in c[1]}):
-                source, data = _tries_source(clauses, link, puts)
+            found = []
+            for i in range(0, len(clauses), _TRIES):
+                source, data = _tries_source(clauses[i:i + _TRIES], link,
+                                             subst_modes)
                 scope = {}
                 exec(_code(source), globals(), scope)
-                tries = scope["make"](data)
-            found = self._shapes[key] = (tuple(puts), tries)
+                found.append(scope["make"](data))
+            found = self._shapes[key] = tuple(found)
         return found
 
     def _walk_consumer(self, consumer):
@@ -975,10 +944,11 @@ _ARITH = {"+": "%s + %s", "-": "%s - %s", "*": "%s * %s", "/": "%s / %s",
           "min": "min(%s, %s)", "max": "max(%s, %s)"}
 _COMPARE = {"=:=": "==", "=\\=": "!=", "=<": "<=", ">=": ">=", "<": "<",
             ">": ">"}
-# whether row value f matches term v: one type and equal, or unifiable
-_MATCH = ("{f} is {v} or (type({f}) is type({v}) and {f} == {v})"
-          " or (type({v}) is Struct and unify({v}, {f}, bind, trail))")
-# the same for an atom or an integer f, which unifies only with its equal
+# whether value f matches term v: a compound unifies, as strict about
+# types inside it as at the top, and anything else has v's type and value
+_MATCH = ("({f} is {v} or (unify({v}, {f}, bind, trail) if type({v}) is Struct"
+          " else type({f}) is type({v}) and {f} == {v}))")
+# the same where v is an atom or a number, which unifies only with its equal
 _MATCH_ATOM = "({f} is {v} or type({f}) is type({v}) and {f} == {v})"
 
 # CPython refuses a function that nests more than 20 for, while and try
@@ -986,9 +956,9 @@ _MATCH_ATOM = "({f} is {v} or type({f}) is type({v}) and {f} == {v})"
 # the code of any goal opens at most one more block inside them.
 _RUN = 20 - 1
 
-# A predicate of more clauses keeps _run_generator's loop: each clause
-# adds about 290 characters to the source of its tries, and about 0.5 ms
-# and 30 KiB to compiling it.
+# The clauses of one tries function; a predicate of more gets one per
+# _TRIES of them. Each clause adds about 290 characters to the source,
+# and about 0.5 ms and 30 KiB to compiling it.
 _TRIES = 16
 
 
@@ -1157,22 +1127,27 @@ def _generate(ops, emits):
     return "\n".join(head + lines + ["    return step", ""]), tuple(data)
 
 
-def _tries_source(clauses, link, puts):
-    """Python source for the tries of one generator call shape, and the
-    data it reads.
+def _tries_source(clauses, link, subst_modes):
+    """Python source for the tries of some clauses under one generator
+    call shape, and the data it reads.
 
-    The source defines make(D), which returns tries(engine, frame,
-    args). That returns False, having done nothing, when an unlinked
-    argument is not an atom or an integer. Otherwise it tries each
-    clause in order, as _clause_copy and _run_generator's loop do:
-    count the derivation and check the limit, match each unlinked head
-    argument (a constant or a repeated variable by _MATCH's atomic test),
-    and run the body on a fresh activation that holds the first
-    occurrences and a sink of the clause's outs and put. No head binds
-    anything and every body step undoes its own bindings, so nothing is
-    left to clear between clauses. The source is made of slot numbers,
-    argument positions and counts; bodies, constants, outs and puts come
-    in D.
+    The source defines make(D), which returns tries(engine, frame, args,
+    subst). It tries each clause in order, as _clause_copy does: count
+    the derivation and check the limit, match each head argument that
+    no link names, or that holds a compound with variables, against the
+    call's, and run the body on a fresh activation that holds the first
+    occurrences and a sink of the clause's outs and put. An output
+    whose argument a link names is the head's term, read by the put
+    from its slot or from outs; any other is the call's variable in
+    subst, which the put resolves through the head's bindings. Where
+    every call variable is linked, the unlinked arguments are ground,
+    so a head that holds no compound with variables binds nothing: an
+    atom or a number is tested inline, a repeated variable by _MATCH, a
+    compound by unify, and every body step undoes its own bindings.
+    Any other head meets the call through Engine._unify, and the
+    bindings are cleared after the clause. The source is made of slot
+    numbers, argument positions and counts; bodies, constants, outs and
+    puts come in D.
     """
     data = []
 
@@ -1180,46 +1155,61 @@ def _tries_source(clauses, link, puts):
         data.append(v)
         return "d%d" % (len(data) - 1)
 
-    free = [k for k, o in enumerate(link) if o is None]
-    linked = [k for _, k in sorted((o, k) for k, o in enumerate(link)
-                                   if o is not None)]
-    lines = ["    def tries(engine, frame, args):"]
-    for k in free:
-        lines.append("        a%d = args[%d]" % (k, k))
-    if free:
-        lines.append("        if %s:" % " or ".join(
-            "type(a%d) is not int and type(a%d) is not str" % (k, k)
-            for k in free))
-        lines.append("            return False")
-    lines += ["        st = engine.stats", "        limit = engine.limit"]
-    for (n, head, body), put in zip(clauses, puts):
+    n = sum(count for _, count, _ in subst_modes)
+    ground = len(link) - link.count(None) == n
+    lines = ["    def tries(engine, frame, args, subst):",
+             "        st = engine.stats", "        limit = engine.limit",
+             "        bind = engine.bind", "        trail = engine.trail"]
+    if link:
+        lines.append("        %s, = args" % ", ".join(
+            "a%d" % k for k in range(len(link))))
+    for size, head, body in clauses:
         lines += ["        st.derivations += 1",
                   "        if st.derivations > limit:",
                   "            _over(limit)"]
+        plain = ground and _Tmpl not in map(type, head)  # binds nothing
         tests = []
-        env = ["None"] * n  # the fresh activation
+        env = ["None"] * size  # the fresh activation
         seen = {}
-        for k in free:
-            s = head[k]
+        shape = [-1] * n  # per ordinal, the slot the put reads
+        outs = [None] * n
+        for k, (s, o) in enumerate(zip(head, link)):
             a = "a%d" % k
-            if type(s) is not _Slot:
-                tests.append(_MATCH_ATOM.format(f=a, v=const(s)))
-            elif s.i in seen:
-                tests.append(_MATCH_ATOM.format(f=a, v=seen[s.i]))
-            else:
+            if o is not None and type(s) is not _Tmpl:
+                outs[o] = s
+                if type(s) is _Slot:
+                    shape[o] = s.i
+            elif type(s) is _Slot and (s.first or plain and s.i not in seen):
                 seen[s.i] = env[s.i] = a
+            elif not plain:
+                tests.append("engine._unify(%s, %s, env, [])" % (const(s), a))
+            elif type(s) is _Slot:
+                tests.append(_MATCH.format(f=a, v=seen[s.i]))
+            elif type(s) is Struct:
+                tests.append("unify(%s, %s, bind, trail)" % (const(s), a))
+            else:
+                tests.append(_MATCH_ATOM.format(f=a, v=const(s)))
+        if any(s is None for s in outs):
+            outs = "(%s)" % "".join("subst[%d], " % o if s is None else
+                                    "%s, " % const(s)
+                                    for o, s in enumerate(outs))
+        else:
+            outs = const(tuple(outs))  # shared by every try
+        env = "[%s]" % ", ".join(env)
+        if not plain:
+            lines.append("        env = " + env)
+            env = "env"
         pad = "        "
         if tests:
             lines.append(pad + "if %s:" % " and ".join(tests))
             pad += "    "
-        outs = tuple(head[k] for k in linked)
-        lines.append(pad + "%s([%s], _Sink(engine, frame, %s, %s))"
-                     % (const(body), ", ".join(env), const(outs), const(put)))
-    lines.append("        return True")
-    head = ["def make(D):"]
-    if data:
-        head.append("    %s, = D" % ", ".join("d%d" % k
-                                              for k in range(len(data))))
+        lines.append(pad + "%s(%s, _Sink(engine, frame, %s, %s))" % (
+            const(body), env, outs,
+            const(_put(tuple(shape), subst_modes))))
+        if not plain:
+            lines += ["        bind.clear()", "        trail.clear()"]
+    head = ["def make(D):", "    %s, = D" % ", ".join(
+        "d%d" % k for k in range(len(data)))]  # every clause has a body
     return "\n".join(head + lines + ["    return tries", ""]), tuple(data)
 
 

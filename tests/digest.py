@@ -18,6 +18,12 @@ The sweeps:
   rules do arithmetic on nodes, with each node U written n(U) in the
   e(U,V,W). and s(S). facts, so the tables hold compound answers,
   which the generated puts hand to modes.insert_answer;
+- randheads: the randcompound programs with each node variable (S, X,
+  Y, Z) of their rules written n(V) as well, so rule heads hold
+  compounds with variables and the recursive calls pass compounds that
+  hold unbound variables; each queried as written and from a bound
+  start (?- s(X), d(X, C). for ?- d(X, C).), which passes the tabled
+  goal a ground compound;
 - events: the trace event stream (calls, inserts with their outcome,
   invalidation count, seq and total, deliveries, completions) of the
   eight families at the acceptance-07 sizes, seeds 1-3, under both
@@ -89,16 +95,18 @@ def families(seeds=range(1, 11), run=record):
     return digest.hexdigest()
 
 
-def randprogs(edit=None, name="randprog", seeds=range(400)):
+def randprogs(edit=None, name="randprog", seeds=range(400),
+              queries=lambda query: (query,)):
     digest = hashlib.sha256()
     for seed in seeds:
         text, query, _ = generate(seed)
         if edit is not None:
             text = edit(text)
         program = parse_program(text)
-        for strategy in STRATEGIES:
-            digest.update(("%s/%d " % (name, seed)).encode())
-            digest.update(record(program, query, strategy).encode())
+        for query in queries(query):
+            for strategy in STRATEGIES:
+                digest.update(("%s/%d " % (name, seed)).encode())
+                digest.update(record(program, query, strategy).encode())
     return digest.hexdigest()
 
 
@@ -108,12 +116,29 @@ def compound_nodes(text):
     return re.sub(r"^s\((\d+)\)\.$", r"s(n(\1)).", text, flags=re.M)
 
 
+def node_rules(text):
+    """compound_nodes, with each node variable of the rules written n(V)."""
+    return re.sub(r"^\w+\(.*:-.*$", lambda rule: re.sub(
+        r"\b([SXYZ])\b", r"n(\1)", rule.group()), compound_nodes(text),
+        flags=re.M)
+
+
+def bound_start(query):
+    """The query as written, and from a bound start: ?- s(X), d(X, C)."""
+    return query, re.sub(r"^\?- (\w+)\((\w+)", r"?- s(\2), \1(\2", query)
+
+
+# the randprog seeds whose rules do no arithmetic on nodes
+NODE_SEEDS = [seed for seed in range(400) if seed % 7 != 5]
+
+
 if __name__ == "__main__":
     print("families %s" % families())
     print("randprog %s" % randprogs())
     print("randfloat %s" % randprogs(lambda text: re.sub(
         r"^(e\(\d+,\d+,\d+)\)\.$", r"\1.5).", text, flags=re.M)))
-    print("randcompound %s" % randprogs(
-        compound_nodes, "randcompound",
-        [seed for seed in range(400) if seed % 7 != 5]))
+    print("randcompound %s" % randprogs(compound_nodes, "randcompound",
+                                         NODE_SEEDS))
+    print("randheads %s" % randprogs(node_rules, "randheads", NODE_SEEDS,
+                                      bound_start))
     print("events %s" % families(range(1, 4), events))

@@ -1,7 +1,31 @@
-"""Generated clause tries against _run_generator's loop of clause copies:
-head constants of every kind, repeated head variables, compounds with
-variables in a head, linked constants, zero-arity tables and calls on
-the general path, under both strategies."""
+"""Generated clause tries on every call and head shape: head constants
+of every kind, repeated head variables, compounds with variables in a
+head, linked constants, zero-arity tables, calls with compound, float
+and repeated-variable arguments, and predicates whose clauses span
+several tries functions, under both strategies.
+
+Each case's answers, Stats and per-table counters must equal those in
+heads_outcomes.json. They were recorded from commit 61d9bc6, where a
+separate loop of clause copies ran every call that the tries declined
+(a float, compound or variable argument, a head that holds a compound
+with variables, a predicate of more than 16 clauses) and gave the same
+outcomes as the tries on every other call. One fix was applied first:
+a fact goal matches a compound as strictly as unify, so ?- c(f(1.0), V).
+of the clause cases finds no answer. Where a case's tables are all
+index-only, the same queries untabled, whose heads meet their calls
+through Engine._clause_copy and terms.unify, must give the same answer
+sets.
+
+    PYTHONPATH=src python tests/test_heads.py
+
+rewrites heads_outcomes.json from the engine in the tree, for a change
+that means to alter these outcomes.
+"""
+
+import json
+import os
+import re
+from collections import Counter
 
 import pytest
 
@@ -11,7 +35,11 @@ from modetab.engine import Engine
 from modetab.lang import parse_program
 from modetab.terms import term_to_str
 
+import digest
+
 BOTH = ("local", "batched")
+RECORDED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "heads_outcomes.json")
 
 # h's heads hold an atom, integers, a float, a quoted atom that reads
 # like an integer and ground compounds; calls come from the query and
@@ -85,7 +113,7 @@ w(X) :- z, e(X), z.
 """
 
 # calls with a compound, a float, a repeated variable or a Var passed
-# through an untabled rule take the general path
+# through an untabled rule
 GENERAL = """
 :- table n(index, index).
 n(f(a), 1).
@@ -96,91 +124,112 @@ e(a). e(b).
 via(X, Y) :- n(X, Y).
 """
 
-# more clauses than a predicate's tries take
+# more clauses than one tries function takes
 MANY = ":- table m(index, index).\n" + "".join(
     "m(%d, v%d).\n" % (i % 5, i) for i in range(20))
 
-CASES = [
-    # program, queries, and whether the loop of clause copies runs
-    pytest.param(CONSTANTS, ["?- h(a, V).", "?- h(1, V).", "?- h('1', V).",
-                             "?- h(2, V).", "?- h(K, V).", "?- q(K, V).",
-                             "?- q(big, V).", "?- q(one, V)."], False,
-                 id="constants"),
-    pytest.param(CONSTANTS, ["?- h(1.0, V).", "?- h(1, V)."], True,
-                 id="float-call"),
-    pytest.param(REPEATED, ["?- p(a, Y).", "?- p(Y, a).", "?- p(b, b).",
+# clause i of c has the head kind i % 6: an integer, a ground compound,
+# a float, a compound with a variable, a repeated variable, and a
+# compound with variables in each argument; d calls c from a body
+HEADS = ("c(%d, i{i}).", "c(f(%d), f{i}).", "c(%d.0, x{i}).",
+         "c(g(X, %d), X) :- e(X).", "c(X, X) :- e(X), %d >= 0.",
+         "c(h(X, Y), p(Y, %d)) :- e(X), e(Y).")
+
+
+def chunked(n):
+    """c of n clauses, and the queries that reach each head kind."""
+    text = ":- table c(index, index).\n" + "".join(
+        HEADS[i % 6].format(i=i) % (i // 6 % 3) + "\n" for i in range(n))
+    text += (":- table d/2.\nd(K, V) :- e(K), c(K, V).\n"
+             "e(a). e(1). e(1.0). e(f(1)).\n")
+    return text, ["?- c(K, V).", "?- c(1, V).", "?- c(1.0, V).",
+                  "?- c(f(1), V).", "?- c(f(1.0), V).", "?- c(g(W, 2), V).",
+                  "?- c(K, K).", "?- c(h(a, B), V).", "?- c(h(B, B), V).",
+                  "?- d(K, V)."]
+
+
+CASES = {
+    "constants": (CONSTANTS, ["?- h(a, V).", "?- h(1, V).", "?- h('1', V).",
+                              "?- h(2, V).", "?- h(K, V).", "?- q(K, V).",
+                              "?- q(big, V).", "?- q(one, V)."]),
+    "float-call": (CONSTANTS, ["?- h(1.0, V).", "?- h(1, V)."]),
+    "repeated": (REPEATED, ["?- p(a, Y).", "?- p(Y, a).", "?- p(b, b).",
                             "?- p(a, b).", "?- p(1, Y).", "?- p(X, Y).",
                             "?- r(a, Y, M).", "?- r(X, a, M).",
-                            "?- s(X, Y)."], False, id="repeated"),
-    pytest.param(TEMPLATES, ["?- t(Z, Y).", "?- t(Z, a).", "?- u(Y)."], True,
-                 id="templates"),
-    pytest.param(LINKED, ["?- lcs(3, 3, L).", "?- lcs(0, 2, L).",
-                          "?- lcs(2, 0, L)."], False, id="linked"),
-    pytest.param(ZERO, ["?- z.", "?- w(X)."], False, id="zero-arity"),
-    pytest.param(GENERAL, ["?- n(f(a), Y).", "?- n(f(Z), Y).",
-                           "?- n(1.5, Y).", "?- n(Y, Y).", "?- via(a, Y).",
-                           "?- via(f(b), Y)."], True, id="general"),
-    pytest.param(MANY, ["?- m(3, V).", "?- m(K, V)."], True, id="many"),
-]
+                            "?- s(X, Y)."]),
+    "templates": (TEMPLATES, ["?- t(Z, Y).", "?- t(Z, a).", "?- u(Y)."]),
+    "linked": (LINKED, ["?- lcs(3, 3, L).", "?- lcs(0, 2, L).",
+                        "?- lcs(2, 0, L)."]),
+    "zero-arity": (ZERO, ["?- z.", "?- w(X)."]),
+    "general": (GENERAL, ["?- n(f(a), Y).", "?- n(f(Z), Y).",
+                          "?- n(1.5, Y).", "?- n(Y, Y).", "?- via(a, Y).",
+                          "?- via(f(b), Y)."]),
+    "many": (MANY, ["?- m(3, V).", "?- m(K, V)."]),
+    "clauses-16": chunked(16),
+    "clauses-17": chunked(17),
+    "clauses-33": chunked(33),
+}
+
+FAMILIES = [("lcs", 12), ("knapsack", 10), ("matrix", 6), ("shortest", 12)]
+
+
+def family_case(family, size):
+    inst = bench.gen_instance(family, size, 3)
+    return bench.program_text(inst), [bench.query_text(inst)]
 
 
 def outcome(text, queries, strategy):
     """Answers in order, Stats and per-table counters after each query,
-    on one engine."""
+    on one engine, in the lists that JSON holds."""
     engine = Engine(parse_program(text), strategy)
     seen = []
     for query in queries:
         answers, stats = engine.solve(query)
-        seen.append(([{k: term_to_str(v) for k, v in a.items()}
-                      for a in answers], stats.as_dict()))
-    tables = [(f.name(), f.n_inserted, f.n_invalidated, f.n_purged)
+        seen.append([[{k: term_to_str(v) for k, v in a.items()}
+                      for a in answers], stats.as_dict()])
+    tables = [[f.name(), f.n_inserted, f.n_invalidated, f.n_purged]
               for e in engine.space.entries.values() for f in e.frames]
-    return seen, tables
+    return [seen, tables]
 
 
-def loop_only(monkeypatch):
-    """Route every generator through the loop of clause copies."""
-    real = Engine._shape
-    monkeypatch.setattr(Engine, "_shape", lambda self, *key: (
-        real(self, *key)[0], None))
-
-
-def counted_copies(monkeypatch):
-    copies = []
-    real = Engine._clause_copy
-
-    def counted(self, *args):
-        copies.append(1)
-        return real(self, *args)
-
-    monkeypatch.setattr(Engine, "_clause_copy", counted)
-    return copies
+def recorded():
+    with open(RECORDED) as f:
+        return json.load(f)
 
 
 @pytest.mark.parametrize("strategy", BOTH)
-@pytest.mark.parametrize("text, queries, copies", CASES)
-def test_tries_match_the_loop_of_clause_copies(text, queries, copies,
-                                               strategy, monkeypatch):
-    seen = counted_copies(monkeypatch)
-    got = outcome(text, queries, strategy)
-    assert bool(seen) == copies
-    assert all(answers for answers, _ in got[0])
-    with monkeypatch.context() as m:
-        loop_only(m)
-        assert got == outcome(text, queries, strategy)
-        assert seen  # the reference did copy clauses
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_tries_match_the_loop_of_clause_copies(case, strategy):
+    assert outcome(*CASES[case], strategy) == recorded()[
+        "%s/%s" % (case, strategy)]
 
 
 @pytest.mark.parametrize("strategy", BOTH)
-@pytest.mark.parametrize("family, size", [("lcs", 12), ("knapsack", 10),
-                                          ("matrix", 6), ("shortest", 12)])
-def test_tries_match_the_loop_on_the_families(family, size, strategy,
-                                              monkeypatch):
-    inst = bench.gen_instance(family, size, 3)
-    text, query = bench.program_text(inst), bench.query_text(inst)
-    got = outcome(text, [query], strategy)
-    loop_only(monkeypatch)
-    assert got == outcome(text, [query], strategy)
+@pytest.mark.parametrize("family, size", FAMILIES)
+def test_tries_match_the_loop_on_the_families(family, size, strategy):
+    assert outcome(*family_case(family, size), strategy) == recorded()[
+        "%s-%d/%s" % (family, size, strategy)]
+
+
+def answer_set(text, query):
+    """The printed answers, each with its variables numbered apart."""
+    answers, _ = Engine(parse_program(text)).solve(query)
+    printed = set()
+    for a in answers:
+        names = {}
+        printed.add(tuple((k, term_to_str(v, names)) for k, v in a.items()))
+    return printed
+
+
+@pytest.mark.parametrize("case", sorted(
+    case for case, (text, _) in CASES.items()
+    if all(d.modes is None or set(d.modes) == {"index"}
+           for d in parse_program(text).declarations)))
+def test_untabled_calls_give_the_same_answer_sets(case):
+    text, queries = CASES[case]
+    untabled = re.sub(r"^:- table .*\n", "", text, flags=re.M)
+    for query in queries:
+        assert answer_set(text, query) == answer_set(untabled, query), query
 
 
 @pytest.mark.parametrize("query, values", [
@@ -192,10 +241,43 @@ def test_heads_keep_one_and_one_point_zero_apart(query, values):
     assert [term_to_str(a["V"]) for a in answers] == values
 
 
+def test_the_randheads_sweep_reaches_the_unifying_tries(monkeypatch):
+    # per run of tests/digest.py's randheads sweep: whether its tries
+    # meet a call variable that no link names, and whether they match a
+    # head that holds a compound with variables
+    marks = set()
+    real = engine_mod._tries_source
+
+    def marked(clauses, link, subst_modes):
+        if len(link) - link.count(None) < sum(n for _, n, _ in subst_modes):
+            marks.add("unlinked")
+        if engine_mod._Tmpl in {type(s) for c in clauses for s in c[1]}:
+            marks.add("template")
+        return real(clauses, link, subst_modes)
+
+    monkeypatch.setattr(engine_mod, "_tries_source", marked)
+    runs = Counter()
+    record = digest.record
+
+    def counted(*args):
+        marks.clear()
+        text = record(*args)
+        runs.update(marks | {"runs"})
+        return text
+
+    monkeypatch.setattr(digest, "record", counted)
+    digest.randprogs(digest.node_rules, "randheads", digest.NODE_SEEDS,
+                     digest.bound_start)
+    assert runs["runs"] == 4 * len(digest.NODE_SEEDS)
+    assert runs["unlinked"] * 10 >= runs["runs"]
+    assert runs["template"] * 10 >= runs["runs"]
+
+
 # One tabled predicate per kind of body step that binds through
-# engine.bind and engine.trail. A general builtin is not among them: what
-# the compiler leaves to lang holds an unbound variable, an atom or a
-# compound that is not arithmetic, so that step only returns by raising.
+# engine.bind and engine.trail, and one whose head match binds. A general
+# builtin is not among them: what the compiler leaves to lang holds an
+# unbound variable, an atom or a compound that is not arithmetic, so
+# that step only returns by raising.
 STEPS = """
 e(a, 1). e(b, 2).
 g(h(a, a)). g(h(a, b)).
@@ -213,6 +295,10 @@ loop(N) :- Y = f(V), e(V, N).
 general(X) :- q(h(a, X)).
 :- table rule/1.
 rule(X) :- r(f(X)).
+:- table pair/2.
+pair(f(Y, b), N) :- e(Y, N).
+pair(f(a, Y), 0) :- e(Y, _).
+pair(f(Y, Y), 3).
 """
 
 
@@ -223,21 +309,37 @@ rule(X) :- r(f(X)).
     ("?- loop(N).", ["2", "1"], "_rows"),
     ("?- general(X).", ["b"], "_call_tabled"),
     ("?- rule(X).", ["a", "b"], "_call_rules"),
+    ("?- pair(f(X, Z), N).", ["a", "b", "1", "b", "b", "2", "a", "a", "0",
+                              "a", "b", "0", "Z", "Z", "3"], "_unify"),
 ])
 def test_tried_clauses_leave_no_binding(query, answers, method, strategy,
                                         monkeypatch):
-    # the tries clear nothing between clauses: every step undoes its own
-    tried = []
+    # after each clause, a probe clause whose head matches any call
+    # reads engine.bind and engine.trail; so does a wrapper after the
+    # generator's tries have returned. pair's last answer, Z for X, is
+    # a binding its head made.
+    states = []
+
+    def probe(env, sink):
+        states.append((dict(sink.engine.bind), list(sink.engine.trail)))
+
     real = engine_mod._tries_source
 
-    def checked(body):
-        def run(env, sink):
-            body(env, sink)
-            tried.append((dict(sink.engine.bind), list(sink.engine.trail)))
-        return run
+    def probed(clauses, link, subst_modes):
+        head = tuple(engine_mod._Slot(k, True, "_") for k in range(len(link)))
+        tried = []
+        for clause in clauses:
+            tried += [clause, (len(link), head, probe)]
+        return real(tried, link, subst_modes)
 
-    monkeypatch.setattr(engine_mod, "_tries_source", lambda clauses, *rest: (
-        real([(n, head, checked(body)) for n, head, body in clauses], *rest)))
+    monkeypatch.setattr(engine_mod, "_tries_source", probed)
+    run_generator = Engine._run_generator
+
+    def checked(self, frame):
+        run_generator(self, frame)
+        states.append((dict(self.bind), list(self.trail)))
+
+    monkeypatch.setattr(Engine, "_run_generator", checked)
     reached = []
     step = getattr(Engine, method)
 
@@ -248,5 +350,15 @@ def test_tried_clauses_leave_no_binding(query, answers, method, strategy,
     monkeypatch.setattr(Engine, method, counted)
     got, _ = Engine(parse_program(STEPS), strategy).solve(query)
     assert [term_to_str(v) for a in got for v in a.values()] == answers
-    assert reached and tried
-    assert all(bind == {} and trail == [] for bind, trail in tried)
+    assert reached and states
+    assert all(bind == {} and trail == [] for bind, trail in states)
+
+
+if __name__ == "__main__":
+    cases = dict(CASES)
+    cases.update(("%s-%d" % fs, family_case(*fs)) for fs in FAMILIES)
+    with open(RECORDED, "w") as f:
+        f.write("{\n%s\n}\n" % ",\n".join(
+            "%s: %s" % (json.dumps("%s/%s" % (case, strategy)), json.dumps(
+                outcome(*cases[case], strategy), separators=(",", ":")))
+            for case in sorted(cases) for strategy in BOTH))

@@ -73,11 +73,13 @@ def test_an_expression_of_200_operators(strategy):
 FALLBACKS = """
 e(a, 1). e(b, 2).
 k(f(b), one). k(f(c), two). k(1, int). k(1.0, float).
-k(g(a, a), any). k(g(a, b), other).
+k(g(a, a), any). k(g(a, b), other). k(f(1), f1).
 r(X) :- e(X, _).
 q(Y) :- r(Y).
 :- table t(index, index).
 t(In, Out) :- Out is In + 1.
+:- table u/1.
+u(f(1)).
 """
 
 
@@ -99,8 +101,8 @@ def reached(monkeypatch):
 @pytest.mark.parametrize("query, answers, fallback", [
     # r's X holds q's Var: the fact goal unifies row by row
     ("?- q(Y).", [{"Y": "a"}, {"Y": "b"}], "_rows"),
-    ("?- k(f(Z), V).", [{"Z": "b", "V": "one"}, {"Z": "c", "V": "two"}],
-     "_rows"),
+    ("?- k(f(Z), V).", [{"Z": "b", "V": "one"}, {"Z": "c", "V": "two"},
+                        {"Z": "1", "V": "f1"}], "_rows"),
     ("?- X = 3, X is 1 + 2.", [{"X": "3"}], "_then"),
     ("?- X = 4, X is 1 + 2.", [], "_then"),
     ("?- e(b, N), 2 is N.", [{"N": "2"}], "_then"),
@@ -124,6 +126,14 @@ def test_fallbacks(query, answers, fallback, strategy, reached):
     ("?- X is min(3, 2.0) + max(1, 1.0).", [{"X": "3.0"}]),
     ("?- X is max(1, 1.0), Y is min(1.0, 1).", [{"X": "1", "Y": "1.0"}]),
     ("?- e(A, N), N >= 2.", [{"A": "b", "N": "2"}]),
+    # a compound matches as strictly as unify: f(1) is not f(1.0)
+    ("?- k(f(1), V).", [{"V": "f1"}]),
+    ("?- k(f(1.0), V).", []),
+    ("?- X = f(1.0), k(X, V).", []),
+    ("?- f(1) = f(1.0).", []),
+    ("?- u(f(1)).", [{}]),
+    ("?- u(f(1.0)).", []),
+    ("?- X = f(1.0), u(X).", []),
 ])
 def test_index_keys_and_arithmetic(query, answers, strategy, reached):
     assert solve(FALLBACKS, query, strategy) == answers

@@ -182,11 +182,11 @@ def test_calls_of_one_shape_share_their_modes_and_plan():
     insert_answer(f2, ("d", 2))
     # the plan is cached per substitution array, so a shape has one
     assert build_segments(f1.subst_modes) is build_segments(f2.subst_modes)
-    # and one put per clause, whose code walks the plan of the shape
-    puts, _ = engine._shape(entry, (None, 0, 1), f1.subst_modes)
-    assert puts is engine._shape(entry, (None, 0, 1), f2.subst_modes)[0]
-    assert puts[0] is not engine._shape(entry, (0, None, 1),
-                                        f3.subst_modes)[0][0]
+    # and one set of tries per shape, whose puts walk the plan of the shape
+    tries = engine._shape(entry, (None, 0, 1), f1.subst_modes)
+    assert tries is engine._shape(entry, (None, 0, 1), f2.subst_modes)
+    assert tries[0] is not engine._shape(entry, (0, None, 1),
+                                         f3.subst_modes)[0]
 
 
 def test_lcs_frames_share_one_substitution_array():
