@@ -45,21 +45,21 @@ log its trace event and queue it for the consumers that do not settle.
 A run whose next step ends the body calls the put directly.
 
 A tabled goal whose arguments are distinct variables, atoms and
-integers compiles to a call site. It fetches its table entry when it
-first runs (entries stay in first-call order), then reads each call's
-variant key off the slots, so a call whose frame exists builds no
-arguments. A call that misses hands that key to
-tries.subgoal_lookup_insert and builds its generator call from it,
-without tokenizing: each free slot is a fresh Var linked to its answer
-ordinal, and each bound slot is its key value. A goal with a compound,
-a repeated variable or a float, and a call whose slot holds an unbound
-Var, a compound or a float, take the general path: build the arguments
-as an untabled call does, giving unbound slots Vars, key them with
-tries.variant_key, and read each answer through those Vars. Both paths
-start a new frame's generator the same way. A slot whose Var the walk
-has bound to an atom or an integer keys the site as that value. Each
-read of an answer that holds variables gets them renamed apart, as a
-clause try renames its clause.
+integers compiles to a call site. Its steps are generated, one per
+pattern (the slots unbound at the call) when a call first meets it; a
+call of another pattern switches the site to that pattern's step. The
+first fetches the table entry, so entries stay in first-call order. A
+step reads each bound slot, a Var the walk bound to an atom or an
+integer as that value, builds the variant key as one tuple of values,
+constants and variable tokens, and looks it up. A miss hands the key to
+tries.subgoal_lookup_insert and builds the generator call in place,
+each free slot a fresh Var linked to its answer ordinal. A goal with a
+compound, a repeated variable or a float, and a call whose slot holds
+an unbound Var, a compound or a float, take the general path: build the
+arguments as an untabled call does, key them with tries.variant_key,
+and read each answer through their Vars. Both paths start a new frame's
+generator the same way. Each read of an answer that holds variables
+gets them renamed apart, as a clause try renames its clause.
 
 A call to a tabled predicate starts a generator (first call) and makes
 a consumer, which runs the next goal's closure once per delivered
@@ -552,59 +552,25 @@ class Engine:
             self._log("call", frame=frame.name(), new=True)
 
     def _site_step(self, name, specs, nxt):
-        """A compiled call site, as the module docstring describes."""
-        site = []  # entry, var tokens, (slot, read it, constant) in mode order
+        """A compiled call site, as the module docstring describes: it
+        runs the step of the last pattern met, which hands a call of
+        another pattern to switch, the maker of each pattern's step."""
+        steps = {}  # pattern -> its generated step
 
-        def step(env, parent):
-            if not site:
-                entry = self.entry(name, len(specs))
-                order = [specs[pos - 1] for pos, _ in entry.mode_array]
-                site.extend((entry, tokenize([Var("_") for _ in specs]), tuple(
-                    (s.i, not s.first, None) if type(s) is _Slot
-                    else (-1, False, s) for s in order)))
-            entry, vtoks, order = site
-            key = []
-            plan = []  # free slots, in answer ordinal order
-            for k, read, c in order:
-                v = env[k] if read else c
-                if v is None:
-                    key.append(vtoks[len(plan)])
-                    plan.append((k, len(plan)))
-                elif type(v) is int or type(v) is str:
-                    key.append(v)
-                else:
-                    if type(v) is Var:  # the walk may have bound it
-                        v = resolve(v, self.bind)
-                    if type(v) is not int and type(v) is not str:
-                        return self._call_tabled(name, specs, env, parent, nxt)
-                    key.append(v)
-            key = tuple(key)
-            frame = entry.calls.get(key)
-            if frame is None:
-                frame = self._site_frame(entry, specs, key)
-            self._consume(frame, tuple(plan), (), env, parent, nxt)
-        return step
-
-    def _site_frame(self, entry, specs, key):
-        """A call site's new frame, made from the variant key it built:
-        each free slot is a fresh Var linked to its answer ordinal, and
-        each bound one is its key value."""
-        args = [None] * len(specs)
-        link = [None] * len(specs)
-        subst = []
-        counts = []
-        for t, (pos, _) in zip(key, entry.mode_array):
-            if type(t) is tuple:  # a variable's token
-                link[pos - 1] = len(subst)
-                t = Var(specs[pos - 1].name)
-                subst.append(t)
-                counts.append(1)
-            else:
-                counts.append(0)
-            args[pos - 1] = t
-        frame, _ = subgoal_lookup_insert(entry, key, tuple(counts))
-        self._start(frame, tuple(args), tuple(link), tuple(subst))
-        return frame
+        def switch(env, parent):
+            free = frozenset(s.i for s in specs if type(s) is _Slot
+                             and (s.first or env[s.i] is None))
+            found = steps.get(free)
+            if found is None:
+                source, data = _site_source(self.entry(name, len(specs)),
+                                            specs, free)
+                scope = {}
+                exec(_code(source), globals(), scope)
+                found = steps[free] = scope["make"](self, data, nxt, switch)
+            step[0] = found
+            found(env, parent)
+        step = [switch]
+        return lambda env, parent: step[0](env, parent)
 
     def _call_tabled(self, name, specs, env, parent, nxt):
         args = [_build(s, env) for s in specs]
@@ -1211,6 +1177,71 @@ def _tries_source(clauses, link, subst_modes):
     head = ["def make(D):", "    %s, = D" % ", ".join(
         "d%d" % k for k in range(len(data)))]  # every clause has a body
     return "\n".join(head + lines + ["    return tries", ""]), tuple(data)
+
+
+def _site_source(entry, specs, free):
+    """Python source for a call site's step under one pattern, free the
+    slots unbound at the call, and the data it reads: make(self, D, nxt,
+    switch) returns the step the module docstring describes. The source
+    is made of slot numbers; the entry, constants, variable tokens and
+    names, link, counts and plan come in D.
+    """
+    data = [entry, entry.name, specs]
+    vtoks = tokenize([Var("_") for _ in specs])
+
+    def const(v):
+        data.append(v)
+        return "d%d" % (len(data) - 1)
+
+    def tup(items):
+        return "(%s)" % "".join(x + ", " for x in items)
+
+    lines = ["    def step(env, parent):"]
+    args, link = [None] * len(specs), [None] * len(specs)
+    key, subst, fresh, plan = [], [], [], []
+    for pos, _ in entry.mode_array:
+        s = specs[pos - 1]
+        if type(s) is not _Slot:
+            key.append(const(s))
+        elif s.i in free:
+            if not s.first:
+                lines += ["        if env[%d] is not None:" % s.i,
+                          "            return switch(env, parent)"]
+            link[pos - 1] = len(subst)
+            plan.append((s.i, len(subst)))
+            key.append(const(vtoks[len(subst)]))
+            subst.append("v%d" % s.i)
+            fresh.append("            v%d = Var(%s)" % (s.i, const(s.name)))
+        else:
+            v = "v%d" % s.i
+            key.append(v)
+            lines += ["        %s = env[%d]" % (v, s.i),
+                      "        if type(%s) is not int and type(%s) is not str:"
+                      % (v, v),
+                      "            if %s is None:" % v,
+                      "                return switch(env, parent)",
+                      "            if type(%s) is Var:" % v,
+                      "                %s = resolve(%s, self.bind)" % (v, v),
+                      "            if type(%s) is not int and type(%s) is not"
+                      " str:" % (v, v),
+                      "                return self._call_tabled(name, specs,"
+                      " env, parent, nxt)"]
+        args[pos - 1] = "v%d" % s.i if type(s) is _Slot else key[-1]
+    counts = tuple(int(link[pos - 1] is not None)
+                   for pos, _ in entry.mode_array)
+    lines += ["        key = " + tup(key), "        frame = calls.get(key)",
+              "        if frame is None:"] + fresh
+    lines += ["            frame = subgoal_lookup_insert(entry, key, %s)[0]"
+              % const(counts),
+              "            self._start(frame, %s, %s, %s)"
+              % (tup(args), const(tuple(link)), tup(subst)),
+              "        self._consume(frame, %s, (), env, parent, nxt)"
+              % const(tuple(plan))]
+    head = ["def make(self, D, nxt, switch):",
+            "    entry, name, specs, %s= D" % "".join(
+                "d%d, " % k for k in range(3, len(data))),
+            "    calls = entry.calls"]
+    return "\n".join(head + lines + ["    return step", ""]), tuple(data)
 
 
 @lru_cache(maxsize=256)

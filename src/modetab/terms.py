@@ -65,11 +65,19 @@ class Struct:
         self.args = tuple(args)
 
     def __eq__(self, other):
-        return (
-            type(other) is Struct
-            and self.name == other.name
-            and self.args == other.args
-        )
+        # as strict as unify, so f(1) and f(1.0) differ; iterative
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if type(a) is not type(b):
+                return False
+            if type(a) is Struct:
+                if a.name != b.name or len(a.args) != len(b.args):
+                    return False
+                pairs += zip(a.args, b.args)
+            elif a is not b and a != b:
+                return False
+        return True
 
     def __ne__(self, other):
         return not self.__eq__(other)

@@ -1,8 +1,9 @@
 """Digest of the engine's observable work, for comparing two trees.
 
-    PYTHONPATH=src python tests/digest.py
+    PYTHONPATH=src python tests/digest.py [SWEEP ...]
 
-Prints one sha256 per sweep over, for every run in order: the answers
+Prints one sha256 per sweep, for the sweeps named (all six, in the
+order below, when none is) over, for every run in order: the answers
 in order, the Stats counters, and each table's n_inserted,
 n_invalidated and n_purged in table and frame creation order. Two trees
 that print the same digests gave the same answers by the same work.
@@ -132,13 +133,24 @@ def bound_start(query):
 NODE_SEEDS = [seed for seed in range(400) if seed % 7 != 5]
 
 
+SWEEPS = {
+    "families": families,
+    "randprog": randprogs,
+    "randfloat": lambda: randprogs(lambda text: re.sub(
+        r"^(e\(\d+,\d+,\d+)\)\.$", r"\1.5).", text, flags=re.M)),
+    "randcompound": lambda: randprogs(compound_nodes, "randcompound",
+                                      NODE_SEEDS),
+    "randheads": lambda: randprogs(node_rules, "randheads", NODE_SEEDS,
+                                   bound_start),
+    "events": lambda: families(range(1, 4), events),
+}
+
+
 if __name__ == "__main__":
-    print("families %s" % families())
-    print("randprog %s" % randprogs())
-    print("randfloat %s" % randprogs(lambda text: re.sub(
-        r"^(e\(\d+,\d+,\d+)\)\.$", r"\1.5).", text, flags=re.M)))
-    print("randcompound %s" % randprogs(compound_nodes, "randcompound",
-                                         NODE_SEEDS))
-    print("randheads %s" % randprogs(node_rules, "randheads", NODE_SEEDS,
-                                      bound_start))
-    print("events %s" % families(range(1, 4), events))
+    names = sys.argv[1:] or list(SWEEPS)
+    unknown = [name for name in names if name not in SWEEPS]
+    if unknown:
+        sys.exit("unknown sweep %s; the sweeps are %s"
+                 % (", ".join(unknown), ", ".join(SWEEPS)))
+    for name in names:
+        print("%s %s" % (name, SWEEPS[name]()))

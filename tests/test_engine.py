@@ -689,6 +689,14 @@ r(K, C) :- p(C, K, x).
     # Var, and M = f(b) binds K for the compound call on N
     ("q(C, L) :- w(K, M), w(K, N), M = f(b), p(C, N, L).\n"
      ":- table w/2.\nw(X, f(X)).", "?- q(C, L), q(D, M).", 1),
+    # one site reads q's head variable L bound, then unbound (linked),
+    # then bound again: a step per pattern, each kept for its next call
+    ("q(C, L) :- p(C, a, L).", "?- q(D, x), q(C, L), q(E, y).", 3),
+    # K's Var is bound to an atom first, so the site's step is made for a
+    # bound K; later calls bring an integer, a float, a compound and an
+    # unbound Var
+    ("q(C, K) :- pick(K), p(C, K, x).\n"
+     "pick(K) :- e(K, x, _).\npick(K) :- K = K.", "?- q(C, K).", 6),
 ])
 @pytest.mark.parametrize("strategy", BOTH)
 def test_call_sites_match_the_general_path(rules, query, frames, strategy,
@@ -781,8 +789,9 @@ def test_a_call_site_makes_its_frame_without_tokenizing(monkeypatch):
     engine.solve(query)
     frames = sum(len(e.calls) for e in engine.space.entries.values())
     assert frames > 400
-    # each site tokenizes its variable tokens once, on its first run; the
-    # query numbers its variables, keys its own call and scans it for
+    # each site tokenizes its variable tokens once per pattern of unbound
+    # slots it meets, and each of lcs's sites meets one; the query
+    # numbers its variables, keys its own call and scans it for
     # variables inside compounds
     assert len(tokenized) <= len(sites) + 3
 

@@ -1,10 +1,11 @@
 """Term flattening, variance, ordering and printing."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from modetab.errors import EvaluationError
 from modetab.terms import (
+    FLT,
     Struct,
     Var,
     compare_token_seqs,
@@ -175,6 +176,22 @@ def test_unify_nested_compounds():
                    Struct("f", ["c", Struct("g", [1, 3])])) is None
 
 
+def test_compound_equality_is_as_strict_as_unify():
+    one, fone = Struct("f", [1]), Struct("f", [1.0])
+    assert one == Struct("f", [1])
+    assert one != fone
+    assert Struct("g", [one]) != Struct("g", [fone])
+    assert len({one, fone}) == 2
+
+    def nest(leaf):
+        for _ in range(10000):
+            leaf = Struct("s", [leaf])
+        return leaf
+    # compared without recursing through Python
+    assert nest(0) == nest(0)
+    assert nest(0) != nest(0.0)
+
+
 @given(GroundTerms, GroundTerms)
 def test_compare_antisymmetric(a, b):
     assert order(a, b) == -order(b, a)
@@ -187,13 +204,14 @@ def test_compare_transitive(a, b, c):
 
 
 @given(GroundTerms, GroundTerms)
+@example(Struct("f", [2]), Struct("f", [2.0]))
 def test_compare_equal_means_same_value(a, b):
-    """Ties happen only for identical terms or numerically equal numbers."""
+    """Ties happen only for terms alike up to numerically equal numbers."""
+    def values(t):
+        return [k[1] if type(k) is tuple and k[0] == FLT else k
+                for k in tokenize([t])]
     if order(a, b) == 0:
-        if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-            assert a == b
-        else:
-            assert tokenize([a]) == tokenize([b]) or a == b
+        assert values(a) == values(b)
 
 
 def test_term_to_str_quotes_odd_atoms():
