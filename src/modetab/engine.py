@@ -44,22 +44,22 @@ or one that changed a table scheduled batched, makes a call more, to
 log its trace event and queue it for the consumers that do not settle.
 A run whose next step ends the body calls the put directly.
 
-A tabled goal whose arguments are distinct variables, atoms and
-integers compiles to a call site. Its steps are generated, one per
-pattern (the slots unbound at the call) when a call first meets it; a
-call of another pattern switches the site to that pattern's step. The
-first fetches the table entry, so entries stay in first-call order. A
-step reads each bound slot, a Var the walk bound to an atom or an
-integer as that value, builds the variant key as one tuple of values,
-constants and variable tokens, and looks it up. A miss hands the key to
-tries.subgoal_lookup_insert and builds the generator call in place,
-each free slot a fresh Var linked to its answer ordinal. A goal with a
-compound, a repeated variable or a float, and a call whose slot holds
-an unbound Var, a compound or a float, take the general path: build the
-arguments as an untabled call does, key them with tries.variant_key,
-and read each answer through their Vars. Both paths start a new frame's
-generator the same way. Each read of an answer that holds variables
-gets them renamed apart, as a clause try renames its clause.
+A tabled goal without a compound that holds variables compiles to a call
+site. Its steps are generated, one per pattern (the slots unbound at the
+call) when a call first meets it; a call of another pattern switches the
+site to that pattern's step. The first fetches the table entry, so
+entries stay in first-call order. A step keys the call, as tries
+describes, from its constants, its free slots' variable tokens and its
+bound slots' values, keying one that holds no atom or integer on a slow
+branch. A miss hands the key to tries.subgoal_lookup_insert and builds
+the generator call in place, each free slot a fresh Var, linked to its
+answer ordinal where the goal names it once. Any other goal, and a call
+whose slot holds an unbound variable, takes the general path: build the
+arguments on a copy of the activation as an untabled call does, key them
+with terms.term_keys, and read each answer into the slots that got a Var
+and through the Vars that were there before. Both paths start a new
+frame's generator the same way. Each read of an answer that holds
+variables gets them renamed apart, as a clause try renames its clause.
 
 A call to a tabled predicate starts a generator (first call) and makes
 a consumer, which runs the next goal's closure once per delivered
@@ -112,9 +112,9 @@ from .modes import (ADDED, NEW, REJECTED, REPLACED, SUM_UPDATED, beats,
                     build_segments, compile_declaration, insert_answer,
                     traditional_modes)
 from .terms import (FLT, Struct, Var, cyclic_binding, instantiate, resolve,
-                    term_to_str, tokenize, unify)
+                    term_keys, term_to_str, unify, var_token)
 from .tries import (AnswerLeaf, TableSpace, complete_table, drop_below,
-                    iterate_answers, subgoal_lookup_insert, variant_key)
+                    iterate_answers, subgoal_lookup_insert)
 
 __all__ = ["Engine", "Stats", "solve", "DEFAULT_LIMIT"]
 
@@ -210,11 +210,11 @@ class _Eval:
 class Consumer:
     """A tabled call: where it reads and how to go on.
 
-    plan maps answer ordinals to slots of env that were unbound at a
-    call site, hplan to the Vars of a general-path call; step(env,
-    parent) runs the rest of the derivation. env and the callers in
-    parent were copied when the call suspended; a read of a completed
-    table keeps the caller's own.
+    plan maps answer ordinals to the slots of env unbound at the call,
+    hplan to the Vars a general-path call's arguments held before it;
+    step(env, parent) runs the rest of the derivation. env and the
+    callers in parent were copied when the call suspended; a read of a
+    completed table keeps the caller's own.
     """
 
     __slots__ = ("frame", "host", "plan", "hplan", "step", "env", "parent",
@@ -309,7 +309,7 @@ class Engine:
                 return _Slot(i, False, t.name)
             if tt is Struct:
                 seen = {}
-                tokenize((t,), seen)
+                term_keys((t,), seen)
                 if seen:
                     return _Tmpl(t, tuple((v, term(v)) for v in seen))
             return t
@@ -379,9 +379,7 @@ class Engine:
                 return make
             specs = tuple(term(a) for a in args)
             if self.program.is_tabled(name, arity):
-                seen = [s.i for s in specs if type(s) is _Slot]
-                if len(seen) == len(set(seen)) and all(
-                        type(s) in (_Slot, int, str) for s in specs):
+                if _Tmpl not in map(type, specs):
                     return lambda nxt: self._site_step(name, specs, nxt)
                 call = self._call_tabled
             elif not self.program.clauses_for(name, arity):
@@ -519,18 +517,19 @@ class Engine:
         query; start its generator if new. Returns the frame and the
         ordinals of the call's variables."""
         entry = self.entry(name, len(args))
-        key, counts, varmap = variant_key(entry, args)
-        frame, is_new = subgoal_lookup_insert(entry, key, counts)
+        varmap, counts = {}, []
+        key = tuple(term_keys([args[pos - 1] for pos, _ in entry.mode_array],
+                              varmap, counts))
+        frame, is_new = subgoal_lookup_insert(entry, key, tuple(counts))
         if is_new:
             # a call variable that stands alone as an argument and occurs
             # nowhere else is linked to the head argument it meets, so
             # the generator reads its answer from there
-            alone = [a for a in args if type(a) is Var]
             inner = {}
-            tokenize([a for a in args if type(a) is Struct], inner)
+            term_keys([a for a in args if type(a) is Struct], inner)
             link = tuple(
-                varmap[a] if type(a) is Var and alone.count(a) == 1
-                and a not in inner else None
+                varmap[a] if type(a) is Var and a not in inner
+                and sum(b is a for b in args) == 1 else None
                 for a in args
             )
             # ordinals are handed out at first occurrence, so the map is
@@ -573,11 +572,16 @@ class Engine:
         return lambda env, parent: step[0](env, parent)
 
     def _call_tabled(self, name, specs, env, parent, nxt):
-        args = [_build(s, env) for s in specs]
+        """The general path; a copy of env takes the Vars it builds."""
+        work = list(env)
+        args = [_build(s, work) for s in specs]
         if self.bind:
             args = [resolve(a, self.bind) for a in args]
         frame, varmap = self._materialize(name, args)
-        self._consume(frame, (), tuple(varmap.items()), env, parent, nxt)
+        made = {v: i for i, v in enumerate(work) if v is not env[i]}
+        self._consume(frame, tuple((i, varmap[v]) for v, i in made.items()),
+                      tuple(vo for vo in varmap.items() if vo[0] not in made),
+                      env, parent, nxt)
 
     def _consume(self, frame, plan, hplan, env, parent, nxt):
         """Read the frame's answers into the call: now, or once suspended."""
@@ -846,7 +850,7 @@ class Engine:
     def _solve(self, query):
         goals = tuple(parse_query(query) if isinstance(query, str) else query)
         seen = {}  # the query's Vars, numbered by first occurrence
-        tokenize(goals, seen)
+        term_keys(goals, seen)
         qvars = tuple(v for v in seen if v.name != "_")
         names = tuple(v.name for v in qvars)
         self.bind = {}
@@ -888,7 +892,7 @@ def _renamed(terms):
     """An answer's terms with their variables renamed apart: each reader
     of a table gets its own, as a clause try does."""
     varmap = {}
-    tokenize(terms, varmap)
+    term_keys(terms, varmap)
     fresh = {v: Var(v.name) for v in varmap}
     return [instantiate(t, fresh) for t in terms]
 
@@ -926,6 +930,17 @@ _RUN = 20 - 1
 # _TRIES of them. Each clause adds about 290 characters to the source,
 # and about 0.5 ms and 30 KiB to compiling it.
 _TRIES = 16
+
+
+# a call site's read of bound slot {0}, with its slow branch
+_BOUND = """\
+        v{0} = k{0} = env[{0}]
+        if type(v{0}) is not int and type(v{0}) is not str:
+            if v{0} is None:
+                return switch(env, parent)
+            v{0}, k{0} = _ground(v{0}, self.bind)
+            if k{0} is None:
+                return self._call_tabled(name, specs, env, parent, nxt)"""
 
 
 @lru_cache(maxsize=256)
@@ -1183,11 +1198,10 @@ def _site_source(entry, specs, free):
     """Python source for a call site's step under one pattern, free the
     slots unbound at the call, and the data it reads: make(self, D, nxt,
     switch) returns the step the module docstring describes. The source
-    is made of slot numbers; the entry, constants, variable tokens and
-    names, link, counts and plan come in D.
+    is made of slot numbers; the entry, constants and their keys,
+    variable tokens and names, link, counts and plan come in D.
     """
     data = [entry, entry.name, specs]
-    vtoks = tokenize([Var("_") for _ in specs])
 
     def const(v):
         data.append(v)
@@ -1198,41 +1212,37 @@ def _site_source(entry, specs, free):
 
     lines = ["    def step(env, parent):"]
     args, link = [None] * len(specs), [None] * len(specs)
-    key, subst, fresh, plan = [], [], [], []
+    key, counts, subst, fresh, plan = [], [], [], [], []
+    keys = {}  # per slot read, the name of its key
     for pos, _ in entry.mode_array:
         s = specs[pos - 1]
+        new = type(s) is _Slot and s.i not in keys
+        counts.append(int(new and s.i in free))
         if type(s) is not _Slot:
-            key.append(const(s))
-        elif s.i in free:
-            if not s.first:
+            k, = term_keys((s,))
+            key.append(const(k))
+            args[pos - 1] = key[-1] if k is s else const(s)
+            continue
+        if new and s.i in free:
+            same = [t for t in specs if type(t) is _Slot and t.i == s.i]
+            if not any(t.first for t in same):
                 lines += ["        if env[%d] is not None:" % s.i,
                           "            return switch(env, parent)"]
-            link[pos - 1] = len(subst)
+            if len(same) == 1:
+                link[pos - 1] = len(subst)
             plan.append((s.i, len(subst)))
-            key.append(const(vtoks[len(subst)]))
+            keys[s.i] = const(var_token(len(subst)))
             subst.append("v%d" % s.i)
             fresh.append("            v%d = Var(%s)" % (s.i, const(s.name)))
-        else:
-            v = "v%d" % s.i
-            key.append(v)
-            lines += ["        %s = env[%d]" % (v, s.i),
-                      "        if type(%s) is not int and type(%s) is not str:"
-                      % (v, v),
-                      "            if %s is None:" % v,
-                      "                return switch(env, parent)",
-                      "            if type(%s) is Var:" % v,
-                      "                %s = resolve(%s, self.bind)" % (v, v),
-                      "            if type(%s) is not int and type(%s) is not"
-                      " str:" % (v, v),
-                      "                return self._call_tabled(name, specs,"
-                      " env, parent, nxt)"]
-        args[pos - 1] = "v%d" % s.i if type(s) is _Slot else key[-1]
-    counts = tuple(int(link[pos - 1] is not None)
-                   for pos, _ in entry.mode_array)
+        elif new:
+            keys[s.i] = "k%d" % s.i
+            lines.append(_BOUND.format(s.i))
+        key.append(keys[s.i])
+        args[pos - 1] = "v%d" % s.i
     lines += ["        key = " + tup(key), "        frame = calls.get(key)",
               "        if frame is None:"] + fresh
     lines += ["            frame = subgoal_lookup_insert(entry, key, %s)[0]"
-              % const(counts),
+              % const(tuple(counts)),
               "            self._start(frame, %s, %s, %s)"
               % (tup(args), const(tuple(link)), tup(subst)),
               "        self._consume(frame, %s, (), env, parent, nxt)"
@@ -1242,6 +1252,15 @@ def _site_source(entry, specs, free):
                 "d%d, " % k for k in range(3, len(data))),
             "    calls = entry.calls"]
     return "\n".join(head + lines + ["    return step", ""]), tuple(data)
+
+
+def _ground(v, bind):
+    """A bound slot's term resolved through bind, and its key, or None
+    for the key when the term holds an unbound variable."""
+    v = resolve(v, bind)
+    varmap = {}
+    k, = term_keys((v,), varmap)
+    return v, None if varmap else k
 
 
 @lru_cache(maxsize=256)

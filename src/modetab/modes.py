@@ -7,21 +7,22 @@ stored in that order, which keeps every aggregation decision local to a
 subtree of the answer trie: replacing a beaten value only ever touches
 nodes at or below the point where the comparison happened.
 
-An answer is stored one trie key per term (answer_keys). insert_answer
-walks the keys segment by segment and reads a stored min/max witness in
-full before comparing it with beats. All reads needed for a rejection
-happen before any mutation, so a rejected candidate leaves the table
-untouched. It is the general path: the engine's generated puts store an
-answer made of atoms and numbers with the same keys themselves, sharing
-beats and tries.drop_below, and hand every other answer (compounds,
-variables, or a min, max or sum over more than one term) to
-insert_answer before changing anything.
+An answer is stored one trie key per term, as terms.term_keys keys a
+call's arguments (answer_keys). insert_answer walks the keys segment by
+segment and reads a stored min/max witness in full before comparing it
+with beats. All reads needed for a rejection happen before any mutation,
+so a rejected candidate leaves the table untouched. It is the general
+path: the engine's generated puts store an answer made of atoms and
+numbers with the same keys themselves, sharing beats and
+tries.drop_below, and hand every other answer (compounds, variables, or
+a min, max or sum over more than one term) to insert_answer before
+changing anything.
 """
 
 import functools
 
 from .errors import EvaluationError, ModeError, ModetabError
-from .terms import FLT, Struct, compare_token_seqs, flatten_into, is_var_token
+from .terms import FLT, compare_token_seqs, is_var_token, term_keys
 from .tries import AnswerLeaf, drop_below, grow_answer
 
 MODES = ("index", "first", "last", "min", "max", "sum", "all")
@@ -135,25 +136,15 @@ def _tokens(keys):
 
 
 def answer_keys(frame, segments, subst_terms):
-    """An answer's trie keys, one per ordinal, and its sum contribution.
+    """An answer's trie keys, one per ordinal as terms.term_keys makes
+    them, and its sum contribution.
 
-    An atom or an integer is its own key, a float v is (FLT, v), a
-    variable its var token and a compound the tuple of its preorder
-    tokens, with variables numbered at first occurrence across the
-    answer. A variable marks the table's entry open. The aggregating
-    arguments are checked before the walk: a divergence in an earlier
-    segment grows the rest of the path without visiting the deeper
-    segments.
+    A variable marks the table's entry open. The aggregating arguments
+    are checked before the walk: a divergence in an earlier segment
+    grows the rest of the path without visiting the deeper segments.
     """
     varmap = {}
-    keys = []
-    for t in subst_terms:
-        if type(t) is Struct:
-            tokens = []
-            flatten_into(t, varmap, tokens)
-            keys.append(tuple(tokens))
-        else:
-            flatten_into(t, varmap, keys)
+    keys = term_keys(subst_terms, varmap)
     if varmap:
         frame.entry.open = True
     value = None

@@ -1,15 +1,18 @@
-"""Logic terms and their flattened token form.
+"""Logic terms, their preorder tokens and their keys.
 
 Atoms are plain Python strings, numbers are plain ints and floats; only
-variables and compound terms get wrapper classes. Any argument vector can
-be flattened into a token sequence in preorder, with variables numbered
-by first occurrence. Two terms are variants exactly when their token
-sequences are equal: as a tuple the sequence keys a call table, and it
-is the path of an answer in an answer trie.
-
+variables and compound terms get wrapper classes. A term flattens into
+its tokens in preorder, with variables numbered by first occurrence.
 Tokens are ordinary hashable values: an atom is its string, an integer is
 itself, and floats, variables and functors are small tagged tuples so
 that 1, 1.0 and 'f' can never collide as dictionary keys.
+
+term_keys gives a term vector one key per term: an atom or an integer is
+its own key, a float v is (FLT, v), a variable its var token and a
+compound the tuple of its preorder tokens, with variables numbered
+across the vector. Two vectors are variants exactly when their keys are
+equal: as a tuple they key a call table, and they are the path of an
+answer in an answer trie.
 """
 
 import re
@@ -26,8 +29,8 @@ __all__ = [
     "var_token",
     "fun_token",
     "is_var_token",
-    "tokenize",
     "flatten_into",
+    "term_keys",
     "variant",
     "compare_token_seqs",
     "term_to_str",
@@ -135,28 +138,30 @@ def flatten_into(t, varmap, out):
         out.append(t)  # str atom or int
 
 
-def tokenize(args, varmap=None, counts=None):
-    """Flatten an argument vector into one token list, preorder.
-
-    varmap maps each unbound Var to its ordinal, assigned at first
-    occurrence; pass a shared dict to number variables consistently
-    across several vectors. When counts is a list, the number of fresh
-    variables each argument contributed is appended to it.
-    """
+def term_keys(terms, varmap=None, counts=None):
+    """A term vector's keys, as the module docstring says. varmap maps
+    each unbound Var to its ordinal, assigned at first occurrence; pass
+    a dict to read it or to go on numbering. When counts is a list, the
+    number of fresh variables each term holds is appended to it."""
     if varmap is None:
         varmap = {}
-    out = []
-    for a in args:
+    keys = []
+    for t in terms:
         before = len(varmap)
-        flatten_into(a, varmap, out)
+        if type(t) is Struct:
+            tokens = []
+            flatten_into(t, varmap, tokens)
+            keys.append(tuple(tokens))
+        else:
+            flatten_into(t, varmap, keys)
         if counts is not None:
             counts.append(len(varmap) - before)
-    return out
+    return keys
 
 
 def variant(a, b):
     """True when two terms are identical up to consistent variable renaming."""
-    return tokenize([a]) == tokenize([b])
+    return term_keys([a]) == term_keys([b])
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,24 @@
 """The table space: a call table and answer tries with invalidatable chains.
 
-Each tabled predicate owns a TableEntry whose call table is one dict from
-a call's variant key, its token tuple, to its SubgoalFrame.
-variant_key tokenizes a call's arguments into that key, and
+Each tabled predicate owns a TableEntry whose call table is one dict
+from a call's variant key to its SubgoalFrame: the tuple of the call's
+argument keys in mode-array order, as terms.term_keys makes them.
 subgoal_lookup_insert, the one frame maker, takes a key its caller has
-built: a caller that already knows the key, as the engine's call sites
-do, makes a frame without tokenizing anything. Frames with the same
-variable count per argument share the entry's one substitution array for
-that shape, and so modes.build_segments's one cached plan tuple. Every
-frame owns an answer trie holding only the substitution terms of the
-call's free variables, one level per term: a node is a plain dict from
-a term's key, as modes.answer_keys makes it, to its child, with no
-pointer back to its parent. An answer path ends in the answer's record,
-an AnswerLeaf created together with the path and holding the answer's
-terms, so readers never rebuild an answer from the trie. grow_answer
-makes both for modes.insert_answer, the general insertion path; the
-engine's generated puts grow the answers of atoms and numbers the same
-way inline. Records are chained in insertion order so readers can pick
-up new answers by following a single pointer. The "yes" answer of a
-fully bound call has no keys; its record is chained under no node.
+built; the engine's call sites build theirs from their slots and
+constants. Frames with the same variable count per argument share the
+entry's one substitution array for that shape, and so
+modes.build_segments's one cached plan tuple. Every frame owns an answer
+trie holding only the substitution terms of the call's free variables,
+one level per term: a node is a plain dict from a term's key to its
+child, with no pointer back to its parent. An answer path ends in the
+answer's record, an AnswerLeaf created together with the path and
+holding the answer's terms, so readers never rebuild an answer from the
+trie. grow_answer makes both for modes.insert_answer, the general
+insertion path; the engine's generated puts grow the answers of atoms
+and numbers the same way inline. Records are chained in insertion order
+so readers can pick up new answers by following a single pointer. The
+"yes" answer of a fully bound call has no keys; its record is chained
+under no node.
 
 Superseding an answer pops every branch below the node where the
 decision fell (drop_below, for insert_answer and the puts alike),
@@ -33,14 +33,12 @@ keeps while the table is incomplete, and completion clears it.
 """
 
 from .errors import ModetabError
-from .terms import tokenize
 
 __all__ = [
     "AnswerLeaf",
     "SubgoalFrame",
     "TableEntry",
     "TableSpace",
-    "variant_key",
     "subgoal_lookup_insert",
     "grow_answer",
     "drop_below",
@@ -105,7 +103,7 @@ class TableEntry:
         self.mode_array = mode_array  # tuple of (1-based position, mode)
         self.any_order = not any(
             mode in ("first", "last", "sum") for _pos, mode in mode_array)
-        self.calls = {}  # variant key (token tuple) -> frame
+        self.calls = {}  # variant key (one key per argument) -> frame
         self.frames = self.calls.values()  # live, in creation order
         self.shapes = {}  # per-argument variable counts -> subst_modes
         self.open = False  # an answer offered to a frame held a variable
@@ -124,30 +122,13 @@ class TableSpace:
         return e
 
 
-def variant_key(entry, call_args):
-    """A call's variant key, the per-argument variable counts and the
-    variables' ordinals.
-
-    Arguments are tokenized in mode-array order, so variant calls get the
-    same key no matter how their variables are named; a call without
-    arguments gets the key (). counts gives, in the same order, how many
-    fresh variables each argument holds, and varmap each unbound variable
-    of call_args its ordinal in the answer substitution vector.
-    """
-    ordered = [call_args[pos - 1] for pos, _mode in entry.mode_array]
-    varmap = {}
-    counts = []
-    key = tuple(tokenize(ordered, varmap, counts))
-    return key, tuple(counts), varmap
-
-
 def subgoal_lookup_insert(entry, key, counts):
     """Find or create the frame for a call's variant key.
 
-    key and counts are what variant_key gives, or what a caller that
-    reads its arguments in mode order builds itself. A new frame gets
-    the entry's substitution array for its shape. Returns (frame,
-    is_new).
+    key is the call's argument keys in mode order, as the module
+    docstring describes, and counts, in the same order, how many fresh
+    variables each argument holds. A new frame gets the entry's
+    substitution array for its shape. Returns (frame, is_new).
     """
     frame = entry.calls.get(key)
     if frame is not None:

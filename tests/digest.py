@@ -28,7 +28,14 @@ The sweeps:
 - events: the trace event stream (calls, inserts with their outcome,
   invalidation count, seq and total, deliveries, completions) of the
   eight families at the acceptance-07 sizes, seeds 1-3, under both
-  strategies (pagerank local only).
+  strategies (pagerank local only);
+- randcalls: the randcompound programs with randfloat's weights, and an
+  untabled c(Case, Goal) whose clauses call the queried predicate with
+  a ground compound, 1 and 1.0, a repeated variable (free, or bound by
+  s/1), a slot bound to a float or to a ground compound (one of them
+  holding a Var that s/1 binds), and, for the general path, a compound
+  that holds a variable and a slot that holds one; each queried as
+  written and as ?- c(K, G).
 
 pytest does not collect this file; it is a script.
 """
@@ -129,6 +136,40 @@ def bound_start(query):
     return query, re.sub(r"^\?- (\w+)\((\w+)", r"?- s(\2), \1(\2", query)
 
 
+def call_shapes(text):
+    """compound_nodes with float weights, and c/2 as the docstring says."""
+    text = compound_nodes(re.sub(r"^(e\(\d+,\d+,\d+)\)\.$", r"\1.5).",
+                                 text, flags=re.M))
+    *_, (name, slash, modes) = re.findall(
+        r"^:- table (\w+)(?:/(\d+)|\((.*)\))\.$", text, flags=re.M)
+    n = int(slash) if slash else modes.count(",") + 1
+    rest = ["V%d" % k for k in range(2, n + 1)]
+    init = ["V%d" % k for k in range(1, n)]
+    cases = [
+        ("", ["n(0)"] + rest),
+        ("", init + ["1"]),
+        ("", init + ["1.0"]),
+        ("F = 2.5, ", init + ["F"]),
+        ("s(N), ", ["N"] + rest),
+        ("N = n(K), s(N), ", ["N"] + rest),
+        ("", ["n(K)"] + rest),
+        ("N = n(K), ", ["N"] + rest),
+    ]
+    if n > 1:
+        twice = ["V", "V"] + rest[1:]
+        cases += [("", twice), ("s(V), ", twice)]
+    goals = ["%s(%s)" % (name, ", ".join(args)) for _, args in cases]
+    # G is built after the call, so the call's variables are still free
+    return text + "".join(
+        "c(%d, G) :- %s%s, G = %s.\n" % (k, before, goal, goal)
+        for k, ((before, _), goal) in enumerate(zip(cases, goals)))
+
+
+def with_calls(query):
+    """The query as written, and ?- c(K, G). for call_shapes's c/2."""
+    return query, "?- c(K, G)."
+
+
 # the randprog seeds whose rules do no arithmetic on nodes
 NODE_SEEDS = [seed for seed in range(400) if seed % 7 != 5]
 
@@ -143,6 +184,8 @@ SWEEPS = {
     "randheads": lambda: randprogs(node_rules, "randheads", NODE_SEEDS,
                                    bound_start),
     "events": lambda: families(range(1, 4), events),
+    "randcalls": lambda: randprogs(call_shapes, "randcalls", NODE_SEEDS,
+                                   with_calls),
 }
 
 

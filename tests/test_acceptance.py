@@ -16,13 +16,12 @@ from modetab.engine import Engine
 from modetab.errors import DerivationLimitError
 from modetab.lang import parse_program
 from modetab.modes import REPLACED, compile_declaration, insert_answer
-from modetab.terms import Var, term_to_str
+from modetab.terms import Var, term_keys, term_to_str
 from modetab.tries import (
     TableSpace,
     complete_table,
     iterate_answers,
     subgoal_lookup_insert,
-    variant_key,
 )
 
 from oracles import flat_aggregate
@@ -103,8 +102,9 @@ def fresh_frame(modes):
     space = TableSpace()
     arity = len(modes)
     entry = space.entry("p", arity, compile_declaration("p", arity, list(modes)))
-    key, counts, _ = variant_key(entry, [Var() for _ in range(arity)])
-    frame, _ = subgoal_lookup_insert(entry, key, counts)
+    # an all-free call: each argument is a fresh variable
+    key = tuple(term_keys([Var() for _ in range(arity)]))
+    frame, _ = subgoal_lookup_insert(entry, key, (1,) * arity)
     return frame
 
 

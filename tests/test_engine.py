@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modetab import bench
-from modetab.engine import Consumer, Engine, solve
+from modetab.engine import Consumer, Engine, _Slot, _Tmpl, solve
 from modetab.errors import DerivationLimitError, EvaluationError
 from modetab.lang import parse_program
-from modetab.terms import term_to_str
+from modetab.terms import resolve, term_keys, term_to_str
 from modetab.tries import iterate_answers
 
+from digest import NODE_SEEDS, bound_start, call_shapes, node_rules, with_calls
 from oracles import bottom_up
 from randprog import generate
 
@@ -662,6 +663,50 @@ r(K, C) :- p(C, K, x).
 """
 
 
+def holds_unbound(engine, specs, env):
+    """Whether a tabled goal holds a compound with variables, or one of
+    its bound slots holds an unbound variable."""
+    for s in specs:
+        if type(s) is _Tmpl:
+            return True
+        if type(s) is _Slot and not s.first and env[s.i] is not None:
+            varmap = {}
+            term_keys([resolve(env[s.i], engine.bind)], varmap)
+            if varmap:
+                return True
+    return False
+
+
+def count_general(monkeypatch):
+    """A list that gets (predicate, holds_unbound) per general-path call."""
+    general = []
+    real = Engine._call_tabled
+
+    def counted(self, name, specs, env, parent, nxt):
+        general.append((name, holds_unbound(self, specs, env)))
+        return real(self, name, specs, env, parent, nxt)
+
+    monkeypatch.setattr(Engine, "_call_tabled", counted)
+    return general
+
+
+# calls whose goals and slots hold no unbound variable: all stay on the site
+GROUND_CALLS = [
+    # a float constant: 1 and 1.0 are different calls
+    ("q(C, L) :- p(C, 1, L).\nq(C, L) :- p(C, 1.0, L).", "?- q(C, L).", 2),
+    # a ground compound constant; f(1.0) is not f(1)
+    ("q(C, L) :- p(C, f(b), L).\nq(C, L) :- p(C, f(1.0), L).",
+     "?- q(C, L).", 2),
+    # K is free and its first occurrence is the call's
+    ("q(C, L) :- p(C, K, K), L = K.", "?- q(C, L).", 1),
+    # K is bound to atoms, integers, a float and a compound in turn
+    ("q(C, K) :- e(K, _, _), p(C, K, K).", "?- q(C, K).", 5),
+    ("q(C, L) :- X = 1.0, p(C, X, L).", "?- q(C, L).", 1),  # `=`, a float
+    # X holds f(Y), and the fact goal binds Y's Var to b
+    ("q(C, L) :- X = f(Y), e(X, L, _), p(C, X, L).", "?- q(C, L).", 2),
+]
+
+
 @pytest.mark.parametrize("rules, query, frames", [
     ("q(C, L) :- p(C, a, L).", "?- q(C, L), q(D, M).", 1),  # atom
     ("q(C, L) :- p(C, 1, L).", "?- q(C, L), q(D, M).", 1),  # integer
@@ -697,10 +742,12 @@ r(K, C) :- p(C, K, x).
     # unbound Var
     ("q(C, K) :- pick(K), p(C, K, x).\n"
      "pick(K) :- e(K, x, _).\npick(K) :- K = K.", "?- q(C, K).", 6),
-])
+] + GROUND_CALLS)
 @pytest.mark.parametrize("strategy", BOTH)
 def test_call_sites_match_the_general_path(rules, query, frames, strategy,
                                            monkeypatch):
+    general = count_general(monkeypatch)
+
     def outcome():
         engine = Engine(parse_program(SITE + rules), strategy)
         answers, stats = engine.solve(query)
@@ -716,6 +763,9 @@ def test_call_sites_match_the_general_path(rules, query, frames, strategy,
         return printed(answers), stats.as_dict(), tables
 
     got = outcome()
+    assert all(holds for _, holds in general)
+    if (rules, query, frames) in GROUND_CALLS:
+        assert general == []
     # the reference: every tabled call takes the general path
     monkeypatch.setattr(Engine, "_site_step", lambda self, name, specs, nxt: (
         lambda env, parent: self._call_tabled(name, specs, env, parent, nxt)))
@@ -727,20 +777,57 @@ def test_call_sites_match_the_general_path(rules, query, frames, strategy,
 
 
 def test_a_call_site_reads_a_var_bound_to_an_atom(monkeypatch):
-    general = []
-    real = Engine._call_tabled
-
-    def counted(self, name, specs, env, parent, nxt):
-        general.append(name)
-        return real(self, name, specs, env, parent, nxt)
-
-    monkeypatch.setattr(Engine, "_call_tabled", counted)
+    general = count_general(monkeypatch)
     engine = Engine(parse_program(
         SITE + "q(C, M) :- p(C, f(b), L), e(L, _, _), p(M, L, _)."))
     answers, _ = engine.solve("?- q(C, M).")
     assert printed(answers) == [{"C": "2", "M": "9"}]
-    # only the compound call: the site reads L's Var, bound to x
-    assert general == ["p"]
+    # both on the site: a ground compound and L's slot, which the first
+    # call's answer fills with x
+    assert general == []
+
+
+@pytest.mark.parametrize("strategy", BOTH)
+def test_a_general_call_leaves_no_var_in_its_callers_slots(strategy,
+                                                           monkeypatch):
+    general = count_general(monkeypatch)
+    # pick's first clause leaves K unbound, so p(C, K, x) takes the
+    # general path; C's slot stays unbound after it, so the calls with
+    # the atoms, numbers and compound that K meets next stay on the site
+    answers, _ = run(SITE + "q(C, K) :- pick(K), p(C, K, x).\n"
+                     "pick(K) :- K = K.\npick(K) :- e(K, x, _).",
+                     "?- q(C, K).", strategy)
+    assert printed(answers) == [
+        {"C": "1", "K": "a"}, {"C": "5", "K": "1"}, {"C": "7", "K": "1.0"},
+        {"C": "2", "K": "f(b)"}, {"C": "9", "K": "x"}]
+    assert general == [("p", True)]
+
+
+@pytest.mark.parametrize("edit, queries", [(node_rules, bound_start),
+                                           (call_shapes, with_calls)])
+def test_only_calls_that_hold_an_unbound_variable_go_general(edit, queries,
+                                                            monkeypatch):
+    # the randheads and randcalls programs of tests/digest.py
+    general = count_general(monkeypatch)
+    sites = []
+    real = Engine._site_step
+
+    def compiled(self, name, specs, nxt):
+        step = real(self, name, specs, nxt)
+
+        def counted(env, parent):
+            sites.append(name)
+            step(env, parent)
+        return counted
+
+    monkeypatch.setattr(Engine, "_site_step", compiled)
+    for seed in NODE_SEEDS[:24]:
+        text, query, _ = generate(seed)
+        program = parse_program(edit(text))
+        for q in queries(query):
+            assert Engine(program).solve(q)[0]
+    assert sites and general
+    assert all(holds for _, holds in general)
 
 
 def test_a_call_site_looks_up_each_frame_once(monkeypatch):
@@ -763,20 +850,18 @@ def test_a_call_site_looks_up_each_frame_once(monkeypatch):
 
 def test_a_call_site_makes_its_frame_without_tokenizing(monkeypatch):
     import modetab.engine as engine_mod
-    tokenized = []
+    keyed = []
     sites = []
 
     def counting(name, fn):
         def counted(*args):
-            tokenized.append(name)
+            keyed.append(name)
             return fn(*args)
         return counted
 
-    # a miss reads neither the tokenizer nor the general path's key helper
-    monkeypatch.setattr(engine_mod, "tokenize",
-                        counting("tokenize", engine_mod.tokenize))
-    monkeypatch.setattr(engine_mod, "variant_key",
-                        counting("variant_key", engine_mod.variant_key))
+    # a miss keys no term
+    monkeypatch.setattr(engine_mod, "term_keys",
+                        counting("term_keys", engine_mod.term_keys))
     real = Engine._site_step
 
     def compiled(self, name, specs, nxt):
@@ -789,11 +874,11 @@ def test_a_call_site_makes_its_frame_without_tokenizing(monkeypatch):
     engine.solve(query)
     frames = sum(len(e.calls) for e in engine.space.entries.values())
     assert frames > 400
-    # each site tokenizes its variable tokens once per pattern of unbound
-    # slots it meets, and each of lcs's sites meets one; the query
-    # numbers its variables, keys its own call and scans it for
-    # variables inside compounds
-    assert len(tokenized) <= len(sites) + 3
+    # a site keys its constants once per pattern of unbound slots it
+    # meets, and a slot that holds a float or a compound per call: lcs's
+    # sites have neither; the query numbers its variables, keys its own
+    # call and scans it for variables inside compounds
+    assert len(keyed) <= len(sites) + 3
 
 
 def test_answers_of_atoms_and_numbers_skip_insert_answer(monkeypatch):

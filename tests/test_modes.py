@@ -16,13 +16,22 @@ from modetab.modes import (
     insert_answer,
     traditional_modes,
 )
-from modetab.terms import Struct, Var
+from modetab.terms import Struct, Var, term_keys
 from modetab.tries import (TableSpace, complete_table, iterate_answers,
-                           subgoal_lookup_insert, variant_key)
+                           subgoal_lookup_insert)
 
 from oracles import TableModel, flat_aggregate
 
 GROUP = {"index": 0, "min": 1, "max": 1, "all": 2, "sum": 3, "last": 3, "first": 4}
+
+
+def call_frame(entry, args):
+    """Key a call in mode order and find or make its frame: (frame,
+    varmap)."""
+    varmap, counts = {}, []
+    key = term_keys([args[pos - 1] for pos, _ in entry.mode_array], varmap,
+                    counts)
+    return subgoal_lookup_insert(entry, tuple(key), tuple(counts))[0], varmap
 
 
 def make_frame(mode_names, call_args=None):
@@ -31,9 +40,7 @@ def make_frame(mode_names, call_args=None):
     entry = space.entry("p", arity, compile_declaration("p", arity, mode_names))
     if call_args is None:
         call_args = [Var() for _ in range(arity)]
-    key, counts, varmap = variant_key(entry, list(call_args))
-    frame, _ = subgoal_lookup_insert(entry, key, counts)
-    return frame, varmap
+    return call_frame(entry, list(call_args))
 
 
 def valid_terms(frame):
@@ -123,8 +130,7 @@ def test_substitution_array_counts_fresh_variables():
     arr = compile_declaration("p", 3, ["all", "index", "min"])
     x, y = Var(), Var()
     entry = TableSpace().entry("p", 3, arr)
-    key, counts, _ = variant_key(entry, [x, 1, y])
-    assert subgoal_lookup_insert(entry, key, counts)[0].subst_modes == (
+    assert call_frame(entry, [x, 1, y])[0].subst_modes == (
         ("index", 0, 2),
         ("min", 1, 3),
         ("all", 1, 1),
@@ -134,8 +140,7 @@ def test_substitution_array_counts_fresh_variables():
 def test_repeated_variable_counts_as_fresh_only_once():
     x = Var()
     entry = TableSpace().entry("p", 2, traditional_modes(2))
-    key, counts, _ = variant_key(entry, [x, x])
-    assert subgoal_lookup_insert(entry, key, counts)[0].subst_modes == (
+    assert call_frame(entry, [x, x])[0].subst_modes == (
         ("index", 1, 1),
         ("index", 0, 2),
     )

@@ -1,4 +1,4 @@
-"""Term flattening, variance, ordering and printing."""
+"""Term flattening and keys, variance, ordering and printing."""
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -10,9 +10,10 @@ from modetab.terms import (
     Var,
     compare_token_seqs,
     cyclic_binding,
+    flatten_into,
     fun_token,
+    term_keys,
     term_to_str,
-    tokenize,
     unify,
     var_token,
     variant,
@@ -46,38 +47,60 @@ OpenTerms = st.recursive(
 )
 
 
+def tokens(t):
+    """The preorder tokens of one term."""
+    out = []
+    flatten_into(t, {}, out)
+    return out
+
+
 def test_tokenize_orders_variables_by_first_occurrence():
     x, y = Var(), Var()
     t = Struct("path", [x, 1, Struct("f", [y])])
-    assert tokenize([t]) == [
+    assert tokens(t) == [
         fun_token("path", 3),
         var_token(0),
         1,
         fun_token("f", 1),
         var_token(1),
     ]
+    assert term_keys([t]) == [tuple(tokens(t))]
 
 
 def test_tokenize_atom_is_single_token():
-    assert tokenize(["a"]) == ["a"]
+    assert tokens("a") == ["a"]
+    assert term_keys(["a"]) == ["a"]
 
 
 def test_tokenize_mixed_constants():
     z = Var()
     t = Struct("path", [z, 1, "b"])
-    assert tokenize([t]) == [fun_token("path", 3), var_token(0), 1, "b"]
+    assert tokens(t) == [fun_token("path", 3), var_token(0), 1, "b"]
 
 
 def test_tokenize_shares_variable_numbering_across_arguments():
     x = Var()
     counts = []
-    toks = tokenize([x, Struct("f", [x, Var()])], counts=counts)
-    assert toks == [var_token(0), fun_token("f", 2), var_token(0), var_token(1)]
+    keys = term_keys([x, Struct("f", [x, Var()])], counts=counts)
+    assert keys == [var_token(0),
+                    (fun_token("f", 2), var_token(0), var_token(1))]
     assert counts == [1, 1]
 
 
+def test_term_keys_give_one_key_per_term():
+    x = Var()
+    varmap = {}
+    keys = term_keys(["a", 1, 1.5, x, Struct("f", [x, 2.5])], varmap)
+    assert keys == ["a", 1, (FLT, 1.5), var_token(0),
+                    (fun_token("f", 2), var_token(0), (FLT, 2.5))]
+    assert varmap == {x: 0}
+    # a shared varmap goes on numbering from where it stands
+    assert term_keys([Var(), x], varmap) == [var_token(1), var_token(0)]
+
+
 def test_float_tokens_stay_distinct_from_ints():
-    assert tokenize([1]) != tokenize([1.0])
+    assert term_keys([1]) != term_keys([1.0])
+    assert term_keys([Struct("f", [1])]) != term_keys([Struct("f", [1.0])])
 
 
 def test_variant_ignores_variable_names():
@@ -108,7 +131,7 @@ def test_variant_transitive(a, b, c):
 
 def order(a, b):
     """Standard order of two terms, by their token sequences."""
-    return compare_token_seqs(tokenize([a]), tokenize([b]))
+    return compare_token_seqs(tokens(a), tokens(b))
 
 
 def test_compare_numbers():
@@ -209,7 +232,7 @@ def test_compare_equal_means_same_value(a, b):
     """Ties happen only for terms alike up to numerically equal numbers."""
     def values(t):
         return [k[1] if type(k) is tuple and k[0] == FLT else k
-                for k in tokenize([t])]
+                for k in tokens(t)]
     if order(a, b) == 0:
         assert values(a) == values(b)
 

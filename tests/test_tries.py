@@ -12,7 +12,7 @@ from modetab.errors import ModetabError
 from modetab.lang import parse_program
 from modetab.modes import (build_segments, compile_declaration, insert_answer,
                            traditional_modes)
-from modetab.terms import Struct, Var, tokenize, var_token, variant
+from modetab.terms import Struct, Var, term_keys, var_token, variant
 from modetab.tries import (
     TableSpace,
     complete_table,
@@ -20,14 +20,16 @@ from modetab.tries import (
     grow_answer,
     iterate_answers,
     subgoal_lookup_insert,
-    variant_key,
 )
 
 
 def frame_for(entry, args):
-    """Key a call and find or make its frame: (frame, is_new, varmap)."""
-    key, counts, varmap = variant_key(entry, args)
-    frame, is_new = subgoal_lookup_insert(entry, key, counts)
+    """Key a call in mode order and find or make its frame: (frame,
+    is_new, varmap)."""
+    varmap, counts = {}, []
+    key = term_keys([args[pos - 1] for pos, _ in entry.mode_array], varmap,
+                    counts)
+    frame, is_new = subgoal_lookup_insert(entry, tuple(key), tuple(counts))
     return frame, is_new, varmap
 
 
@@ -50,14 +52,14 @@ def count_nodes(root):
 
 
 def add(frame, *terms):
-    """Store an answer one trie level per token, growing its path with
+    """Store an answer one trie level per term, growing its path with
     grow_answer; returns its record."""
-    tokens = tokenize(list(terms))
+    keys = term_keys(terms)
     node = frame.root
-    for i, tok in enumerate(tokens):
-        child = node.get(tok)
+    for i, key in enumerate(keys):
+        child = node.get(key)
         if child is None:
-            return grow_answer(frame, node, tokens, i, terms)
+            return grow_answer(frame, node, keys, i, terms)
         node = child
     return node
 
@@ -65,31 +67,31 @@ def add(frame, *terms):
 def lookup(frame, *terms):
     """Root-down walk; returns the leaf record or None."""
     node = frame.root
-    for tok in tokenize(list(terms)):
-        node = node.get(tok)
+    for key in term_keys(terms):
+        node = node.get(key)
         if node is None:
             return None
     return node
 
 
 def kill(frame, leaf):
-    """Invalidate one record: pop the last edge of its token path and
-    drop what it held with drop_below; returns how many were tagged."""
-    tokens = tokenize(list(leaf.terms))
+    """Invalidate one record: pop the last edge of its path and drop
+    what it held with drop_below; returns how many were tagged."""
+    keys = term_keys(leaf.terms)
     node = frame.root
-    for tok in tokens[:-1]:
-        node = node[tok]
-    return drop_below(frame, {tokens[-1]: node.pop(tokens[-1])})
+    for key in keys[:-1]:
+        node = node[key]
+    return drop_below(frame, {keys[-1]: node.pop(keys[-1])})
 
 
 # ---------------------------------------------------------------------------
 # Structure
 
 
-def test_insert_creates_one_node_per_token():
+def test_insert_creates_one_node_per_term():
     frame = fresh_frame()
     add(frame, Var(), 1, Struct("f", [Var()]))
-    assert count_nodes(frame.root) == 4
+    assert count_nodes(frame.root) == 3
 
 
 def test_reinsert_finds_same_leaf():
@@ -97,7 +99,7 @@ def test_reinsert_finds_same_leaf():
     leaf1 = add(frame, Var(), 1, Struct("f", [Var()]))
     leaf2 = add(frame, Var(), 1, Struct("f", [Var()]))
     assert leaf1 is leaf2 and frame.n_inserted == 1
-    assert count_nodes(frame.root) == 4
+    assert count_nodes(frame.root) == 3
 
 
 def test_common_prefix_is_shared():
@@ -105,7 +107,7 @@ def test_common_prefix_is_shared():
     add(frame, Var(), 1, Struct("f", [Var()]))
     add(frame, Var(), 1, "b")
     # [VAR0, 1] is shared; only the b node is new
-    assert count_nodes(frame.root) == 5
+    assert count_nodes(frame.root) == 4
 
 
 def test_call_arguments_are_stored_in_mode_order():
@@ -464,9 +466,9 @@ def test_node_count_matches_distinct_prefixes(vectors):
     frame = fresh_frame()
     prefixes = set()
     for vec in vectors:
-        tokens = tuple(tokenize(list(vec)))
+        keys = tuple(term_keys(vec))
         add(frame, *vec)
-        prefixes.update(tokens[: i + 1] for i in range(len(tokens)))
+        prefixes.update(keys[: i + 1] for i in range(len(keys)))
     assert count_nodes(frame.root) == len(prefixes)
 
 
