@@ -460,4 +460,21 @@ def run_benchmark(name, size, seed, strategy="local", runs=3):
         "match": check_answers(inst, rows),
         "ms": ms,
         "stats": engine.stats.as_dict(),
+        "tables": _table_counters(engine),
     }
+
+
+def _table_counters(engine):
+    """Per tabled predicate, in first-call order: how many tables (frames)
+    it made and the sums of their insertion, invalidation and purge
+    counters. Read from the frames, so no answer chain is walked."""
+    out = {}
+    for entry in engine.space.entries.values():
+        frames = entry.frames
+        out["%s/%d" % (entry.name, entry.arity)] = {
+            "tables": len(frames),
+            "inserted": sum(f.n_inserted for f in frames),
+            "invalidated": sum(f.n_invalidated for f in frames),
+            "purged": sum(f.n_purged for f in frames),
+        }
+    return out

@@ -61,14 +61,16 @@ and through the Vars that were there before. Both paths start a new
 frame's generator the same way. Each read of an answer that holds
 variables gets them renamed apart, as a clause try renames its clause.
 
-A call to a tabled predicate starts a generator (first call) and makes
-a consumer, which runs the next goal's closure once per delivered
-answer. On a completed table it is delivered every answer at once,
-within the calling walk. Otherwise it suspends, keeping copies of the
-activation and its callers, and settles when its frame is scheduled
-local, or when it sits in a table and neither that table nor the one it
-reads has a first, last or sum column, whose content depends on the
-order or the number of deliveries.
+A call to a tabled predicate, from a site or the general path, starts a
+generator (first call) and registers in _consume a consumer, which runs
+the next goal's closure once per delivered answer. On a completed table
+it is delivered every answer at once, within the calling walk.
+Otherwise it suspends, keeping copies of the activation and its callers
+(plain copies unless the walk has bindings, and a sink caller as it
+is), and settles when its frame is scheduled local, or when it sits in
+a table and neither that table nor the one it reads has a first, last
+or sum column, whose content depends on the order or the number of
+deliveries.
 
 * A consumer that does not settle (batched only) gets each
   table-changing insertion queued as an event, plus a bounded catch-up
@@ -211,10 +213,11 @@ class Consumer:
     """A tabled call: where it reads and how to go on.
 
     plan maps answer ordinals to the slots of env unbound at the call,
-    hplan to the Vars a general-path call's arguments held before it;
-    step(env, parent) runs the rest of the derivation. env and the
-    callers in parent were copied when the call suspended; a read of a
-    completed table keeps the caller's own.
+    hplan to the Vars a general-path call's arguments held before it
+    (empty for a site); step(env, parent) runs the rest of the
+    derivation. env and the callers in parent were copied when the call
+    suspended, all but a sink no walk binding reached, which is shared; a
+    read of a completed table keeps the caller's own.
     """
 
     __slots__ = ("frame", "host", "plan", "hplan", "step", "env", "parent",
@@ -584,8 +587,8 @@ class Engine:
                       env, parent, nxt)
 
     def _consume(self, frame, plan, hplan, env, parent, nxt):
-        """Read the frame's answers into the call: now, or once suspended."""
-        host = _host(parent)
+        """Register a tabled call, from a site or the general path, and
+        read the frame's answers into it: now, or once suspended."""
         cid = None
         if self.events is not None:
             self._next_cid += 1
@@ -593,10 +596,16 @@ class Engine:
         if frame.complete:
             # read now, within this walk: the activation and its callers
             # are live, and nothing waits on the read
-            consumer = Consumer(frame, host, plan, hplan, nxt, env, parent, cid)
+            consumer = Consumer(frame, _host(parent), plan, hplan, nxt, env,
+                                parent, cid)
         else:
-            consumer = Consumer(frame, host, plan, hplan, nxt, self._copy(env),
-                                self._freeze(parent), cid)
+            bind = self.bind
+            if bind or type(parent) is tuple:
+                host, parent = _host(parent), self._freeze(parent)
+            else:
+                host = parent.frame
+            env = self._copy(env) if bind else list(env)
+            consumer = Consumer(frame, host, plan, hplan, nxt, env, parent, cid)
             gen = frame.generator
             gen.consumers.append(consumer)
             # the host's component waits on this call unless the frame
@@ -609,11 +618,12 @@ class Engine:
         # of a completed table's); later ones arrive as insertion events,
         # so the walk is bounded to keep the two channels from overlapping
         bound = frame.n_inserted
-        for leaf in iterate_answers(frame):
-            if leaf.seq > bound:
-                break
-            consumer.last = leaf
-            self._deliver(consumer, leaf, resumed=False)
+        leaf = frame.first_answer
+        while leaf is not None and leaf.seq <= bound:
+            if leaf.valid:
+                consumer.last = leaf
+                self._deliver(consumer, leaf, resumed=False)
+            leaf = leaf.next
 
     def _copy(self, env):
         """A copy of an activation that no later binding reaches."""
@@ -658,13 +668,17 @@ class Engine:
         env = list(consumer.env)
         for k, o in consumer.plan:
             env[k] = terms[o]
+        hplan = consumer.hplan  # empty except for a general-path call
+        if not hplan:
+            consumer.step(env, consumer.parent)
+            return
         # the running walk's bindings stay: a completed read needs them,
         # and a suspended consumer's copies were resolved through them
         bind = self.bind
-        for var, o in consumer.hplan:
+        for var, o in hplan:
             bind[var] = terms[o]
         consumer.step(env, consumer.parent)
-        for var, o in consumer.hplan:
+        for var, o in hplan:
             del bind[var]
 
     # -- task loop -------------------------------------------------------
@@ -705,9 +719,13 @@ class Engine:
                 and host.generator.leader is gen.leader
                 and gen.leader.any_order and _best(frame))
         if not best:
-            for leaf in iterate_answers(frame, consumer.last):
-                consumer.last = leaf
-                self._deliver(consumer, leaf, resumed=True)
+            last = consumer.last
+            leaf = frame.first_answer if last is None else last.next
+            while leaf is not None:
+                if leaf.valid:
+                    consumer.last = leaf
+                    self._deliver(consumer, leaf, resumed=True)
+                leaf = leaf.next
             return
         k, sign = best
         heap = []  # (0, value, seq, leaf) for numbers, (1, seq, leaf) after
@@ -1511,7 +1529,11 @@ def _best(frame):
 
 def _pending(consumer):
     """Whether the consumer's frame holds a valid answer it has not seen."""
-    return next(iterate_answers(consumer.frame, consumer.last), None) is not None
+    last = consumer.last
+    leaf = consumer.frame.first_answer if last is None else last.next
+    while leaf is not None and not leaf.valid:
+        leaf = leaf.next
+    return leaf is not None
 
 
 def _tarjan(nodes, adj):

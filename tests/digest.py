@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python tests/digest.py [SWEEP ...]
 
-Prints one sha256 per sweep, for the sweeps named (all six, in the
-order below, when none is) over, for every run in order: the answers
+Prints one sha256 per sweep, for the sweeps named (all seven when none
+is, in the order below: families, randprog, randfloat, randcompound,
+randheads, events, randcalls) over, for every run in order: the answers
 in order, the Stats counters, and each table's n_inserted,
 n_invalidated and n_purged in table and frame creation order. Two trees
 that print the same digests gave the same answers by the same work.

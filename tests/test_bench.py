@@ -159,7 +159,8 @@ def test_query_vars_match_query_text():
 
 def test_report_schema():
     rep = bench.run_benchmark("shortest", 6, 0, runs=3)
-    assert set(rep) == {"instance", "strategy", "answers", "match", "ms", "stats"}
+    assert set(rep) == {"instance", "strategy", "answers", "match", "ms",
+                        "stats", "tables"}
     assert rep["instance"] == {"name": "shortest", "size": 6, "seed": 0}
     assert rep["strategy"] == "local"
     assert rep["match"] is True

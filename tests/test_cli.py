@@ -245,6 +245,21 @@ def test_bench_runs_and_reports(capsys, tmp_path):
         "derivations", "insertions", "invalidations", "propagations",
         "resumptions"
     }
+    # per tabled predicate, the sums of its tables' counters: the same
+    # figures --stats prints per table
+    assert list(report["tables"]) == ["path/3"]
+    tables = report["tables"]["path/3"]
+    assert set(tables) == {"tables", "inserted", "invalidated", "purged"}
+    assert tables["tables"] == 1
+    assert tables["inserted"] - tables["purged"] == report["answers"] == 36
+    p = tmp_path / "shortest.pl"
+    p.write_text(bench.program_text(bench.gen_instance("shortest", 6, 3)))
+    assert main(["run", str(p), "--query", "path(X, Y, C)", "--stats"]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("% table path/3")]
+    assert lines == ["%% table path/3 #1: answers=36 inserted=%d invalidated=%d"
+                     " purged=%d" % (tables["inserted"], tables["invalidated"],
+                                     tables["purged"])]
 
 
 def test_bench_check_mismatch_exits_1(monkeypatch, capsys):

@@ -1,17 +1,21 @@
 """End-to-end evaluation: generators, consumers, scheduling, completion."""
 
 import gc
+import random
 from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from modetab import bench
-from modetab.engine import Consumer, Engine, _Slot, _Tmpl, solve
+from modetab.engine import (Consumer, Engine, _Eval, _host, _pending, _Slot,
+                            _Tmpl, solve)
 from modetab.errors import DerivationLimitError, EvaluationError
 from modetab.lang import parse_program
-from modetab.terms import resolve, term_keys, term_to_str
-from modetab.tries import iterate_answers
+from modetab.modes import compile_declaration, insert_answer
+from modetab.terms import Var, resolve, term_keys, term_to_str
+from modetab.tries import (TableSpace, complete_table, drop_below,
+                           iterate_answers, subgoal_lookup_insert)
 
 from digest import NODE_SEEDS, bound_start, call_shapes, node_rules, with_calls
 from oracles import bottom_up
@@ -803,6 +807,16 @@ def test_a_general_call_leaves_no_var_in_its_callers_slots(strategy,
     assert general == [("p", True)]
 
 
+def node_programs(edit, queries):
+    """The first 24 programs of a tests/digest.py node sweep, each with
+    its queries: (program, query) pairs."""
+    for seed in NODE_SEEDS[:24]:
+        text, query, _ = generate(seed)
+        program = parse_program(edit(text))
+        for q in queries(query):
+            yield program, q
+
+
 @pytest.mark.parametrize("edit, queries", [(node_rules, bound_start),
                                            (call_shapes, with_calls)])
 def test_only_calls_that_hold_an_unbound_variable_go_general(edit, queries,
@@ -821,13 +835,125 @@ def test_only_calls_that_hold_an_unbound_variable_go_general(edit, queries,
         return counted
 
     monkeypatch.setattr(Engine, "_site_step", compiled)
-    for seed in NODE_SEEDS[:24]:
-        text, query, _ = generate(seed)
-        program = parse_program(edit(text))
-        for q in queries(query):
-            assert Engine(program).solve(q)[0]
+    for program, query in node_programs(edit, queries):
+        assert Engine(program).solve(query)[0]
     assert sites and general
     assert all(holds for _, holds in general)
+
+
+@pytest.mark.parametrize("strategy", BOTH)
+def test_every_suspend_shape_is_registered_alike(strategy, monkeypatch):
+    # _consume copies a suspending call's activation and callers one of
+    # three ways: with walk bindings, for a caller chain, or for a caller
+    # that is the sink; a read of a completed table keeps them live
+    shapes = set()
+    real = Engine._consume
+
+    def observed(self, frame, plan, hplan, env, parent, nxt):
+        complete, host = frame.complete, _host(parent)
+        shape = ("complete" if complete else "bindings" if self.bind
+                 else "chain" if type(parent) is tuple else "sink")
+        shapes.add(shape)
+        real(self, frame, plan, hplan, env, parent, nxt)
+        if not complete:
+            consumer = frame.generator.consumers[-1]
+            assert consumer.host is host and consumer.step is nxt
+            assert consumer.env is not env and len(consumer.env) == len(env)
+            assert (consumer.parent is parent) == (shape == "sink")
+
+    monkeypatch.setattr(Engine, "_consume", observed)
+    # matrix reads completed tables, and reach's clause is a caller chain
+    # that binds nothing; lcs's calls come straight from clause bodies
+    cases = [bench_case("lcs", 20, 3), bench_case("matrix", 8, 3),
+             (parse_program(REACH + "reach(X) :- path(X, _).\n"),
+              "?- reach(a).")]
+    cases += node_programs(node_rules, bound_start)
+    cases += node_programs(call_shapes, with_calls)
+    for program, query in cases:
+        assert Engine(program, strategy).solve(query)[0]
+    assert shapes == {"complete", "bindings", "chain", "sink"}
+
+
+def pending_frame(modes):
+    """An incomplete frame for an all-free call, with the engine record a
+    Consumer reads, and no generator to run."""
+    entry = TableSpace().entry("p", len(modes), compile_declaration(
+        "p", len(modes), list(modes)))
+    key = tuple(term_keys([Var() for _ in modes]))
+    frame = subgoal_lookup_insert(entry, key, (1,) * len(modes))[0]
+    frame.generator = _Eval(frame, (), (), (), True)
+    return frame
+
+
+def test_pending_and_walks_follow_the_chain_as_iterate_answers_does():
+    # a consumer parked on any leaf, before or after the table drops and
+    # purges leaves; its walk's deliveries add answers, which it reads too
+    rng = random.Random(25)
+    engine = Engine(parse_program(""))
+    parked_stale = purged = added = dead_tails = 0
+    for case in range(400):
+        modes = (("index", "min"), ("index", "max", "all"),
+                 ("index", "index"))[case % 3]
+        frame = pending_frame(modes)
+        leaves = []
+
+        def pour(n):
+            # inserts, and now and then a branch dropped with nothing
+            # in its place, which can leave the chain's tail invalid
+            for _ in range(n):
+                if frame.root and rng.random() < 0.2:
+                    drop_below(frame, frame.root[rng.choice(list(frame.root))])
+                    continue
+                row = [rng.choice((1, 2))]
+                row += [rng.randint(0, 9) for _ in modes[1:]]
+                out = insert_answer(frame, tuple(row))
+                if out.leaf is not None:
+                    leaves.append(out.leaf)
+
+        def agrees(consumer):
+            want = next(iterate_answers(frame, consumer.last), None)
+            assert _pending(consumer) == (want is not None)
+
+        seen = []
+
+        def step(env, parent):
+            assert consumer.last.valid
+            seen.append(consumer.last)
+            agrees(consumer)
+            if adding and rng.random() < 0.5:
+                pour(1)
+                agrees(consumer)
+
+        pour(rng.randint(0, 6))
+        consumer = Consumer(frame, None, (), (), step, [], None, None)
+        if leaves and rng.random() < 0.8:
+            consumer.last = rng.choice(leaves)
+        agrees(consumer)
+        pour(rng.randint(0, 6))
+        parked_stale += consumer.last is not None and not consumer.last.valid
+        tail = frame.last_answer
+        dead_tails += tail is not None and not tail.valid
+        adding = case % 2 == 0
+        if not adding:
+            complete_table(frame)
+            purged += frame.n_purged
+        agrees(consumer)
+        start = consumer.last.seq if consumer.last is not None else 0
+        want = list(iterate_answers(frame, consumer.last))
+        before = frame.n_inserted
+        engine._walk_consumer(consumer)
+        added += frame.n_inserted - before
+        assert not _pending(consumer)
+        agrees(consumer)
+        # each answer after the parked leaf that is still valid, once, in
+        # chain order; one dropped during the walk may have come first
+        seqs = [leaf.seq for leaf in seen]
+        assert seqs == sorted(set(seqs)) and all(n > start for n in seqs)
+        assert {leaf for leaf in iterate_answers(frame)
+                if leaf.seq > start} <= set(seen)
+        if not adding:
+            assert seen == want
+    assert parked_stale and purged and added and dead_tails
 
 
 def test_a_call_site_looks_up_each_frame_once(monkeypatch):
