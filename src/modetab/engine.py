@@ -61,6 +61,14 @@ and through the Vars that were there before. Both paths start a new
 frame's generator the same way. Each read of an answer that holds
 variables gets them renamed apart, as a clause try renames its clause.
 
+Runs, call site steps, tries and puts are all generated one way: the
+generator writes lines into a _Source, which hands out the constants'
+names, and its make compiles the text, once per distinct text, under
+the name <modetab KIND N> (KIND run, site, tries or put, N a serial of
+the process), gives the text to linecache, and runs it in this module's
+globals. So a traceback shows a generated function's lines, and a
+profiler keeps each source's functions apart.
+
 A call to a tabled predicate, from a site or the general path, starts a
 generator (first call) and registers in _consume a consumer, which runs
 the next goal's closure once per delivered answer. On a completed table
@@ -103,9 +111,11 @@ are left out because what they keep depends on the order or the
 number of deliveries.
 """
 
+import linecache
 from collections import deque
 from functools import lru_cache
 from heapq import heappop, heappush
+from itertools import count
 
 from .errors import DerivationLimitError, EvaluationError
 from .lang import (decompose_goal, eval_arith, eval_builtin, fact_key,
@@ -255,8 +265,8 @@ class Engine:
         self.ready = []  # component leaders that may wait on nobody
         self.bind = {}  # Var bindings of the running walk
         self.trail = []
-        self._code = {}
-        self._shapes = {}  # (entry, link, subst_modes) -> puts, per clause
+        self._compiled = {}  # (name, arity) -> compiled clauses
+        self._shapes = {}  # (entry, link, subst_modes) -> its tries
         self._next_cid = 0
 
     # -- bookkeeping ---------------------------------------------------
@@ -279,11 +289,11 @@ class Engine:
 
     def _clauses(self, name, arity):
         """Compiled clauses: (slot count, head, body step) each."""
-        code = self._code.get((name, arity))
+        code = self._compiled.get((name, arity))
         if code is None:
             # tabled clauses only run as generators, others under a caller
             last = _emit if self.program.is_tabled(name, arity) else _return
-            code = self._code[(name, arity)] = [
+            code = self._compiled[(name, arity)] = [
                 self._compile(c.head.args if type(c.head) is Struct else (),
                               c.body, {}, last)
                 for c in self.program.clauses_for(name, arity)
@@ -431,11 +441,7 @@ class Engine:
             if j not in tails:
                 tails[j] = self._run_step(ops[j:], nxt)
             return tails[j]
-        source, data = _generate(ops, nxt is _emit)
-        scope = {}
-        # the module's globals, so traced functions are found at call time
-        exec(_code(source), globals(), scope)
-        return scope["make"](self, data, nxt, tail)
+        return _generate(ops, nxt is _emit).make(self, nxt, tail)
 
     # -- resolution ----------------------------------------------------
 
@@ -564,11 +570,9 @@ class Engine:
                              and (s.first or env[s.i] is None))
             found = steps.get(free)
             if found is None:
-                source, data = _site_source(self.entry(name, len(specs)),
-                                            specs, free)
-                scope = {}
-                exec(_code(source), globals(), scope)
-                found = steps[free] = scope["make"](self, data, nxt, switch)
+                entry = self.entry(name, len(specs))
+                found = steps[free] = _site_source(entry, specs, free).make(
+                    self, entry, specs, nxt, switch)
             step[0] = found
             found(env, parent)
         step = [switch]
@@ -698,14 +702,9 @@ class Engine:
         found = self._shapes.get(key)
         if found is None:
             clauses = self._clauses(entry.name, entry.arity)
-            found = []
-            for i in range(0, len(clauses), _TRIES):
-                source, data = _tries_source(clauses[i:i + _TRIES], link,
-                                             subst_modes)
-                scope = {}
-                exec(_code(source), globals(), scope)
-                found.append(scope["make"](data))
-            found = self._shapes[key] = tuple(found)
+            found = self._shapes[key] = tuple(
+                _tries_source(clauses[i:i + _TRIES], link, subst_modes).make()
+                for i in range(0, len(clauses), _TRIES))
         return found
 
     def _walk_consumer(self, consumer):
@@ -718,24 +717,23 @@ class Engine:
         best = (host is not None and gen is not None
                 and host.generator.leader is gen.leader
                 and gen.leader.any_order and _best(frame))
-        if not best:
+        heap = []  # (0, value, seq, leaf) for numbers, (1, seq, leaf) after
+        while True:
+            # in chain order: delivered as read, or pushed to the heap
             last = consumer.last
             leaf = frame.first_answer if last is None else last.next
             while leaf is not None:
                 if leaf.valid:
                     consumer.last = leaf
-                    self._deliver(consumer, leaf, resumed=True)
+                    if not best:
+                        self._deliver(consumer, leaf, resumed=True)
+                    else:
+                        k, sign = best
+                        v = leaf.terms[k]
+                        heappush(heap, (0, sign * v, leaf.seq, leaf)
+                                 if type(v) is int or type(v) is float
+                                 else (1, leaf.seq, leaf))
                 leaf = leaf.next
-            return
-        k, sign = best
-        heap = []  # (0, value, seq, leaf) for numbers, (1, seq, leaf) after
-        while True:
-            for leaf in iterate_answers(frame, consumer.last):
-                consumer.last = leaf
-                v = leaf.terms[k]
-                heappush(heap, (0, sign * v, leaf.seq, leaf)
-                         if type(v) is int or type(v) is float
-                         else (1, leaf.seq, leaf))
             if not heap:
                 return
             leaf = heappop(heap)[-1]
@@ -958,36 +956,75 @@ _BOUND = """\
                 return switch(env, parent)
             v{0}, k{0} = _ground(v{0}, self.bind)
             if k{0} is None:
-                return self._call_tabled(name, specs, env, parent, nxt)"""
+                return self._call_tabled(entry.name, specs, env, parent, nxt)"""
+
+_serial = count(1)  # numbers the generated sources of this process
 
 
 @lru_cache(maxsize=256)
-def _code(source):
-    return compile(source, "<modetab run>", "exec")
+def _code(kind, source):
+    """Compile a generated source under a name of its own, whose lines
+    linecache holds: an entry without a modification time, which
+    checkcache keeps."""
+    name = "<modetab %s %d>" % (kind, next(_serial))
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    return compile(source, name, "exec")
+
+
+class _Source:
+    """A generated function's source, as its generator writes it: a
+    make(D, *params) whose body's lines read constants d0, d1, ... from
+    D and define the function named result, which make returns."""
+
+    __slots__ = ("kind", "params", "result", "data", "lines")
+
+    def __init__(self, kind, params, result):
+        self.kind = kind  # run, site, tries or put: part of its name
+        self.params = params
+        self.result = result
+        self.data = []
+        self.lines = []
+
+    def const(self, v):
+        """The name under which the source reads v."""
+        self.data.append(v)
+        return "d%d" % (len(self.data) - 1)
+
+    def emit(self, depth, *texts):
+        self.lines += ["    " * depth + text for text in texts]
+
+    def make(self, *args):
+        """Compile the source, once per distinct text, and run make in
+        this module's globals, so traced functions are found at call
+        time."""
+        head = ["def make(%s):" % ", ".join(("D",) + self.params),
+                "    %s = D" % _tup("d%d" % k for k in range(len(self.data)))]
+        source = "\n".join(head + self.lines + ["    return " + self.result, ""])
+        scope = {}
+        exec(_code(self.kind, source), globals(), scope)
+        return scope["make"](tuple(self.data), *args)
+
+
+def _tup(items):
+    """Python for a tuple display of the given expressions."""
+    return "(%s)" % "".join(x + ", " for x in items)
 
 
 def _generate(ops, emits):
-    """Python source for a run of inline goals, and the data it reads.
-
-    The source defines make(self, D, nxt, tail), which returns the run's
-    step. Each fact goal is a for loop over its candidate rows,
-    arithmetic is straight-line code and a comparison an if, with
-    nxt(env, parent) at the innermost point, or, where nxt is _emit
-    (emits), the sink's put; tail(j) is the step for goals j on, which a
-    fallback goes on with. The source is made of
-    slot numbers, argument positions and the tables above: constants,
-    variable names, fact tables and compiled terms come in D.
+    """The source of a run of inline goals, whose make(D, self, nxt,
+    tail) returns the run's step. Each fact goal is a for loop over its
+    candidate rows, arithmetic is straight-line code and a comparison an
+    if, with nxt(env, parent) at the innermost point, or, where nxt is
+    _emit (emits), the sink's put; tail(j) is the step for goals j on,
+    which a fallback goes on with. The source is made of slot numbers,
+    argument positions and the tables above: constants, variable names,
+    fact tables and compiled terms come in D.
     """
-    data = []
-    lines = []
+    src = _Source("run", ("self", "nxt", "tail"), "step")
+    const, emit = src.const, src.emit
+    emit(1, "st = self.stats", "def step(env, parent):")
+    emit(2, "bind = self.bind", "trail = self.trail")
     temps = [0]
-
-    def const(v):
-        data.append(v)
-        return "d%d" % (len(data) - 1)
-
-    def emit(depth, text):
-        lines.append("    " * depth + text)
 
     def value(e, depth):
         """Emit the evaluation of compiled arithmetic, left to right;
@@ -1117,21 +1154,14 @@ def _generate(ops, emits):
             emit(depth + 1, "env[%d] = None" % s.i)
 
     goals(0, 2, frozenset())
-    head = ["def make(self, D, nxt, tail):", "    st = self.stats"]
-    if data:
-        head.append("    %s, = D" % ", ".join("d%d" % k
-                                                  for k in range(len(data))))
-    head += ["    def step(env, parent):", "        bind = self.bind",
-             "        trail = self.trail"]
-    return "\n".join(head + lines + ["    return step", ""]), tuple(data)
+    return src
 
 
 def _tries_source(clauses, link, subst_modes):
-    """Python source for the tries of some clauses under one generator
-    call shape, and the data it reads.
+    """The source of the tries of some clauses under one generator call
+    shape, whose make(D) returns tries(engine, frame, args, subst).
 
-    The source defines make(D), which returns tries(engine, frame, args,
-    subst). It tries each clause in order, as _clause_copy does: count
+    It tries each clause in order, as _clause_copy does: count
     the derivation and check the limit, match each head argument that
     no link names, or that holds a compound with variables, against the
     call's, and run the body on a fresh activation that holds the first
@@ -1148,24 +1178,17 @@ def _tries_source(clauses, link, subst_modes):
     numbers, argument positions and counts; bodies, constants, outs and
     puts come in D.
     """
-    data = []
-
-    def const(v):
-        data.append(v)
-        return "d%d" % (len(data) - 1)
-
+    src = _Source("tries", (), "tries")
+    const, emit = src.const, src.emit
     n = sum(count for _, count, _ in subst_modes)
     ground = len(link) - link.count(None) == n
-    lines = ["    def tries(engine, frame, args, subst):",
-             "        st = engine.stats", "        limit = engine.limit",
-             "        bind = engine.bind", "        trail = engine.trail"]
-    if link:
-        lines.append("        %s, = args" % ", ".join(
-            "a%d" % k for k in range(len(link))))
+    emit(1, "def tries(engine, frame, args, subst):")
+    emit(2, "st = engine.stats", "limit = engine.limit", "bind = engine.bind",
+         "trail = engine.trail", "%s = args" % _tup(
+             "a%d" % k for k in range(len(link))))
     for size, head, body in clauses:
-        lines += ["        st.derivations += 1",
-                  "        if st.derivations > limit:",
-                  "            _over(limit)"]
+        emit(2, "st.derivations += 1", "if st.derivations > limit:",
+             "    _over(limit)")
         plain = ground and _Tmpl not in map(type, head)  # binds nothing
         tests = []
         env = ["None"] * size  # the fresh activation
@@ -1189,46 +1212,33 @@ def _tries_source(clauses, link, subst_modes):
             else:
                 tests.append(_MATCH_ATOM.format(f=a, v=const(s)))
         if any(s is None for s in outs):
-            outs = "(%s)" % "".join("subst[%d], " % o if s is None else
-                                    "%s, " % const(s)
-                                    for o, s in enumerate(outs))
+            outs = _tup("subst[%d]" % o if s is None else const(s)
+                        for o, s in enumerate(outs))
         else:
             outs = const(tuple(outs))  # shared by every try
         env = "[%s]" % ", ".join(env)
         if not plain:
-            lines.append("        env = " + env)
+            emit(2, "env = " + env)
             env = "env"
-        pad = "        "
         if tests:
-            lines.append(pad + "if %s:" % " and ".join(tests))
-            pad += "    "
-        lines.append(pad + "%s(%s, _Sink(engine, frame, %s, %s))" % (
-            const(body), env, outs,
-            const(_put(tuple(shape), subst_modes))))
+            emit(2, "if %s:" % " and ".join(tests))
+        emit(2 + bool(tests), "%s(%s, _Sink(engine, frame, %s, %s))" % (
+            const(body), env, outs, const(_put(tuple(shape), subst_modes))))
         if not plain:
-            lines += ["        bind.clear()", "        trail.clear()"]
-    head = ["def make(D):", "    %s, = D" % ", ".join(
-        "d%d" % k for k in range(len(data)))]  # every clause has a body
-    return "\n".join(head + lines + ["    return tries", ""]), tuple(data)
+            emit(2, "bind.clear()", "trail.clear()")
+    return src
 
 
 def _site_source(entry, specs, free):
-    """Python source for a call site's step under one pattern, free the
-    slots unbound at the call, and the data it reads: make(self, D, nxt,
-    switch) returns the step the module docstring describes. The source
-    is made of slot numbers; the entry, constants and their keys,
-    variable tokens and names, link, counts and plan come in D.
+    """The source of a call site's step under one pattern, free the
+    slots unbound at the call: make(D, self, entry, specs, nxt, switch)
+    returns the step the module docstring describes. The source is made
+    of slot numbers; constants and their keys, variable tokens and
+    names, link, counts and plan come in D.
     """
-    data = [entry, entry.name, specs]
-
-    def const(v):
-        data.append(v)
-        return "d%d" % (len(data) - 1)
-
-    def tup(items):
-        return "(%s)" % "".join(x + ", " for x in items)
-
-    lines = ["    def step(env, parent):"]
+    src = _Source("site", ("self", "entry", "specs", "nxt", "switch"), "step")
+    const, emit = src.const, src.emit
+    emit(1, "calls = entry.calls", "def step(env, parent):")
     args, link = [None] * len(specs), [None] * len(specs)
     key, counts, subst, fresh, plan = [], [], [], [], []
     keys = {}  # per slot read, the name of its key
@@ -1244,32 +1254,27 @@ def _site_source(entry, specs, free):
         if new and s.i in free:
             same = [t for t in specs if type(t) is _Slot and t.i == s.i]
             if not any(t.first for t in same):
-                lines += ["        if env[%d] is not None:" % s.i,
-                          "            return switch(env, parent)"]
+                emit(2, "if env[%d] is not None:" % s.i,
+                     "    return switch(env, parent)")
             if len(same) == 1:
                 link[pos - 1] = len(subst)
             plan.append((s.i, len(subst)))
             keys[s.i] = const(var_token(len(subst)))
             subst.append("v%d" % s.i)
-            fresh.append("            v%d = Var(%s)" % (s.i, const(s.name)))
+            fresh.append("v%d = Var(%s)" % (s.i, const(s.name)))
         elif new:
             keys[s.i] = "k%d" % s.i
-            lines.append(_BOUND.format(s.i))
+            emit(0, _BOUND.format(s.i))
         key.append(keys[s.i])
         args[pos - 1] = "v%d" % s.i
-    lines += ["        key = " + tup(key), "        frame = calls.get(key)",
-              "        if frame is None:"] + fresh
-    lines += ["            frame = subgoal_lookup_insert(entry, key, %s)[0]"
-              % const(tuple(counts)),
-              "            self._start(frame, %s, %s, %s)"
-              % (tup(args), const(tuple(link)), tup(subst)),
-              "        self._consume(frame, %s, (), env, parent, nxt)"
-              % const(tuple(plan))]
-    head = ["def make(self, D, nxt, switch):",
-            "    entry, name, specs, %s= D" % "".join(
-                "d%d, " % k for k in range(3, len(data))),
-            "    calls = entry.calls"]
-    return "\n".join(head + lines + ["    return step", ""]), tuple(data)
+    emit(2, "key = " + _tup(key), "frame = calls.get(key)", "if frame is None:")
+    emit(3, *fresh)
+    emit(3, "frame = subgoal_lookup_insert(entry, key, %s)[0]"
+         % const(tuple(counts)), "self._start(frame, %s, %s, %s)"
+         % (_tup(args), const(tuple(link)), _tup(subst)))
+    emit(2, "self._consume(frame, %s, (), env, parent, nxt)"
+         % const(tuple(plan)))
+    return src
 
 
 def _ground(v, bind):
@@ -1286,17 +1291,14 @@ def _put(shape, subst_modes):
     """The put of one sink shape: per answer ordinal, the slot its value
     is read from, or -1 to read the sink's outs; subst_modes is the
     frame's substitution array, None for a query's sink."""
-    segments = None if subst_modes is None else build_segments(subst_modes)
-    scope = {}
-    exec(_code(_put_source(shape, segments)), globals(), scope)
-    return scope["put"]
+    return _put_source(shape, subst_modes).make()
 
 
-def _put_source(shape, segments):
-    """Python source for a put(env, sink): check the derivation limit,
-    read the outputs (an unbound slot gets a Var; with bindings, each is
-    resolved through them), then append a query's answer (segments None)
-    or store a frame's.
+def _put_source(shape, subst_modes):
+    """The source of a put(env, sink), whose make(D) returns it: check
+    the derivation limit, read the outputs (an unbound slot gets a Var;
+    with bindings, each is resolved through them), then append a query's
+    answer or store a frame's.
 
     An answer made of atoms and numbers is walked down the answer trie
     inline, one key per ordinal of the insertion plan: an atom or an
@@ -1318,57 +1320,52 @@ def _put_source(shape, segments):
     scheduled batched, calls _announce. The source is made of slot
     numbers, ordinals and mode names only.
     """
-    lines = ["def put(env, sink):", "    engine = sink.engine",
-             "    st = engine.stats", "    if st.derivations > engine.limit:",
-             "        _over(engine.limit)"]
-
-    def emit(depth, text):
-        lines.append("    " * depth + text)
-
-    def source():
-        return "\n".join(lines) + "\n"
-
+    src = _Source("put", (), "put")
+    emit = src.emit
+    emit(1, "def put(env, sink):")
+    emit(2, "engine = sink.engine", "st = engine.stats",
+         "if st.derivations > engine.limit:", "    _over(engine.limit)")
     n = len(shape)
     for o, i in enumerate(shape):
         if i < 0:
-            emit(1, "v%d = sink.outs[%d]" % (o, o))
+            emit(2, "v%d = sink.outs[%d]" % (o, o))
         else:
-            emit(1, "v%d = env[%d]" % (o, i))
-            emit(1, "if v%d is None:" % o)
-            emit(2, "v%d = env[%d] = Var(sink.outs[%d].name)" % (o, i, o))
+            emit(2, "v%d = env[%d]" % (o, i))
+            emit(2, "if v%d is None:" % o)
+            emit(3, "v%d = env[%d] = Var(sink.outs[%d].name)" % (o, i, o))
     if n:
-        emit(1, "bind = engine.bind")
-        emit(1, "if bind:")
+        emit(2, "bind = engine.bind")
+        emit(2, "if bind:")
         for o in range(n):
-            emit(2, "v%d = resolve(v%d, bind)" % (o, o))
-    vals = "(%s)" % "".join("v%d, " % o for o in range(n))
-    if segments is None:
-        emit(1, "sink.answers.append(dict(zip(sink.names, %s)))" % vals)
-        return source()
-    emit(1, "frame = sink.frame")
+            emit(3, "v%d = resolve(v%d, bind)" % (o, o))
+    vals = _tup("v%d" % o for o in range(n))
+    if subst_modes is None:
+        emit(2, "sink.answers.append(dict(zip(sink.names, %s)))" % vals)
+        return src
+    emit(2, "frame = sink.frame")
+    segments = build_segments(subst_modes)
     general = "return _general(engine, frame, %s)" % vals
     if any(hi - lo != 1 for mode, lo, hi, _ in segments
            if mode in ("min", "max", "sum")):
-        emit(1, general)
-        return source()
+        emit(2, general)
+        return src
 
     sums = [lo for mode, lo, _, _ in segments if mode == "sum"]
-    emit(1, "node = frame.root")
-    emit(1, "if node is None:")
-    emit(2, general)
+    emit(2, "node = frame.root")
+    emit(2, "if node is None:")
+    emit(3, general)
     # t<o> is the token of value v<o>; a sum takes numbers only
     for o in range(n):
-        emit(1, "t%d = v%d" % (o, o))
-        emit(1, "if type(v%d) is not int:" % o if o in sums else
+        emit(2, "t%d = v%d" % (o, o))
+        emit(2, "if type(v%d) is not int:" % o if o in sums else
              "if type(v%d) is not int and type(v%d) is not str:" % (o, o))
-        emit(2, "if type(v%d) is not float:" % o)
-        emit(3, general)
-        emit(2, "t%d = (FLT, v%d)" % (o, o))
+        emit(3, "if type(v%d) is not float:" % o)
+        emit(4, general)
+        emit(3, "t%d = (FLT, v%d)" % (o, o))
     if sums:
-        emit(1, "total = v%d" % sums[0])
+        emit(2, "total = v%d" % sums[0])
     # what is stored: a sum's total in place of the candidate's value
-    terms = "(%s)" % "".join("total, " if o in sums else "v%d, " % o
-                             for o in range(n))
+    terms = _tup("total" if o in sums else "v%d" % o for o in range(n))
     total = "total" if sums else "None"
 
     def grow(depth, at, kind):
@@ -1407,48 +1404,48 @@ def _put_source(shape, segments):
         emit(depth, "return")
 
     if not segments:  # a fully bound call: its one answer is "yes"
-        emit(1, "if frame.first_answer is None:")
-        grow(2, 0, "NEW")
+        emit(2, "if frame.first_answer is None:")
+        grow(3, 0, "NEW")
     for j, (mode, lo, hi, _) in enumerate(segments):
         if mode == "index" or mode == "all":
             for t in range(lo, hi):
-                emit(1, "c = node.get(t%d)" % t)
-                emit(1, "if c is None:")
-                grow(2, t, "ADDED if node else NEW" if mode == "all"
+                emit(2, "c = node.get(t%d)" % t)
+                emit(2, "if c is None:")
+                grow(3, t, "ADDED if node else NEW" if mode == "all"
                      else "NEW")
                 if t + 1 < hi or j + 1 < len(segments):
-                    emit(1, "node = c")
+                    emit(2, "node = c")
             continue
-        emit(1, "if not node:")
-        grow(2, lo, "NEW")
+        emit(2, "if not node:")
+        grow(3, lo, "NEW")
         if mode == "first":
             break
         if mode == "last":
-            grow(1, lo, "REPLACED")
-            return source()
-        emit(1, "s = next(iter(node))")
+            grow(2, lo, "REPLACED")
+            return src
+        emit(2, "s = next(iter(node))")
         if mode == "sum":  # a stored total is an int or (FLT, total)
-            emit(1, "total = (s if type(s) is int else s[1]) + v%d" % lo)
-            emit(1, "t%d = (FLT, total) if type(total) is float else total"
+            emit(2, "total = (s if type(s) is int else s[1]) + v%d" % lo)
+            emit(2, "t%d = (FLT, total) if type(total) is float else total"
                  % lo)
-            grow(1, lo, "SUM_UPDATED")
-            return source()
+            grow(2, lo, "SUM_UPDATED")
+            return src
         # min, max: w is the witness's value; one of the candidate's type
         # compares as it is, any other through beats
-        emit(1, "if s != t%d:" % lo)
-        emit(2, "w = s[1] if type(s) is tuple and s[0] == FLT else s")
-        emit(2, "if type(w) is type(v%d):" % lo)
-        emit(3, "better = v%d %s w" % (lo, "<" if mode == "min" else ">"))
-        emit(2, "else:")
-        emit(3, "better = beats((t%d,), (s,), %d)"
+        emit(2, "if s != t%d:" % lo)
+        emit(3, "w = s[1] if type(s) is tuple and s[0] == FLT else s")
+        emit(3, "if type(w) is type(v%d):" % lo)
+        emit(4, "better = v%d %s w" % (lo, "<" if mode == "min" else ">"))
+        emit(3, "else:")
+        emit(4, "better = beats((t%d,), (s,), %d)"
              % (lo, -1 if mode == "min" else 1))
-        emit(2, "if better:")
-        grow(3, lo, "REPLACED")
-        reject(2)
+        emit(3, "if better:")
+        grow(4, lo, "REPLACED")
+        reject(3)
         if j + 1 < len(segments):
-            emit(1, "node = node[s]")
-    reject(1)  # every token matched: a duplicate
-    return source()
+            emit(2, "node = node[s]")
+    reject(2)  # every token matched: a duplicate
+    return src
 
 
 def _general(engine, frame, vals):

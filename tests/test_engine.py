@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modetab import bench
-from modetab.engine import (Consumer, Engine, _Eval, _host, _pending, _Slot,
-                            _Tmpl, solve)
+from modetab.engine import (Consumer, Engine, _best, _Eval, _host, _pending,
+                            _Slot, _Tmpl, solve)
 from modetab.errors import DerivationLimitError, EvaluationError
 from modetab.lang import parse_program
 from modetab.modes import compile_declaration, insert_answer
@@ -879,18 +879,27 @@ def pending_frame(modes):
     Consumer reads, and no generator to run."""
     entry = TableSpace().entry("p", len(modes), compile_declaration(
         "p", len(modes), list(modes)))
-    key = tuple(term_keys([Var() for _ in modes]))
-    frame = subgoal_lookup_insert(entry, key, (1,) * len(modes))[0]
-    frame.generator = _Eval(frame, (), (), (), True)
+    args = tuple(Var() for _ in modes)
+    frame = subgoal_lookup_insert(entry, tuple(term_keys(args)),
+                                  (1,) * len(modes))[0]
+    frame.generator = _Eval(frame, args, (), (), True)
     return frame
 
 
 def test_pending_and_walks_follow_the_chain_as_iterate_answers_does():
     # a consumer parked on any leaf, before or after the table drops and
-    # purges leaves; its walk's deliveries add answers, which it reads too
+    # purges leaves; its walk's deliveries add answers, which it reads too.
+    # One in the frame's own evaluation walks best value first, on the
+    # incomplete frame.
     rng = random.Random(25)
     engine = Engine(parse_program(""))
-    parked_stale = purged = added = dead_tails = 0
+
+    def deliver(consumer, leaf, resumed):
+        assert leaf.valid
+        seen.append(leaf)
+        Engine._deliver(engine, consumer, leaf, resumed)
+    engine._deliver = deliver
+    parked_stale = purged = added = dead_tails = ordered = 0
     for case in range(400):
         modes = (("index", "min"), ("index", "max", "all"),
                  ("index", "index"))[case % 3]
@@ -917,15 +926,14 @@ def test_pending_and_walks_follow_the_chain_as_iterate_answers_does():
         seen = []
 
         def step(env, parent):
-            assert consumer.last.valid
-            seen.append(consumer.last)
             agrees(consumer)
             if adding and rng.random() < 0.5:
                 pour(1)
                 agrees(consumer)
 
         pour(rng.randint(0, 6))
-        consumer = Consumer(frame, None, (), (), step, [], None, None)
+        host = frame if case % 4 >= 2 else None
+        consumer = Consumer(frame, host, (), (), step, [], None, None)
         if leaves and rng.random() < 0.8:
             consumer.last = rng.choice(leaves)
         agrees(consumer)
@@ -934,26 +942,33 @@ def test_pending_and_walks_follow_the_chain_as_iterate_answers_does():
         tail = frame.last_answer
         dead_tails += tail is not None and not tail.valid
         adding = case % 2 == 0
-        if not adding:
+        if not adding and host is None:
             complete_table(frame)
             purged += frame.n_purged
         agrees(consumer)
         start = consumer.last.seq if consumer.last is not None else 0
         want = list(iterate_answers(frame, consumer.last))
+        best = host is not None and _best(frame)
+        if best:
+            k, sign = best
+            want.sort(key=lambda leaf: (sign * leaf.terms[k], leaf.seq))
+            ordered += 1
         before = frame.n_inserted
         engine._walk_consumer(consumer)
         added += frame.n_inserted - before
         assert not _pending(consumer)
         agrees(consumer)
         # each answer after the parked leaf that is still valid, once, in
-        # chain order; one dropped during the walk may have come first
+        # chain order or best value first; one dropped during the walk
+        # may have come first
         seqs = [leaf.seq for leaf in seen]
-        assert seqs == sorted(set(seqs)) and all(n > start for n in seqs)
+        assert len(set(seqs)) == len(seqs) and all(n > start for n in seqs)
+        assert best or seqs == sorted(seqs)
         assert {leaf for leaf in iterate_answers(frame)
                 if leaf.seq > start} <= set(seen)
         if not adding:
             assert seen == want
-    assert parked_stale and purged and added and dead_tails
+    assert parked_stale and purged and added and dead_tails and ordered
 
 
 def test_a_call_site_looks_up_each_frame_once(monkeypatch):

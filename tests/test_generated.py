@@ -1,0 +1,99 @@
+"""Generated functions under their own names: tracebacks show their
+lines, and profilers and linecache tell one source from another."""
+
+import cProfile
+import linecache
+import pstats
+import re
+import traceback
+
+import pytest
+
+import modetab.engine as engine_mod
+from modetab import bench
+from modetab.engine import Engine
+from modetab.errors import DerivationLimitError
+from modetab.lang import parse_program
+
+NAME = re.compile(r"<modetab (run|site|tries|put) \d+>\Z")
+
+# two tables whose answers are stored by two different puts
+TWO_PUTS = """
+e(a, b, 2). e(b, c, 1). e(a, c, 5).
+:- table d(index, index, min).
+d(X, Y, C) :- e(X, Y, C).
+d(X, Y, C) :- d(X, Z, C1), e(Z, Y, C2), C is C1 + C2.
+:- table r(index, index).
+r(X, Y) :- d(X, Y, _).
+"""
+
+
+def generated(code):
+    """A compiled source's code object and every code object inside it."""
+    yield code
+    for c in code.co_consts:
+        if hasattr(c, "co_filename"):
+            yield from generated(c)
+
+
+def test_a_put_shows_its_line_in_a_traceback():
+    # the clause try counts 1 and checks; the fact row counts 2, which
+    # only the put checks
+    program = parse_program(":- table p/1.\np(X) :- q(X).\nq(1).\n")
+    with pytest.raises(DerivationLimitError) as excinfo:
+        Engine(program, limit=1).solve("?- p(X).")
+    frames = [f for f in traceback.extract_tb(excinfo.value.__traceback__)
+              if NAME.match(f.filename)]
+    assert [f.name for f in frames][-2:] == ["step", "put"]
+    assert frames[-2].line == "parent.put(env, parent)"
+    assert frames[-1].filename.startswith("<modetab put ")
+    assert frames[-1].line == "_over(engine.limit)"
+
+
+def test_pstats_keeps_each_put_apart():
+    profile = cProfile.Profile()
+    engine = Engine(parse_program(TWO_PUTS))
+    profile.runcall(engine.solve, "?- r(a, Y).")
+    calls = {}  # per generated code object, its calls
+    for entry in profile.getstats():
+        code = entry.code
+        if not isinstance(code, str) and NAME.match(code.co_filename):
+            key = (code.co_filename, code.co_firstlineno, code.co_name)
+            calls[key] = calls.get(key, 0) + entry.callcount
+    listed = {key: row[1] for key, row in pstats.Stats(profile).stats.items()
+              if NAME.match(key[0])}
+    puts = [key for key in listed if key[2] == "put"]
+    assert len(puts) >= 2 and len({key[0] for key in puts}) == len(puts)
+    assert listed == calls
+
+
+def test_checkcache_keeps_the_generated_lines():
+    Engine(parse_program(TWO_PUTS)).solve("?- r(a, Y).")
+    names = [name for name in linecache.cache if NAME.match(name)]
+    assert names
+    linecache.checkcache()
+    for name in names:
+        assert linecache.getline(name, 1).startswith("def make(D")
+
+
+def test_every_generated_source_is_named_by_kind(monkeypatch):
+    codes = []
+    real = engine_mod._code
+
+    def recorded(kind, source):
+        code = real(kind, source)
+        codes.append((kind, code))
+        return code
+
+    monkeypatch.setattr(engine_mod, "_code", recorded)
+    # puts are cached per process by shape: make these solves build theirs
+    engine_mod._put.cache_clear()
+    for family in ("lcs", "shortest"):
+        inst = bench.gen_instance(family, 20, 3)
+        Engine(parse_program(bench.program_text(inst))).solve(
+            bench.query_text(inst))
+    assert {kind for kind, _ in codes} == {"run", "site", "tries", "put"}
+    for kind, code in codes:
+        for inner in generated(code):
+            match = NAME.match(inner.co_filename)
+            assert match and match.group(1) == kind

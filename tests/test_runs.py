@@ -168,9 +168,11 @@ def test_program_text_stays_out_of_generated_source(monkeypatch):
     sources = []
     real = engine_mod._code
 
-    def recorded(source):
-        sources.append(source)
-        return real(source)
+    def recorded(kind, source):
+        code = real(kind, source)
+        # the text, and the name it was compiled under
+        sources.extend((source, code.co_filename))
+        return code
     monkeypatch.setattr(engine_mod, "_code", recorded)
     facts = "".join("w(%s, %d).\n" % (_quoted(a), k)
                     for k, a in enumerate(ATOMS))
@@ -194,7 +196,7 @@ def test_program_text_stays_out_of_generated_source(monkeypatch):
     with pytest.raises(EvaluationError) as excinfo:
         engine.solve("?- u(X).")
     assert str(excinfo.value) == "unbound variable %s in arithmetic" % odd.name
-    assert len(sources) >= 4
+    assert len(sources) >= 8
     for source in sources:
         for atom in ATOMS + (odd.name,):
             assert atom not in source
