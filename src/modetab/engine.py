@@ -36,7 +36,9 @@ derivation limit and reads the answer. A query's put appends it to the
 answer list. A table's put stores an answer of atoms and numbers
 itself, from its first read to the counted record: it walks the answer
 trie segment by segment of the insertion plan (index, all, min, max,
-first, last, sum), each value as its trie key (a float v as (FLT, v)),
+first, last, sum), in the layout modes.insert_answer uses (the record
+under the last index key, holding the one-answer columns, or one level
+per term), each level's value as its trie key (a float v as (FLT, v)),
 grows the new path and chains its record, and hands any other answer to
 modes.insert_answer, whose trie keys, witness compare (modes.beats)
 and branch drop (tries.drop_below) it shares. Only a traced insertion,
@@ -122,7 +124,7 @@ from .lang import (decompose_goal, eval_arith, eval_builtin, fact_key,
                    is_builtin, parse_query)
 from .modes import (ADDED, NEW, REJECTED, REPLACED, SUM_UPDATED, beats,
                     build_segments, compile_declaration, insert_answer,
-                    traditional_modes)
+                    leaf_depth, traditional_modes)
 from .terms import (FLT, Struct, Var, cyclic_binding, instantiate, resolve,
                     term_keys, term_to_str, unify, var_token)
 from .tries import (AnswerLeaf, TableSpace, complete_table, drop_below,
@@ -880,8 +882,10 @@ class Engine:
                 self.run()
                 where = [varmap[v] for v in qvars]
                 # stored terms were resolved when they were derived
-                answers = [dict(zip(names, [leaf.terms[o] for o in where]))
-                           for leaf in iterate_answers(frame)]
+                # one comprehension per line: pstats keys each by its line
+                answers = [
+                    dict(zip(names, [leaf.terms[o] for o in where]))
+                    for leaf in iterate_answers(frame)]
                 return answers, self.stats
         slots = {}
         nvars, _, body = self._compile((), goals, slots, _emit)
@@ -1301,24 +1305,30 @@ def _put_source(shape, subst_modes):
     answer or store a frame's.
 
     An answer made of atoms and numbers is walked down the answer trie
-    inline, one key per ordinal of the insertion plan: an atom or an
-    integer is its own key, a float v the key (FLT, v). A min/max
-    witness whose value has the candidate's type is compared inline;
-    one of another type (an integer against a float, a number against
-    an atom, or a compound) is compared by modes.beats, so a numeric
-    tie between an integer and a float keeps the stored witness. A sum
-    adds to the stored total, stored as (FLT, total) when it is a
-    float. Where the walk first leaves the trie, the put grows the rest
-    of the path as one nested dict display ending in the new AnswerLeaf
-    and chains the leaf; a beaten witness, a last value or a sum total
-    is replaced the same way, after drop_below has popped the branches
-    it replaces. A duplicate, a worse witness or a later first is
-    rejected inline. Any other answer, and every answer of a plan whose
-    min, max or sum spans more than one ordinal, goes to _general. The
-    walk changes nothing before it has decided, so that fallback finds
-    the table as it was. Only a traced insertion, or one into a table
-    scheduled batched, calls _announce. The source is made of slot
-    numbers, ordinals and mode names only.
+    inline, segment by segment of the insertion plan, in the layout
+    modes.leaf_depth gives it. Each ordinal that is a trie level is
+    keyed: an atom or an integer is its own key, a float v the key
+    (FLT, v). Where the last index key holds the answer's record, a
+    stored min/max witness or sum total is read from the record's
+    terms; where each ordinal is a level, from its node's one key, a sum
+    total stored as (FLT, total) when it is a float. A witness whose
+    value has the candidate's type is compared inline; one of another
+    type (an integer against a float, a number against an atom, or a
+    compound) is compared by modes.beats, so a numeric tie between an
+    integer and a float keeps the stored witness. Where the walk first
+    leaves the trie, the put grows the rest of the path as one nested
+    dict display ending in the new AnswerLeaf and chains the leaf. A
+    beaten witness, a last value or a sum total is replaced: a record
+    under the last index key is tagged invalid and counted, and the new
+    one stored under the same key; otherwise drop_below pops the
+    branches it replaces and the new path grows in their place. A
+    duplicate, a worse witness or a later first is rejected inline. Any
+    other answer, and every answer of a plan whose min, max or sum spans
+    more than one ordinal, goes to _general. The walk changes nothing
+    before it has decided, so that fallback finds the table as it was.
+    Only a traced insertion, or one into a table scheduled batched,
+    calls _announce. The source is made of slot numbers, ordinals and
+    mode names only.
     """
     src = _Source("put", (), "put")
     emit = src.emit
@@ -1350,12 +1360,22 @@ def _put_source(shape, subst_modes):
         emit(2, general)
         return src
 
+    # the ordinals below leaf_at are the trie levels above the record;
+    # with leaf_at 0, every ordinal is a level
+    leaf_at = leaf_depth(segments)
+    levels = leaf_at or n
     sums = [lo for mode, lo, _, _ in segments if mode == "sum"]
     emit(2, "node = frame.root")
     emit(2, "if node is None:")
     emit(3, general)
-    # t<o> is the token of value v<o>; a sum takes numbers only
+    # t<o> is the key of a level's value v<o>; a sum takes numbers only
     for o in range(n):
+        if o >= levels:
+            emit(2, "if type(v%d) is not int%s and type(v%d) is not float:"
+                 % (o, "" if o in sums else " and type(v%d) is not str" % o,
+                    o))
+            emit(3, general)
+            continue
         emit(2, "t%d = v%d" % (o, o))
         emit(2, "if type(v%d) is not int:" % o if o in sums else
              "if type(v%d) is not int and type(v%d) is not str:" % (o, o))
@@ -1370,9 +1390,13 @@ def _put_source(shape, subst_modes):
 
     def grow(depth, at, kind):
         """Store the answer below node from ordinal at on; a replacement
-        first drops what is below node."""
+        first drops what is below node, or the record old."""
         dropped = "0"
-        if kind in ("REPLACED", "SUM_UPDATED"):
+        if kind in ("REPLACED", "SUM_UPDATED") and leaf_at:
+            dropped = "1"
+            emit(depth, "old.valid = False", "frame.n_invalidated += 1",
+                 "st.invalidations += 1")
+        elif kind in ("REPLACED", "SUM_UPDATED"):
             dropped = "dropped"
             emit(depth, "dropped = drop_below(frame, node)")
             emit(depth, "st.invalidations += dropped")
@@ -1381,9 +1405,9 @@ def _put_source(shape, subst_modes):
             kind = "kind"
         emit(depth, "frame.n_inserted += 1")
         emit(depth, "leaf = AnswerLeaf(frame.n_inserted, %s)" % terms)
-        if at < n:
+        if at < levels:
             path = "leaf"
-            for o in range(n - 1, at, -1):
+            for o in range(levels - 1, at, -1):
                 path = "{t%d: %s}" % (o, path)
             emit(depth, "node[t%d] = %s" % (at, path))
         emit(depth, "if frame.last_answer is None:")
@@ -1409,6 +1433,11 @@ def _put_source(shape, subst_modes):
     for j, (mode, lo, hi, _) in enumerate(segments):
         if mode == "index" or mode == "all":
             for t in range(lo, hi):
+                if t == leaf_at - 1:  # the last index key holds the record
+                    emit(2, "old = node.get(t%d)" % t)
+                    emit(2, "if old is None:")
+                    grow(3, t, "NEW")
+                    continue
                 emit(2, "c = node.get(t%d)" % t)
                 emit(2, "if c is None:")
                 grow(3, t, "ADDED if node else NEW" if mode == "all"
@@ -1416,13 +1445,32 @@ def _put_source(shape, subst_modes):
                 if t + 1 < hi or j + 1 < len(segments):
                     emit(2, "node = c")
             continue
-        emit(2, "if not node:")
-        grow(3, lo, "NEW")
+        at = leaf_at - 1 if leaf_at else lo  # where a replacement is stored
+        if not leaf_at:
+            emit(2, "if not node:")
+            grow(3, lo, "NEW")
         if mode == "first":
             break
         if mode == "last":
-            grow(2, lo, "REPLACED")
+            grow(2, at, "REPLACED")
             return src
+        if mode == "sum" and leaf_at:
+            emit(2, "total = old.terms[%d] + v%d" % (lo, lo))
+            grow(2, at, "SUM_UPDATED")
+            return src
+        if leaf_at:  # min, max: the witness w is the record's value
+            emit(2, "w = old.terms[%d]" % lo)
+            emit(2, "if type(w) is not type(v%d):" % lo)
+            emit(3, "c, s = term_keys((v%d, w))" % lo)
+            emit(3, "if beats((c,), (s,), %d):"
+                 % (-1 if mode == "min" else 1))
+            grow(4, at, "REPLACED")
+            reject(3)
+            emit(2, "if v%d %s w:" % (lo, "<" if mode == "min" else ">"))
+            grow(3, at, "REPLACED")
+            emit(2, "if v%d != w:" % lo)
+            reject(3)
+            continue
         emit(2, "s = next(iter(node))")
         if mode == "sum":  # a stored total is an int or (FLT, total)
             emit(2, "total = (s if type(s) is int else s[1]) + v%d" % lo)

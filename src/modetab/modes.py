@@ -7,16 +7,27 @@ stored in that order, which keeps every aggregation decision local to a
 subtree of the answer trie: replacing a beaten value only ever touches
 nodes at or below the point where the comparison happened.
 
-An answer is stored one trie key per term, as terms.term_keys keys a
-call's arguments (answer_keys). insert_answer walks the keys segment by
-segment and reads a stored min/max witness in full before comparing it
-with beats. All reads needed for a rejection happen before any mutation,
-so a rejected candidate leaves the table untouched. It is the general
-path: the engine's generated puts store an answer made of atoms and
-numbers with the same keys themselves, sharing beats and
-tries.drop_below, and hand every other answer (compounds, variables, or
-a min, max or sum over more than one term) to insert_answer before
-changing anything.
+An answer is keyed one trie key per term, as terms.term_keys keys a
+call's arguments (answer_keys), and the keys of its index terms begin
+its trie path. Where every later segment of the plan keeps one answer per
+index key (min, max, first, last or sum, over any number of ordinals,
+with no all segment), that is its whole path: the last index key maps
+straight to the answer's record, whose terms hold the stored values
+(leaf_depth). A min/max witness and a sum's running total are read from
+the record, and a replacement tags the record invalid, counts it, and
+stores the new one under the same key. A plan with an all segment, or
+with no index ordinal, keeps one trie level per answer term instead,
+reads a stored value as its node's one key, and replaces by popping the
+branches below the node where the decision fell (tries.drop_below).
+
+insert_answer walks the keys segment by segment and reads a stored
+min/max witness in full before comparing it with beats. All reads
+needed for a rejection happen before any mutation, so a rejected
+candidate leaves the table untouched. It is the general path: the
+engine's generated puts store an answer made of atoms and numbers in
+the same layout themselves, sharing beats and tries.drop_below, and hand
+every other answer (compounds, variables, or a min, max or sum over more
+than one term) to insert_answer before changing anything.
 """
 
 import functools
@@ -48,6 +59,7 @@ __all__ = [
     "traditional_modes",
     "build_segments",
     "answer_keys",
+    "leaf_depth",
     "beats",
     "insert_answer",
 ]
@@ -168,6 +180,17 @@ def answer_keys(frame, segments, subst_terms):
     return keys, value
 
 
+def leaf_depth(segments):
+    """How many trie levels lead to an answer's record under the plan
+    segments: the number of index ordinals, when the plan starts with
+    index ordinals and has no all segment, so that each index key holds
+    at most one answer; 0 when the answer keeps one level per term."""
+    if not segments or segments[0][0] != "index" or any(
+            seg[0] == "all" for seg in segments):
+        return 0
+    return segments[0][2]
+
+
 def beats(cand, stored, sign):
     """True when the ground keys cand order before (sign -1) or after
     (sign 1) the stored keys. An integer and a float of one value tie,
@@ -180,8 +203,8 @@ def insert_answer(frame, subst_terms):
 
     subst_terms holds the binding of each free call variable, listed in
     the order the variables appeared in the reordered call. The answer
-    is walked one trie key per term, segment by segment of the frame's
-    plan.
+    is walked segment by segment of the frame's plan, in the layout
+    leaf_depth gives it.
     """
     root = frame.root
     if root is None:
@@ -195,6 +218,9 @@ def insert_answer(frame, subst_terms):
 
     keys, total = answer_keys(frame, segments, subst_terms)
     terms = tuple(subst_terms)
+    depth = leaf_depth(segments)
+    if depth:
+        return _insert_in_place(frame, segments, depth, keys, terms, total)
     node = root
     for mode, lo, hi, _pos in segments:
         if mode == "index" or mode == "all":  # follow the path, grow where it ends
@@ -240,3 +266,38 @@ def insert_answer(frame, subst_terms):
     # Every segment matched an existing path: exact duplicate.
     assert type(node) is AnswerLeaf
     return _REJECT
+
+
+def _insert_in_place(frame, segments, depth, keys, terms, total):
+    """insert_answer for a plan whose record hangs right under its last
+    index key: the decisions read the stored record's terms."""
+    path = keys[:depth]
+    node, old = None, frame.root
+    for o, key in enumerate(path):  # old ends as the record, node its dict
+        node, old = old, old.get(key)
+        if old is None:
+            leaf = grow_answer(frame, node, path, o, terms)
+            return InsertOutcome(NEW, leaf, 0, total)
+    kind = REPLACED  # min, max and last; sum updates its total
+    for mode, lo, hi, _pos in segments[1:]:
+        if mode == "min" or mode == "max":
+            stored = term_keys(old.terms[lo:hi])
+            if stored == keys[lo:hi]:
+                continue
+            if not beats(keys[lo:hi], stored, -1 if mode == "min" else 1):
+                # Worse, or numerically tied with a differently typed
+                # value: the stored witness stays.
+                return _REJECT
+        elif mode == "first":  # keep whatever arrived first
+            return _REJECT
+        elif mode == "sum":
+            total += old.terms[lo]
+            kind = SUM_UPDATED
+            terms = (*terms[:lo], total, *terms[hi:])
+        break
+    else:
+        return _REJECT  # every value matched: exact duplicate
+    old.valid = False
+    frame.n_invalidated += 1
+    leaf = grow_answer(frame, node, path, depth - 1, terms)
+    return InsertOutcome(kind, leaf, 1, total)

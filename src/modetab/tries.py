@@ -8,23 +8,28 @@ built; the engine's call sites build theirs from their slots and
 constants. Frames with the same variable count per argument share the
 entry's one substitution array for that shape, and so
 modes.build_segments's one cached plan tuple. Every frame owns an answer
-trie holding only the substitution terms of the call's free variables,
-one level per term: a node is a plain dict from a term's key to its
-child, with no pointer back to its parent. An answer path ends in the
-answer's record, an AnswerLeaf created together with the path and
-holding the answer's terms, so readers never rebuild an answer from the
-trie. grow_answer makes both for modes.insert_answer, the general
-insertion path; the engine's generated puts grow the answers of atoms
-and numbers the same way inline. Records are chained in insertion order
-so readers can pick up new answers by following a single pointer. The
-"yes" answer of a fully bound call has no keys; its record is chained
-under no node.
+trie keyed by the substitution terms of the call's free variables: a
+node is a plain dict from a term's key to its child, with no pointer
+back to its parent. An answer path ends in the answer's record, an
+AnswerLeaf created together with the path and holding the answer's
+terms, so readers never rebuild an answer from the trie. Which terms
+are levels depends on the frame's plan (modes.leaf_depth): where every
+column after the index columns keeps one answer (min, max, first, last
+or sum), only the index terms are, and the last index key maps to the
+record, whose terms hold the stored values; otherwise (a plan with an
+all column, or with no index column) each term is a level. grow_answer
+makes path and record for modes.insert_answer, the general insertion
+path; the engine's generated puts grow the answers of atoms and numbers
+the same way inline. Records are chained in insertion order so readers
+can pick up new answers by following a single pointer. The "yes" answer
+of a fully bound call has no keys; its record is chained under no node.
 
-Superseding an answer pops every branch below the node where the
-decision fell (drop_below, for insert_answer and the puts alike),
-making them invisible to fresh lookups, and tags their leaves invalid,
-but the leaves stay on the chain so a reader parked on a dead leaf can
-keep walking. Dead leaves are only dropped when the table completes.
+Superseding an answer makes it invisible to fresh lookups and tags its
+leaf invalid, but the leaf stays on the chain so a reader parked on a
+dead leaf can keep walking. A record under its last index key is
+replaced by the new record under the same key; in a trie of one level
+per term, drop_below pops every branch below the node where the
+decision fell. Dead leaves are only dropped when the table completes.
 Completion also drops the answer trie itself: from then on readers
 follow the chain only, and nothing inserts or invalidates.
 
@@ -144,9 +149,12 @@ def subgoal_lookup_insert(entry, key, counts):
 def grow_answer(frame, node, keys, start, terms):
     """Create the path keys[start:] below node and chain its record.
 
-    The path's last key maps to the new answer's record, holding
-    terms. An answer without keys gets a record under no node. This
-    is modes.insert_answer's; the engine's puts grow inline.
+    keys are the path's keys, one per trie level: every term's, or only
+    the index terms' where the record holds the one-answer columns. The
+    path's last key maps to the new answer's record, holding terms; an
+    existing record under it is replaced. An answer without keys gets a
+    record under no node. This is modes.insert_answer's; the engine's
+    puts grow inline.
     """
     frame.n_inserted += 1
     leaf = AnswerLeaf(frame.n_inserted, terms)
@@ -169,7 +177,9 @@ def drop_below(frame, node):
 
     Once popped, root-down lookups no longer see them; their leaves keep
     their chain links so lagging readers can still walk past them.
-    Returns the number of leaves tagged.
+    Returns the number of leaves tagged. Replacement uses it only in a
+    trie of one level per term: a plan with an all column, or with no
+    index column.
     """
     dropped = 0
     stack = list(node.values())

@@ -907,11 +907,13 @@ def test_pending_and_walks_follow_the_chain_as_iterate_answers_does():
         leaves = []
 
         def pour(n):
-            # inserts, and now and then a branch dropped with nothing
-            # in its place, which can leave the chain's tail invalid
+            # inserts, and now and then a key's branch dropped with
+            # nothing in its place, which can leave the chain's tail
+            # invalid; under an index, min key the branch is one record
             for _ in range(n):
                 if frame.root and rng.random() < 0.2:
-                    drop_below(frame, frame.root[rng.choice(list(frame.root))])
+                    key = rng.choice(list(frame.root))
+                    drop_below(frame, {key: frame.root.pop(key)})
                     continue
                 row = [rng.choice((1, 2))]
                 row += [rng.randint(0, 9) for _ in modes[1:]]

@@ -14,11 +14,12 @@ from modetab.modes import (
     build_segments,
     compile_declaration,
     insert_answer,
+    leaf_depth,
     traditional_modes,
 )
 from modetab.terms import Struct, Var, term_keys
-from modetab.tries import (TableSpace, complete_table, iterate_answers,
-                           subgoal_lookup_insert)
+from modetab.tries import (AnswerLeaf, TableSpace, complete_table,
+                           iterate_answers, subgoal_lookup_insert)
 
 from oracles import TableModel, flat_aggregate
 
@@ -47,19 +48,21 @@ def valid_terms(frame):
     return [leaf.terms for leaf in iterate_answers(frame)]
 
 
+def trie(node):
+    """The answer trie, each record shown as its seq."""
+    if type(node) is AnswerLeaf:
+        return node.seq
+    return tuple((key, trie(child)) for key, child in node.items())
+
+
 def snapshot(frame):
     chain = []
     cur = frame.first_answer
     while cur is not None:
         chain.append((cur.seq, cur.valid))
         cur = cur.next
-    nodes = 0
-    stack = [frame.root]
-    while stack:
-        node = stack.pop()
-        nodes += len(node)
-        stack.extend(c for c in node.values() if type(c) is dict)
-    return (frame.n_inserted, frame.n_invalidated, tuple(chain), nodes)
+    return (frame.n_inserted, frame.n_invalidated, tuple(chain),
+            trie(frame.root))
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +163,20 @@ def test_segments_keep_aggregate_arguments_separate():
 def test_segments_skip_bound_arguments():
     subst = (("index", 0, 2), ("min", 1, 3), ("all", 1, 1))
     assert build_segments(subst) == (("min", 0, 1, 3), ("all", 1, 2, 1))
+
+
+def test_leaf_depth_counts_index_ordinals_before_one_answer_columns():
+    def depth(*subst):
+        return leaf_depth(build_segments(subst))
+    assert depth(("index", 2, 1), ("min", 1, 2)) == 2
+    assert depth(("index", 1, 1), ("min", 2, 2), ("sum", 1, 3),
+                 ("first", 1, 4)) == 1
+    assert depth(("index", 1, 1), ("index", 1, 2)) == 2  # index only
+    # an all column keeps every witness, and no index ordinal means no
+    # key to hang the record from: one level per term
+    assert depth(("index", 1, 1), ("min", 1, 2), ("all", 1, 3)) == 0
+    assert depth(("index", 0, 1), ("max", 1, 2)) == 0
+    assert depth(("index", 0, 1)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +294,16 @@ def test_fully_bound_call_tables_a_plain_yes():
 
 
 def test_min_keeps_stored_witness_on_cross_type_numeric_tie():
-    # and max too, whichever of the int and the float is stored first
-    for mode, stored, offered in (("min", 1, 1.0), ("min", 1.0, 1),
-                                  ("max", 1.0, 1)):
-        frame, _ = make_frame([mode])
-        insert_answer(frame, (stored,))
-        assert insert_answer(frame, (offered,)).kind == REJECTED
-        assert valid_terms(frame) == [(stored,)]
-        assert type(valid_terms(frame)[0][0]) is type(stored)
+    # and max too, whichever of the int and the float is stored first;
+    # under an index key the witness is read from the record
+    for key, mode, stored, offered in (
+            (k, *case) for k in ((), ("k",))
+            for case in (("min", 1, 1.0), ("min", 1.0, 1), ("max", 1.0, 1))):
+        frame, _ = make_frame(["index"] * len(key) + [mode])
+        insert_answer(frame, key + (stored,))
+        assert insert_answer(frame, key + (offered,)).kind == REJECTED
+        assert valid_terms(frame) == [key + (stored,)]
+        assert type(valid_terms(frame)[0][-1]) is type(stored)
 
 
 def test_int_and_float_index_keys_are_distinct_rows():
@@ -346,11 +365,14 @@ def test_insert_into_a_completed_table_is_an_error(call_args):
 
 
 def test_replacement_keeps_the_key_prefix_nodes():
-    frame, _ = make_frame(["index", "min"])
-    insert_answer(frame, ("k", 9))
+    frame, _ = make_frame(["index", "index", "min"])
+    insert_answer(frame, ("k", "j", 9))
     key_node = frame.root["k"]
-    insert_answer(frame, ("k", 3))
+    old = key_node["j"]
+    insert_answer(frame, ("k", "j", 3))
     assert frame.root["k"] is key_node
+    # the record is replaced under the same last index key
+    assert key_node == {"j": frame.last_answer} and not old.valid
 
 
 # ---------------------------------------------------------------------------

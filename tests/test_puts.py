@@ -11,18 +11,20 @@ totals are checked against insert_answer's. The two share the witness
 compare of another type (modes.beats) and the branch drop
 (tries.drop_below), so the twin cannot judge those on its own:
 test_modes.py checks insert_answer against the table model in
-oracles.py.
+oracles.py. One table may take both paths, so a fixed stream feeds one
+through its put and through insert_answer in turn, in the layout where
+the last index key holds the record.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from modetab.engine import Engine, _put, _Sink, _Slot
+from modetab.engine import Engine, _general, _put, _Sink, _Slot
 from modetab.errors import DerivationLimitError, ModetabError
 from modetab.lang import parse_program
 from modetab.modes import MODES, REJECTED, insert_answer
 from modetab.terms import Struct, Var, resolve
-from modetab.tries import AnswerLeaf, complete_table
+from modetab.tries import AnswerLeaf, complete_table, iterate_answers
 
 LIMIT = 1000
 
@@ -262,3 +264,99 @@ def test_an_answer_of_120_tokens():
         "?- p(f(%s))." % ", ".join("Y%d" % i for i in range(120)))
     assert answers == [{"Y%d" % i: i for i in range(120)}]
     assert stats.insertions == 1
+
+
+def typed(rows):
+    """Chain rows with each number shown with its type, since 1 == 1.0."""
+    return [(seq, tuple((type(t).__name__, t) for t in terms), valid)
+            for seq, terms, valid in rows]
+
+
+F = Struct("f", ("b",))
+
+# (candidate, the path it takes, the outcome); a put stores atoms and
+# numbers inline, and insert_answer is given compounds and variables,
+# and, for each int/float tie, the same candidate as the put
+BOTH_PATHS = {
+    ("index", "min"): [
+        (("k", 3), "put", "new"),
+        (("k", 3.0), "put", "rejected"),  # an int/float tie: 3 stays
+        (("k", 3.0), "insert", "rejected"),
+        (("j", 2.0), "insert", "new"),
+        (("j", 2), "put", "rejected"),  # and the other way: 2.0 stays
+        (("j", 2), "insert", "rejected"),
+        (("m", 4.0), "put", "new"),
+        (("m", 4), "insert", "rejected"),
+        (("m", 4), "put", "rejected"),
+        (("k", F), "insert", "rejected"),  # numbers before compounds
+        (("k", 1.5), "put", "replaced"),
+        (("k", 1), "insert", "replaced"),
+        (("k", 1), "put", "rejected"),
+        (("j", "a"), "put", "rejected"),  # numbers before atoms
+        (("m", 3.5), "put", "replaced"),  # compared as they are
+        (("m", 3.75), "put", "rejected"),
+        (("k", 0), "put", "replaced"),
+        (("k", 2), "put", "rejected"),
+        ((Var("V"), 5), "insert", "new"),
+        ((Var("W"), 4), "insert", "replaced"),  # a variant of V's key
+        ((F, 7), "insert", "new"),
+        (("j", 1), "put", "replaced"),
+    ],
+    ("index", "min", "first"): [
+        (("k", 3, "a"), "put", "new"),
+        (("k", 3.0, "b"), "put", "rejected"),  # 3 and its first stay
+        (("k", 3.0, "b"), "insert", "rejected"),
+        (("k", 3, F), "insert", "rejected"),
+        (("k", 2, F), "insert", "replaced"),
+        (("k", 2, "c"), "put", "rejected"),
+        (("k", 2.0, "c"), "put", "rejected"),
+        (("j", 1.0, F), "insert", "new"),
+        (("j", 1, "z"), "put", "rejected"),  # 1.0 and f(b) stay
+        (("j", 1, "z"), "insert", "rejected"),
+        (("j", 0.5, "z"), "put", "replaced"),
+        ((Var("V"), 4, "a"), "insert", "new"),
+        ((Var("W"), 4, "b"), "insert", "rejected"),
+        ((Var("W"), 3, F), "insert", "replaced"),
+    ],
+}
+
+
+@pytest.mark.parametrize("modes", list(BOTH_PATHS), ids="-".join)
+def test_both_paths_share_the_one_answer_layout(modes):
+    """One table, fed through its put and through insert_answer in turn,
+    stores as a twin fed through insert_answer alone; the record under
+    each index key holds the stored values, ties keeping the first."""
+    text = ":- table p(%s).\n" % ", ".join(modes)
+    args = [Var("X%d" % k) for k in range(len(modes))]
+    engine, frame = table(text, "local", args)
+    twin_engine, twin = table(text, "local", args)
+    n = len(modes)
+    put = _put(tuple(range(n)), frame.subst_modes)
+    outs = tuple(_Slot(o, False, "S%d" % o) for o in range(n))
+    for row, path, kind in BOTH_PATHS[modes]:
+        logged, before = len(engine.events), typed(chain(frame))
+        if path == "put":
+            put(list(row), _Sink(engine, frame, outs, put))
+        else:
+            _general(engine, frame, row)
+        event, = engine.events[logged:]
+        outcome = reference(twin_engine, twin, row)
+        assert event["outcome"] == outcome.kind == kind, row
+        assert event["invalidated"] == outcome.invalidated
+        if kind == REJECTED:  # the stored record stays, and its types
+            assert typed(chain(frame)) == before
+        assert typed(chain(frame)) == typed(chain(twin))
+        assert trie(frame.root) == trie(twin.root)
+        assert counters(engine, frame) == counters(twin_engine, twin)
+        # no level below an index key: it holds the record itself
+        assert all(type(node) is AnswerLeaf for node in frame.root.values())
+    kept = [(type(leaf.terms[1]), leaf.terms[1])
+            for leaf in iterate_answers(frame)]
+    assert kept == KEPT[modes]
+
+
+# the min column of each table's valid answers, in chain order
+KEPT = {
+    ("index", "min"): [(float, 3.5), (int, 0), (int, 4), (int, 7), (int, 1)],
+    ("index", "min", "first"): [(int, 2), (float, 0.5), (int, 3)],
+}

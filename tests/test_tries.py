@@ -11,9 +11,10 @@ from modetab.engine import Engine
 from modetab.errors import ModetabError
 from modetab.lang import parse_program
 from modetab.modes import (build_segments, compile_declaration, insert_answer,
-                           traditional_modes)
+                           leaf_depth, traditional_modes)
 from modetab.terms import Struct, Var, term_keys, var_token, variant
 from modetab.tries import (
+    AnswerLeaf,
     TableSpace,
     complete_table,
     drop_below,
@@ -51,9 +52,17 @@ def count_nodes(root):
     return n
 
 
+def path_keys(frame, terms):
+    """The keys of an answer's trie path: one per term, or, where its
+    one-answer columns live in the record, one per index term."""
+    keys = term_keys(terms)
+    depth = leaf_depth(build_segments(frame.subst_modes))
+    return keys[:depth] if depth else keys
+
+
 def add(frame, *terms):
-    """Store an answer one trie level per term, growing its path with
-    grow_answer; returns its record."""
+    """Store an answer of an index-only frame, one trie level per term,
+    growing its path with grow_answer; returns its record."""
     keys = term_keys(terms)
     node = frame.root
     for i, key in enumerate(keys):
@@ -65,9 +74,10 @@ def add(frame, *terms):
 
 
 def lookup(frame, *terms):
-    """Root-down walk; returns the leaf record or None."""
+    """Root-down walk of an answer's path; returns the leaf record or
+    None."""
     node = frame.root
-    for key in term_keys(terms):
+    for key in path_keys(frame, terms):
         node = node.get(key)
         if node is None:
             return None
@@ -77,11 +87,18 @@ def lookup(frame, *terms):
 def kill(frame, leaf):
     """Invalidate one record: pop the last edge of its path and drop
     what it held with drop_below; returns how many were tagged."""
-    keys = term_keys(leaf.terms)
+    keys = path_keys(frame, leaf.terms)
     node = frame.root
     for key in keys[:-1]:
         node = node[key]
     return drop_below(frame, {keys[-1]: node.pop(keys[-1])})
+
+
+def dicts(node):
+    """How many dicts an answer trie holds."""
+    if type(node) is not dict:
+        return 0
+    return 1 + sum(map(dicts, node.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +125,30 @@ def test_common_prefix_is_shared():
     add(frame, Var(), 1, "b")
     # [VAR0, 1] is shared; only the b node is new
     assert count_nodes(frame.root) == 4
+
+
+@pytest.mark.parametrize("family", ["shortest", "shortest_first"])
+def test_a_graph_table_keys_only_its_index_columns(family, monkeypatch):
+    # just before path completes, each (X, Y) key holds its answer's
+    # record: no dict for the min column (nor for shortest_first's first
+    # column) below it, so the trie is the root and one dict per X
+    import modetab.engine as engine_mod
+    inst = bench.gen_instance(family, 20, 3)
+    tries = []
+
+    def complete(frame):
+        if frame.entry.name == "path":
+            tries.append(frame.root)
+        complete_table(frame)
+
+    monkeypatch.setattr(engine_mod, "complete_table", complete)
+    answers, _ = Engine(parse_program(bench.program_text(inst))).solve(
+        bench.query_text(inst))
+    root, = tries
+    assert dicts(root) == 1 + len({a["X"] for a in answers})
+    records = [leaf for node in root.values() for leaf in node.values()]
+    assert all(type(leaf) is AnswerLeaf and leaf.valid for leaf in records)
+    assert len(records) == len(answers) > 100
 
 
 def test_call_arguments_are_stored_in_mode_order():
@@ -470,6 +511,27 @@ def test_node_count_matches_distinct_prefixes(vectors):
         add(frame, *vec)
         prefixes.update(keys[: i + 1] for i in range(len(keys)))
     assert count_nodes(frame.root) == len(prefixes)
+
+
+@given(Vectors)
+def test_one_answer_columns_add_no_node(vectors):
+    """An index, index, min trie has one node per distinct index prefix,
+    and each index pair's key holds its one valid record."""
+    frame, _, _ = frame_for(TableSpace().entry(
+        "p", 3, compile_declaration("p", 3, ["index", "index", "min"])),
+        [Var(), Var(), Var()])
+    prefixes = set()
+    for vec in vectors:
+        keys = tuple(term_keys(vec))
+        insert_answer(frame, vec)
+        prefixes.update((keys[:1], keys[:2]))
+    assert count_nodes(frame.root) == len(prefixes)
+    valid = list(iterate_answers(frame))
+    assert len(valid) == sum(len(node) for node in frame.root.values())
+    assert all(lookup(frame, *leaf.terms) is leaf for leaf in valid)
+    if valid:
+        assert kill(frame, valid[0]) == 1
+        assert lookup(frame, *valid[0].terms) is None
 
 
 @given(Vectors, st.data())
