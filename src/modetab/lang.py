@@ -8,6 +8,8 @@ lowercase or quoted, variables start uppercase or with an underscore,
 
 import operator
 import re
+import string
+from itertools import islice
 
 from .errors import EvaluationError, ModeError, ParseError
 from .modes import MODES, compile_declaration
@@ -155,26 +157,38 @@ def _ground(args):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Parser
 
+# One findall splits a text into its tokens, as plain strings: blanks and
+# comments are skipped, each newline is a token of its own, so is a
+# character that starts no token (the parser reports it before any
+# syntax error), and the end of the text reads as "". The token group
+# always matches after the skip, so the skip never backtracks; its
+# comment is written (?:...|) rather than (?:...)?, which matches the
+# same text but runs about a fifth slower in findall.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
-      | (?P<float>\d+\.\d+)
-      | (?P<int>\d+)
-      | (?P<qatom>'(?:[^'\\]|\\.)*')
-      | (?P<var>[A-Z_][A-Za-z0-9_]*)
-      | (?P<atom>[a-z][A-Za-z0-9_]*)
-      | (?P<punct>:-|\?-|=\\=|=:=|=<|>=|[()+\-*/,.<>=])
+    r"""[^\S\n]*(?:%[^\n]*|)
+      ( [(),.]
+      | [A-Za-z_][A-Za-z0-9_]*
+      | \d+(?:\.\d+)?
+      | \n
+      | :-|\?-|=\\=|=:=|=<|>=|[+\-*/<>=]
+      | '(?:[^'\\]|\\.)*'
+      | .
+      | \Z )
     """,
     re.VERBOSE,
 )
-
+_ONE_CHAR = frozenset("\n()+-*/,.<>=_" + string.ascii_letters + string.digits)
+_PRIORITY = {"+": 1, "-": 1, "*": 2, "/": 2}
+_PAREN = object()  # the functor of an open parenthesis
 _UNESCAPE = {"n": "\n", "t": "\t"}
 
 
 def _unquote(text):
     body = text[1:-1]
+    if "\\" not in body:
+        return body
     out = []
     i = 0
     while i < len(body):
@@ -189,78 +203,56 @@ def _unquote(text):
     return "".join(out)
 
 
-def _lex(text):
-    tokens = []
-    pos = 0
-    line = 1
-    bol = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                "unexpected character %r" % text[pos], line, pos - bol + 1
-            )
-        kind = m.lastgroup
-        value = m.group()
-        col = pos - bol + 1
-        if kind == "int":
-            tokens.append(("num", int(value), line, col))
-        elif kind == "float":
-            tokens.append(("num", float(value), line, col))
-        elif kind == "qatom":
-            tokens.append(("atom", _unquote(value), line, col))
-        elif kind in ("atom", "var", "punct"):
-            tokens.append((kind, value, line, col))
-        # whitespace and comments are skipped, but track line numbers
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            bol = pos + value.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(("eof", None, line, pos - bol + 1))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# Parser
-
 class _Parser:
+    """One pass over a text's tokens. tokens yields (index, token) and
+    is shared by every method; line is the line of the last token taken
+    from it."""
+
     def __init__(self, text):
-        self.tokens = _lex(text)
-        self.pos = 0
-        self.vars = {}
+        self.text = text
+        self.toks = _TOKEN_RE.findall(text)
+        self.tokens = enumerate(self.toks)
+        self.line = 1
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def fail(self, message, i):
+        """Raise a ParseError at token i, or at the text's first bad
+        character if it has one."""
+        for k, tok in enumerate(self.toks):
+            if len(tok) == 1 and tok not in _ONE_CHAR and not tok.isdecimal():
+                message, i = "unexpected character %r" % tok, k
+                break
+        pos = next(islice(_TOKEN_RE.finditer(self.text), i, None)).start(1)
+        raise ParseError(message, self.text.count("\n", 0, pos) + 1,
+                         pos - self.text.rfind("\n", 0, pos))
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
+    def take(self):
+        """The index of the next token that is not a newline, and it."""
+        for i, tok in self.tokens:
+            if tok != "\n":
+                return i, tok
+            self.line += 1
 
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok[2], tok[3])
+    def expect(self, value):
+        i, tok = self.take()
+        if tok != value:
+            self.fail("expected %r" % value, i)
 
-    def at_punct(self, value):
-        tok = self.tokens[self.pos]
-        return tok[1] == value and tok[0] == "punct"
+    def atom(self):
+        """The next token as an atom, its index and its line."""
+        i, tok = self.take()
+        line = self.line
+        if tok[:1] == "'" and len(tok) > 1:
+            self.line += tok.count("\n")
+            tok = _unquote(tok)
+        elif not "a" <= tok[:1] <= "z":
+            self.fail("expected an atom", i)
+        return tok, i, line
 
-    def at_infix(self, ops):
-        """Whether the next token is one of the one-character operators."""
-        tok = self.tokens[self.pos]
-        return tok[0] == "punct" and len(tok[1]) == 1 and tok[1] in ops
-
-    def expect_punct(self, value):
-        if not self.at_punct(value):
-            self.fail("expected %r" % value)
-        return self.next()
-
-    def expect_atom(self):
-        if self.peek()[0] != "atom":
-            self.fail("expected an atom")
-        return self.next()[1]
+    def integer(self):
+        i, tok = self.take()
+        if not tok.isdecimal():
+            self.fail("expected an integer", i)
+        return int(tok)
 
     # -- programs ----------------------------------------------------
 
@@ -268,165 +260,211 @@ class _Parser:
         decls = []
         overrides = {}
         clauses = []
-        while self.peek()[0] != "eof":
-            if self.at_punct(":-"):
-                self.directive(decls, overrides)
-            else:
-                clauses.append(self.clause())
+        i, tok = self.read(clauses)
+        while tok:
+            self.directive(i, decls, overrides)
+            i, tok = self.read(clauses)
         return Program(decls, overrides, clauses)
 
-    def directive(self, decls, overrides):
-        tok = self.expect_punct(":-")
-        word = self.expect_atom()
+    def directive(self, start, decls, overrides):
+        word = self.atom()[0]
         if word == "table":
             decl = self.table_spec()
             for seen in decls:
                 if (seen.name, seen.arity) == (decl.name, decl.arity):
-                    self.fail(
-                        "duplicate table declaration for %s/%d"
-                        % (decl.name, decl.arity),
-                        tok,
-                    )
+                    self.fail("duplicate table declaration for %s/%d"
+                              % (decl.name, decl.arity), start)
             decls.append(decl)
         elif word == "table_strategy":
-            name = self.expect_atom()
-            self.expect_punct("/")
+            name = self.atom()[0]
+            self.expect("/")
             arity = self.integer()
-            self.expect_punct(",")
-            strat = self.expect_atom()
+            self.expect(",")
+            strat = self.atom()[0]
             if strat not in _STRATEGIES:
-                self.fail("strategy must be local or batched")
+                self.fail("strategy must be local or batched", self.take()[0])
             overrides[(name, arity)] = strat
         else:
-            self.fail("unknown directive %r" % word, tok)
-        self.expect_punct(".")
+            self.fail("unknown directive %r" % word, start)
+        self.expect(".")
 
     def table_spec(self):
-        tok = self.peek()
-        name = self.expect_atom()
-        if self.at_punct("/"):
-            self.next()
-            arity = self.integer()
-            return Declaration(name, arity, None, tok[2])
-        self.expect_punct("(")
-        modes = [self.mode_atom()]
-        while self.at_punct(","):
-            self.next()
-            modes.append(self.mode_atom())
-        self.expect_punct(")")
-        return Declaration(name, len(modes), tuple(modes), tok[2])
-
-    def mode_atom(self):
-        tok = self.peek()
-        word = self.expect_atom()
-        if word not in MODES:
-            self.fail("unknown mode %r" % word, tok)
-        return word
-
-    def integer(self):
-        kind, value, _, _ = self.peek()
-        if kind != "num" or type(value) is not int:
-            self.fail("expected an integer")
-        return self.next()[1]
-
-    def clause(self):
-        self.vars = {}
-        tok = self.peek()
-        head = self.primary()
-        if type(head) is not Struct and type(head) is not str:
-            self.fail("clause head must be an atom or a compound", tok)
-        body = []
-        if self.at_punct(":-"):
-            self.next()
-            body = self.body()
-        self.expect_punct(".")
-        return Clause(head, body, tok[2])
-
-    def body(self):
-        goals = [self.goal()]
-        while self.at_punct(","):
-            self.next()
-            goals.append(self.goal())
-        return goals
+        name, _, line = self.atom()
+        i, tok = self.take()
+        if tok == "/":
+            return Declaration(name, self.integer(), None, line)
+        if tok != "(":
+            self.fail("expected '('", i)
+        modes = []
+        while tok != ")":
+            word, i, _ = self.atom()
+            if word not in MODES:
+                self.fail("unknown mode %r" % word, i)
+            modes.append(word)
+            i, tok = self.take()
+            if tok != "," and tok != ")":
+                self.fail("expected ')'", i)
+        return Declaration(name, len(modes), tuple(modes), line)
 
     def query(self):
-        if self.at_punct("?-"):
-            self.next()
-        self.vars = {}
-        if self.peek()[0] == "eof":
-            self.fail("empty query")
-        goals = self.body()
-        if self.at_punct("."):
-            self.next()
-        if self.peek()[0] != "eof":
-            self.fail("unexpected text after query")
+        toks = self.toks
+        k = 0
+        while toks[k] == "\n":
+            k += 1
+        if toks[k] == "?-":
+            self.take()
+            k += 1
+        while toks[k] == "\n":
+            k += 1
+        if not toks[k]:
+            self.fail("empty query", k)
+        goals, i, tok = self.read(None, k - 1)
+        if tok == ".":
+            i, tok = self.take()
+        if tok:
+            self.fail("unexpected text after query", i)
         return goals
 
     # -- terms -------------------------------------------------------
 
-    def goal(self):
-        tok = self.peek()
-        left = self.additive()
-        kind, val, _, _ = self.peek()
-        if kind == "punct" and (val in COMPARE or val == "="):
-            op = self.next()[1]
-            return Struct(op, [left, self.additive()])
-        if kind == "atom" and val == "is":
-            self.next()
-            return Struct("is", [left, self.additive()])
-        if type(left) is not Struct and type(left) is not str:
-            self.fail("goal is not callable", tok)
-        return left
+    def read(self, clauses, goal=-1):
+        """Read clauses into the list clauses up to a directive or the
+        end of the text, and return the index and token that stop it.
+        With clauses None, read a query's goals, which start after
+        token goal, instead and return them before the index and token
+        that end them.
 
-    def additive(self):
-        t = self.multiplicative()
-        while self.at_infix("+-"):
-            op = self.next()[1]
-            t = Struct(op, [t, self.multiplicative()])
-        return t
-
-    def multiplicative(self):
-        t = self.primary()
-        while self.at_infix("*/"):
-            op = self.next()[1]
-            t = Struct(op, [t, self.primary()])
-        return t
-
-    def primary(self):
-        kind, value, line, col = self.peek()
-        if kind == "num":
-            self.next()
-            return value
-        if kind == "punct" and value == "-":
-            self.next()
-            if self.peek()[0] != "num":
-                self.fail("unary minus applies to number literals only")
-            return -self.next()[1]
-        if kind == "punct" and value == "(":
-            self.next()
-            t = self.additive()
-            self.expect_punct(")")
-            return t
-        if kind == "var":
-            self.next()
-            if value == "_":
-                return Var("_")
-            var = self.vars.get(value)
-            if var is None:
-                var = self.vars[value] = Var(value)
-            return var
-        if kind == "atom":
-            self.next()
-            if not self.at_punct("("):
-                return value
-            self.next()
-            args = [self.additive()]
-            while self.at_punct(","):
-                self.next()
-                args.append(self.additive())
-            self.expect_punct(")")
-            return Struct(value, args)
-        self.fail("expected a term")
+        One loop over an explicit stack of open compounds and
+        parentheses, so any depth of nesting reads. It alternates
+        between taking an operand and reading the token after one.
+        """
+        tokens = self.tokens
+        take = tokens.__next__
+        line = self.line
+        start = -1  # the index of the clause's first token
+        cline = line  # its line
+        body = clauses is None  # whether goals are read, not a head
+        names = {}  # the clause's variables by name
+        stack = []
+        fun = None  # the open compound's name, _PAREN, or None at the top
+        args = []  # its arguments so far; at the top, the goals read
+        ops = None  # its pending infix operators, as (left side, operator)
+        compare = None  # the goal's comparison, as (left side, operator)
+        # goal is the index of the token before the goal's first one
+        for i, tok in tokens:
+            if start < 0:
+                start, cline = i, line
+            c = tok[:1]
+            if "a" <= c <= "z" or c == "'" and len(tok) > 1:
+                if c == "'":
+                    line += tok.count("\n")
+                    tok = _unquote(tok)
+                t = fn = tok
+            elif "A" <= c <= "Z" or c == "_":
+                fn = None
+                if tok == "_":
+                    t = Var("_")
+                else:
+                    t = names.get(tok)
+                    if t is None:
+                        t = names[tok] = Var(tok)
+            elif c.isdecimal():
+                fn = None
+                t = float(tok) if "." in tok else int(tok)
+            elif tok == "\n":
+                line += 1
+                if fun is None and not body:
+                    start = -1
+                continue
+            elif tok == "(":
+                stack.append((fun, args, ops))
+                fun, args, ops = _PAREN, [], None
+                continue
+            elif tok == "-":
+                i, tok = take()
+                while tok == "\n":
+                    line += 1
+                    i, tok = take()
+                if not tok[:1].isdecimal():
+                    self.fail("unary minus applies to number literals only", i)
+                fn = None
+                t = -float(tok) if "." in tok else -int(tok)
+            elif not body and fun is None and (tok == ":-" or not tok):
+                self.line = line
+                return i, tok
+            else:
+                self.fail("expected a term", i)
+            # t is an operand: read what follows it
+            for i, tok in tokens:
+                if tok == "(" and fn is not None:
+                    stack.append((fun, args, ops))
+                    fun, args, ops = fn, [], None
+                    break
+                if tok == "\n":
+                    line += 1
+                    continue
+                if tok in _PRIORITY and (fun is not None or body):
+                    level = _PRIORITY[tok]
+                    if ops is None:
+                        ops = []
+                    while ops and _PRIORITY[ops[-1][1]] >= level:
+                        left, op = ops.pop()
+                        t = Struct(op, (left, t))
+                    ops.append((t, tok))
+                    break
+                while ops:
+                    left, op = ops.pop()
+                    t = Struct(op, (left, t))
+                if fun is not None:
+                    if tok == "," and fun is not _PAREN:
+                        args.append(t)
+                        break
+                    if tok != ")":
+                        self.fail("expected ')'", i)
+                    if fun is not _PAREN:
+                        args.append(t)
+                        t = Struct(fun, args)
+                    fun, args, ops = stack.pop()
+                    fn = None
+                    continue
+                if not body:  # t is a clause head
+                    if type(t) is not Struct and type(t) is not str:
+                        self.fail("clause head must be an atom or a compound",
+                                  start)
+                    if tok == ":-":
+                        head, body, goal = t, True, i
+                        break
+                    if tok != ".":
+                        self.fail("expected '.'", i)
+                    clauses.append(Clause(t, (), cline))
+                    start, names = -1, {}
+                    break
+                if compare is not None:
+                    t = Struct(compare[1], (compare[0], t))
+                    compare = None
+                elif tok in COMPARE or tok == "=":
+                    compare = (t, tok)
+                    break
+                elif tok == "is" or tok[:1] == "'" and _unquote(tok) == "is":
+                    compare = (t, "is")
+                    break
+                elif type(t) is not Struct and type(t) is not str:
+                    goal += 1
+                    while self.toks[goal] == "\n":
+                        goal += 1
+                    self.fail("goal is not callable", goal)
+                args.append(t)
+                if tok == ",":
+                    goal = i
+                    break
+                if clauses is None:
+                    self.line = line
+                    return args, i, tok
+                if tok != ".":
+                    self.fail("expected '.'", i)
+                clauses.append(Clause(head, args, cline))
+                start, names, body, args = -1, {}, False, []
+                break
 
 
 def parse_program(text):

@@ -2,12 +2,13 @@
 
     PYTHONPATH=src python tests/digest.py [SWEEP ...]
 
-Prints one sha256 per sweep, for the sweeps named (all seven when none
+Prints one sha256 per sweep, for the sweeps named (all eight when none
 is, in the order below: families, randprog, randfloat, randcompound,
-randheads, events, randcalls) over, for every run in order: the answers
-in order, the Stats counters, and each table's n_inserted,
-n_invalidated and n_purged in table and frame creation order. Two trees
-that print the same digests gave the same answers by the same work.
+randheads, events, randcalls, programs). The first seven are over, for
+every run in order: the answers in order, the Stats counters, and each
+table's n_inserted, n_invalidated and n_purged in table and frame
+creation order. Two trees that print the same digests gave the same
+answers by the same work, from the same parsed programs.
 
 The sweeps:
 - families: the eight benchmark families at the acceptance-07 sizes,
@@ -36,7 +37,12 @@ The sweeps:
   s/1), a slot bound to a float or to a ground compound (one of them
   holding a Var that s/1 binds), and, for the general path, a compound
   that holds a variable and a slot that holds one; each queried as
-  written and as ?- c(K, G).
+  written and as ?- c(K, G);
+- programs: what parse_program returns for every program text the
+  other seven sweeps parse: each declaration with its line, each
+  table_strategy override, and each clause's line, its printed text
+  and its preorder keys, which number its variables by first
+  occurrence, so they show which occurrences share a variable.
 
 pytest does not collect this file; it is a script.
 """
@@ -53,8 +59,8 @@ for _p in (HERE, os.path.join(os.path.dirname(HERE), "src")):
 
 from modetab import bench  # noqa: E402
 from modetab.engine import Engine  # noqa: E402
-from modetab.lang import parse_program  # noqa: E402
-from modetab.terms import term_to_str  # noqa: E402
+from modetab.lang import clause_to_text, parse_program  # noqa: E402
+from modetab.terms import term_keys, term_to_str  # noqa: E402
 
 from randprog import generate  # noqa: E402
 
@@ -137,10 +143,14 @@ def bound_start(query):
     return query, re.sub(r"^\?- (\w+)\((\w+)", r"?- s(\2), \1(\2", query)
 
 
+def float_weights(text):
+    """Each e(U,V,W). weight written as W.5."""
+    return re.sub(r"^(e\(\d+,\d+,\d+)\)\.$", r"\1.5).", text, flags=re.M)
+
+
 def call_shapes(text):
     """compound_nodes with float weights, and c/2 as the docstring says."""
-    text = compound_nodes(re.sub(r"^(e\(\d+,\d+,\d+)\)\.$", r"\1.5).",
-                                 text, flags=re.M))
+    text = compound_nodes(float_weights(text))
     *_, (name, slash, modes) = re.findall(
         r"^:- table (\w+)(?:/(\d+)|\((.*)\))\.$", text, flags=re.M)
     n = int(slash) if slash else modes.count(",") + 1
@@ -175,11 +185,35 @@ def with_calls(query):
 NODE_SEEDS = [seed for seed in range(400) if seed % 7 != 5]
 
 
+def programs():
+    digest = hashlib.sha256()
+    texts = [bench.program_text(bench.gen_instance(name, size, seed))
+             for name, size in SIZES for seed in range(1, 11)]
+    for edit, seeds in ((None, range(400)), (float_weights, range(400)),
+                        (compound_nodes, NODE_SEEDS),
+                        (node_rules, NODE_SEEDS),
+                        (call_shapes, NODE_SEEDS)):
+        for seed in seeds:
+            text = generate(seed)[0]
+            texts.append(edit(text) if edit else text)
+    for text in texts:
+        program = parse_program(text)
+        for d in program.declarations:
+            digest.update(("%r %s\n" % (d, d.line)).encode())
+        for (name, arity), strategy in program.strategy_overrides.items():
+            digest.update(("%s/%d %s\n" % (name, arity, strategy)).encode())
+        for c in program.clauses:
+            digest.update(("%s %s %r\n" % (
+                c.line, clause_to_text(c),
+                term_keys((c.head,) + c.body))).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
 SWEEPS = {
     "families": families,
     "randprog": randprogs,
-    "randfloat": lambda: randprogs(lambda text: re.sub(
-        r"^(e\(\d+,\d+,\d+)\)\.$", r"\1.5).", text, flags=re.M)),
+    "randfloat": lambda: randprogs(float_weights),
     "randcompound": lambda: randprogs(compound_nodes, "randcompound",
                                       NODE_SEEDS),
     "randheads": lambda: randprogs(node_rules, "randheads", NODE_SEEDS,
@@ -187,6 +221,7 @@ SWEEPS = {
     "events": lambda: families(range(1, 4), events),
     "randcalls": lambda: randprogs(call_shapes, "randcalls", NODE_SEEDS,
                                    with_calls),
+    "programs": programs,
 }
 
 

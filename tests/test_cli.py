@@ -229,6 +229,19 @@ def test_run_prints_a_deep_answer(tmp_path, capsys):
     assert err == ""
 
 
+def test_run_reads_a_deeply_nested_fact(tmp_path, capsys):
+    # the parser keeps its own stack, so the interpreter's does not
+    # bound how deep a term in the program nests
+    deep = "f(" * 10000 + "a" + ")" * 10000
+    p = tmp_path / "nest.pl"
+    p.write_text("q(%s).\n" % deep)
+    code = main(["run", str(p), "--query", "q(X)"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out == "X = %s\n" % deep
+    assert err == ""
+
+
 def test_bench_runs_and_reports(capsys, tmp_path):
     out_json = tmp_path / "report.json"
     code = main(["bench", "shortest", "--size", "6", "--seed", "3",

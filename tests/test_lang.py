@@ -17,7 +17,7 @@ from modetab.lang import (
     parse_query,
     validate,
 )
-from modetab.terms import Struct, Var, deref, variant
+from modetab.terms import Struct, Var, deref, term_to_str, variant
 
 
 def program_to_text(program):
@@ -194,6 +194,120 @@ def test_empty_query_is_an_error():
         parse_query("   % nothing\n")
 
 
+# every error the parser raises: (parse_program or parse_query, text,
+# message, line, column)
+PARSE_ERRORS = [
+    # a bad character is reported before any syntax error, even one
+    # that comes earlier in the text
+    ("program", "p(a) :- q(a) ! r.", "unexpected character '!'", 1, 14),
+    ("program", "p(a).\np(b) :- 'unterminated.",
+     "unexpected character \"'\"", 2, 9),
+    ("program", "p(a, b.\nq(!).", "unexpected character '!'", 2, 3),
+    ("program", ":- table p(best).\n%\n? q.", "unexpected character '?'",
+     3, 1),
+    ("program", "p(a, b.", "expected ')'", 1, 7),
+    ("program", "p((a + b).", "expected ')'", 1, 10),
+    ("program", "p(a) :- q(1 < 2).", "expected ')'", 1, 13),
+    ("program", "p((a, b)).", "expected ')'", 1, 5),
+    ("program", "p(f(a)(b)).", "expected ')'", 1, 7),
+    ("program", "p :- (q)(r).", "expected '.'", 1, 9),
+    ("program", "edge(a,b).\np(X :- q.", "expected ')'", 2, 5),
+    ("program", "p(a,,b).", "expected a term", 1, 5),
+    ("program", "p().", "expected a term", 1, 3),
+    ("program", "p(a) :- .", "expected a term", 1, 9),
+    ("program", "p(X, Y) :- Y is -X.",
+     "unary minus applies to number literals only", 1, 18),
+    ("program", "p(X) :- X is - \n a.",
+     "unary minus applies to number literals only", 2, 2),
+    ("program", ":- table p(index,best).", "unknown mode 'best'", 1, 18),
+    ("program", ":- import(foo).", "unknown directive 'import'", 1, 1),
+    ("program", ":- table p/2.\n:- table p(index,min).",
+     "duplicate table declaration for p/2", 2, 1),
+    ("program", ":- table p/x.", "expected an integer", 1, 12),
+    ("program", ":- table_strategy p/1.5, local.", "expected an integer",
+     1, 21),
+    ("program", ":- table_strategy p/1, eager.",
+     "strategy must be local or batched", 1, 29),
+    ("program", ":- table p index.", "expected '('", 1, 12),
+    ("program", ":- table 'p'/1 q.", "expected '.'", 1, 16),
+    ("program", ":- 42.", "expected an atom", 1, 4),
+    ("program", "42.", "clause head must be an atom or a compound", 1, 1),
+    ("program", "X :- p.", "clause head must be an atom or a compound", 1, 1),
+    ("program", "\n-1.", "clause head must be an atom or a compound", 2, 1),
+    ("program", "p(a) + 1.", "expected '.'", 1, 6),
+    ("program", "p(a)", "expected '.'", 1, 5),
+    ("program", "p :- X < Y < Z.", "expected '.'", 1, 12),
+    ("program", "p :- 3.", "goal is not callable", 1, 6),
+    ("program", "p :- X, q.", "goal is not callable", 1, 6),
+    ("program", "p :- q,\n  7.", "goal is not callable", 2, 3),
+    # after a comment, and after a quoted atom that spans lines
+    ("program", "% a comment\n  p(a) q.", "expected '.'", 2, 8),
+    ("program", "w('a\nb').\np(a", "expected ')'", 3, 4),
+    ("program", "w('a\nb', c) :- x(\n'\n'), 1.", "goal is not callable",
+     4, 5),
+    ("query", "", "empty query", 1, 1),
+    ("query", "  % nothing\n", "empty query", 2, 1),
+    ("query", "?- ", "empty query", 1, 4),
+    ("query", "?- .", "expected a term", 1, 4),
+    ("query", "?- p(X), 3.", "goal is not callable", 1, 10),
+    ("query", "p(X). q(X)", "unexpected text after query", 1, 7),
+    ("query", "p(X) q(X)", "unexpected text after query", 1, 6),
+    ("query", "p(X) ! q(X", "unexpected character '!'", 1, 6),
+]
+
+
+@pytest.mark.parametrize("parse, text, message, line, col", PARSE_ERRORS)
+def test_parse_errors_name_their_line_and_column(parse, text, message,
+                                                 line, col):
+    with pytest.raises(ParseError) as err:
+        (parse_program if parse == "program" else parse_query)(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == "line %d, column %d: %s" % (line, col, message)
+
+
+LINES = """\
+% a comment on line 1
+
+:- table path(index,index,min).
+path(X,Y,C) :-
+    edge(X,Y,C).   % line 4, goal on line 5
+% line 6
+
+path(X,Y,C) :- path(X,Z,C1),
+    edge(Z,Y,C2), C is C1 + C2.
+:- table
+   other/1.
+w('a
+b').
+edge(a,b,1). edge(b,c,2).
+  odd(X) :- missing(X).
+"""
+
+
+def test_clause_and_declaration_lines():
+    program = parse_program(LINES)
+    assert [(d.name, d.line) for d in program.declarations] == [
+        ("path", 3), ("other", 11)]
+    assert [c.line for c in program.clauses] == [4, 8, 12, 14, 14, 15]
+    assert validate(program) == [
+        "warning: tabled predicate other/1 has no clauses",
+        "error: unknown predicate missing/1 called on line 15",
+    ]
+
+
+def test_a_deeply_nested_term_reads():
+    deep = "f(" * 10000 + "a" + ")" * 10000
+    program = parse_program("q(%s).\nr(X) :- X = %s." % (deep, deep))
+    goal = parse_query("q(%s), X is 1" % deep)[0]
+    for t in (program.clauses[0].head.args[0],
+              program.clauses[1].body[0].args[1], goal.args[0]):
+        depth = 0
+        while type(t) is Struct:
+            t = t.args[0]
+            depth += 1
+        assert (depth, t) == (10000, "a")
+
+
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -280,8 +394,12 @@ def test_reference_programs_round_trip():
         _assert_same_program(p1, p2)
 
 
-Atoms = st.sampled_from(["a", "b", "foo", "q1", "x y'z"])
-Numbers = st.integers(-20, 20) | st.sampled_from([0.5, 1.25, 3.0, -2.5])
+# the last four print quoted with escapes, or across a line break
+Atoms = st.sampled_from(["a", "b", "foo", "q1", "x y'z", "it's",
+                         "back\\slash", "\\'", "two\nlines"])
+# eighths print as plain decimals, so every float here reads back
+Numbers = (st.integers(-20, 20) | st.sampled_from([0.5, 1.25, 3.0, -2.5])
+           | st.integers(-400, 400).map(lambda n: n / 8))
 VarNames = st.sampled_from(["X", "Y", "Z", "Acc"])
 FunNames = st.sampled_from(["f", "g", "pair"])
 ArithOps = st.sampled_from(["+", "-", "*", "/"])
@@ -299,7 +417,7 @@ def random_clause(draw):
     def term(depth):
         choices = ["atom", "num", "var"]
         if depth > 0:
-            choices += ["fun", "arith"]
+            choices += ["fun", "arith", "deep"]
         kind = draw(st.sampled_from(choices))
         if kind == "atom":
             return draw(Atoms)
@@ -309,12 +427,20 @@ def random_clause(draw):
             return var()
         if kind == "arith":
             return Struct(draw(ArithOps), [term(depth - 1), term(depth - 1)])
+        if kind == "deep":
+            t = term(depth - 1)
+            for _ in range(draw(st.integers(4, 9))):
+                t = Struct(draw(FunNames), [t])
+            return t
         n = draw(st.integers(1, 3))
         return Struct(draw(FunNames), [term(depth - 1) for _ in range(n)])
 
     def goal():
-        if draw(st.booleans()):
-            return Struct(draw(CmpOps), [term(1), term(1)])
+        kind = draw(st.sampled_from(["compare", "is", "call"]))
+        if kind == "compare":
+            return Struct(draw(CmpOps), [term(2), term(2)])
+        if kind == "is":
+            return Struct("is", [var(), term(3)])
         return Struct(draw(st.sampled_from(["p", "q", "r"])), [term(2)])
 
     head = Struct(draw(st.sampled_from(["p", "q", "r"])), [term(3)])
@@ -345,11 +471,47 @@ def random_program(draw):
     return Program(decls, overrides, clauses)
 
 
+LEVELS = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def terse(t):
+    """term_to_str, but with only the parentheses that precedence and
+    left associativity need: 1 - 2 - 3, 1 - (2 - 3), 1 + 2 * 3."""
+    if type(t) is not Struct:
+        return term_to_str(t)
+    level = LEVELS.get(t.name) if len(t.args) == 2 else None
+    if level is None:
+        return "%s(%s)" % (term_to_str(t.name), ", ".join(map(terse, t.args)))
+    sides = []
+    for side, least in zip(t.args, (level, level + 1)):
+        text = terse(side)
+        if (type(side) is Struct and len(side.args) == 2
+                and LEVELS.get(side.name, 3) < least):
+            text = "(%s)" % text
+        sides.append(text)
+    return "%s %s %s" % (sides[0], t.name, sides[1])
+
+
+def terse_text(program):
+    """program_to_text, with each clause printed through terse."""
+    lines = [program_to_text(Program(program.declarations,
+                                     program.strategy_overrides))]
+    for c in program.clauses:
+        goals = [(" %s " % g.name).join(map(terse, g.args))
+                 if is_builtin(g.name, len(g.args)) else terse(g)
+                 for g in c.body]
+        lines.append("%s%s.\n" % (terse(c.head), " :- " + ", ".join(goals)
+                                   if goals else ""))
+    return "".join(lines)
+
+
 @given(random_program())
 @settings(max_examples=150, deadline=None)
 def test_print_parse_round_trip(program):
-    """Printing then reparsing reproduces the program structurally."""
+    """Printing then reparsing reproduces the program structurally, with
+    every arithmetic term in parentheses or with as few as it needs."""
     _assert_same_program(program, parse_program(program_to_text(program)))
+    _assert_same_program(program, parse_program(terse_text(program)))
 
 
 # ---------------------------------------------------------------------------
