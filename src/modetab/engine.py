@@ -42,8 +42,8 @@ per term), each level's value as its trie key (a float v as (FLT, v)),
 grows the new path and chains its record, and hands any other answer to
 modes.insert_answer, whose trie keys, witness compare (modes.beats)
 and branch drop (tries.drop_below) it shares. Only a traced insertion,
-or one that changed a table scheduled batched, makes a call more, to
-log its trace event and queue it for the consumers that do not settle.
+or one that changed a table with a consumer that does not settle, makes
+a call more, to log its trace event and queue it for those consumers.
 A run whose next step ends the body calls the put directly.
 
 A tabled goal without a compound that holds variables compiles to a call
@@ -82,10 +82,11 @@ a table and neither that table nor the one it reads has a first, last
 or sum column, whose content depends on the order or the number of
 deliveries.
 
-* A consumer that does not settle (batched only) gets each
-  table-changing insertion queued as an event, plus a bounded catch-up
-  walk at registration time, so it may see answers that a later
-  insertion invalidates; a sum table counts each one.
+* A consumer that does not settle (batched only) is listed in its
+  table's record, and gets each table-changing insertion queued as an
+  event, plus a bounded catch-up run at registration time, so it may
+  see answers that a later insertion invalidates; a sum table counts
+  each one.
 * A settled consumer gets nothing until the task queue drains. Completion
   works on the strongly connected components of the dependency graph
   between incomplete frames, kept as calls suspend: each component
@@ -111,13 +112,25 @@ as Dijkstra's algorithm does; on a graph with non-negative weights no
 answer that a better one supersedes is delivered. first, last and sum
 are left out because what they keep depends on the order or the
 number of deliveries.
+
+Every delivery, whether an insertion event, a catch-up run, a read of
+a completed table or a walk in either order, goes through one loop,
+_deliver: it reads the engine's and the consumer's fields once, then
+per answer checks the derivation limit, counts the propagation, copies
+the activation, writes the answer into the call's slots (and binds a
+general-path call's Vars) and runs the next step. A run reads the chain
+lazily past the consumer's parked position, so the answers its own
+deliveries add come in the same run. A single tabled goal's query reads
+the completed table's chain directly into its answers.
 """
 
 import linecache
+import sys
 from collections import deque
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import count
+from operator import itemgetter
 
 from .errors import DerivationLimitError, EvaluationError
 from .lang import (decompose_goal, eval_arith, eval_builtin, fact_key,
@@ -128,11 +141,14 @@ from .modes import (ADDED, NEW, REJECTED, REPLACED, SUM_UPDATED, beats,
 from .terms import (FLT, Struct, Var, cyclic_binding, instantiate, resolve,
                     term_keys, term_to_str, unify, var_token)
 from .tries import (AnswerLeaf, TableSpace, complete_table, drop_below,
-                    iterate_answers, subgoal_lookup_insert)
+                    subgoal_lookup_insert)
 
 __all__ = ["Engine", "Stats", "solve", "DEFAULT_LIMIT"]
 
 DEFAULT_LIMIT = 5_000_000
+
+# the bound of a walk's run of deliveries: above every answer's seq
+_EVERY = sys.maxsize
 
 
 class Stats:
@@ -201,8 +217,8 @@ class _Eval:
     generator slot: the generator call, the calls reading the table (the
     only record of who waits on it), and its component."""
 
-    __slots__ = ("args", "link", "subst", "local", "consumers", "leader",
-                 "members", "waits", "any_order")
+    __slots__ = ("args", "link", "subst", "local", "consumers", "eager",
+                 "leader", "members", "waits", "any_order")
 
     def __init__(self, frame, args, link, subst, local):
         self.args = args
@@ -210,11 +226,13 @@ class _Eval:
         self.subst = subst  # the call's Vars, in answer ordinal order
         self.local = local  # scheduled local, not batched
         self.consumers = []  # suspended calls reading this table
+        # those of them that do not settle, in order; None while none has
+        self.eager = None
         # completion: the component this table belongs to (its leader's
         # record), and on a leader, the member frames and how many calls
         # they have suspended on incomplete frames outside the component
         self.leader = self
-        self.members = [frame]
+        self.members = (frame,)
         self.waits = 0
         # no column whose content depends on delivery order; on a
         # leader, true of every member
@@ -620,16 +638,13 @@ class Engine:
                 host.generator.leader.waits += 1
             if consumer.settles:
                 return
+            if gen.eager is None:
+                gen.eager = []
+            gen.eager.append(consumer)
         # catch up on the valid answers stored before registration (all
         # of a completed table's); later ones arrive as insertion events,
-        # so the walk is bounded to keep the two channels from overlapping
-        bound = frame.n_inserted
-        leaf = frame.first_answer
-        while leaf is not None and leaf.seq <= bound:
-            if leaf.valid:
-                consumer.last = leaf
-                self._deliver(consumer, leaf, resumed=False)
-            leaf = leaf.next
+        # so the run is bounded to keep the two channels from overlapping
+        self._deliver(consumer, None, False, frame.n_inserted)
 
     def _copy(self, env):
         """A copy of an activation that no later binding reaches."""
@@ -651,41 +666,94 @@ class Engine:
                            parent.answers, parent.names)
         return parent
 
-    def _deliver(self, consumer, leaf, resumed):
+    def _deliver(self, consumer, leaf, resumed, bound=None, best=None):
+        """The one delivery loop: it reads the consumer's and the
+        engine's fields once, then delivers a run of answers.
+
+        Without a bound, the run is leaf alone: an insertion event. With
+        one, leaf is None, and the run is every valid answer the
+        consumer has not seen whose seq is at most bound. The chain is
+        read lazily past consumer.last, which is parked on each answer
+        as it is read, so answers that the deliveries add come too. They
+        go in chain order, or, given best (_best's ordinal and sign; a
+        walk's, so every seq is in bound), best value first: each answer
+        read is pushed onto a heap, the best one still valid goes next,
+        and the chain is read again after each delivery.
+        """
         st = self.stats
-        if st.derivations > self.limit:
-            _over(self.limit)
-        st.propagations += 1
-        if resumed:
-            st.resumptions += 1
-        if self.events is not None:
-            self._log(
-                "deliver",
-                frame=consumer.frame.name(),
-                seq=leaf.seq,
-                consumer=consumer.cid,
-                host=consumer.host.name() if consumer.host is not None else None,
-                complete=consumer.frame.complete,
-                resumed=resumed,
-            )
-        terms = leaf.terms
-        if consumer.frame.entry.open:
-            terms = _renamed(terms)
-        env = list(consumer.env)
-        for k, o in consumer.plan:
-            env[k] = terms[o]
+        limit = self.limit
+        events = self.events
+        frame = consumer.frame
+        entry = frame.entry
+        plan = consumer.plan
         hplan = consumer.hplan  # empty except for a general-path call
-        if not hplan:
-            consumer.step(env, consumer.parent)
-            return
+        step = consumer.step
+        env = consumer.env
+        parent = consumer.parent
         # the running walk's bindings stay: a completed read needs them,
         # and a suspended consumer's copies were resolved through them
         bind = self.bind
-        for var, o in hplan:
-            bind[var] = terms[o]
-        consumer.step(env, consumer.parent)
-        for var, o in hplan:
-            del bind[var]
+        if best:
+            at, sign = best
+            heap = []  # (0, value, seq, leaf) for numbers, (1, seq, leaf)
+        while True:
+            if bound is not None:
+                last = consumer.last
+                leaf = frame.first_answer if last is None else last.next
+                if not best:
+                    while leaf is not None and not leaf.valid:
+                        leaf = leaf.next
+                    if leaf is None or leaf.seq > bound:
+                        return
+                    consumer.last = leaf
+                else:
+                    while leaf is not None:
+                        if leaf.valid:
+                            consumer.last = leaf
+                            v = leaf.terms[at]
+                            heappush(heap, (0, sign * v, leaf.seq, leaf)
+                                     if type(v) is int or type(v) is float
+                                     else (1, leaf.seq, leaf))
+                        leaf = leaf.next
+                    if not heap:
+                        return
+                    leaf = heappop(heap)[-1]
+                    if not leaf.valid:
+                        continue
+            if st.derivations > limit:
+                _over(limit)
+            st.propagations += 1
+            if resumed:
+                st.resumptions += 1
+            if events is not None:
+                self._log(
+                    "deliver",
+                    frame=frame.name(),
+                    seq=leaf.seq,
+                    consumer=consumer.cid,
+                    host=(consumer.host.name() if consumer.host is not None
+                          else None),
+                    complete=frame.complete,
+                    resumed=resumed,
+                )
+            terms = leaf.terms
+            # read per answer: a delivery may store one that holds a
+            # variable, and the run reads it next
+            if entry.open:
+                terms = _renamed(terms)
+            work = list(env)
+            for k, o in plan:
+                work[k] = terms[o]
+            if not hplan:
+                step(work, parent)
+            else:
+                for var, o in hplan:
+                    bind[var] = terms[o]
+                step(work, parent)
+                for var, o in hplan:
+                    del bind[var]
+            if bound is None:
+                return
 
     # -- task loop -------------------------------------------------------
 
@@ -711,36 +779,15 @@ class Engine:
 
     def _walk_consumer(self, consumer):
         """Deliver every valid answer the consumer has not seen, and those
-        its deliveries add; the chain is read lazily, so they come too.
-        Best value first where the module docstring says so."""
+        its deliveries add: best value first where the module docstring
+        says so, otherwise in chain order."""
         frame = consumer.frame
         host = consumer.host
         gen = frame.generator
         best = (host is not None and gen is not None
                 and host.generator.leader is gen.leader
                 and gen.leader.any_order and _best(frame))
-        heap = []  # (0, value, seq, leaf) for numbers, (1, seq, leaf) after
-        while True:
-            # in chain order: delivered as read, or pushed to the heap
-            last = consumer.last
-            leaf = frame.first_answer if last is None else last.next
-            while leaf is not None:
-                if leaf.valid:
-                    consumer.last = leaf
-                    if not best:
-                        self._deliver(consumer, leaf, resumed=True)
-                    else:
-                        k, sign = best
-                        v = leaf.terms[k]
-                        heappush(heap, (0, sign * v, leaf.seq, leaf)
-                                 if type(v) is int or type(v) is float
-                                 else (1, leaf.seq, leaf))
-                leaf = leaf.next
-            if not heap:
-                return
-            leaf = heappop(heap)[-1]
-            if leaf.valid:
-                self._deliver(consumer, leaf, resumed=True)
+        self._deliver(consumer, None, True, _EVERY, best)
 
     def run(self):
         while True:
@@ -750,7 +797,7 @@ class Engine:
                 if kind == "gen":
                     self._run_generator(task[1])
                 elif kind == "event":
-                    self._deliver(task[1], task[2], resumed=True)
+                    self._deliver(task[1], task[2], True)
                 else:  # walk
                     self._walk_consumer(task[1])
             if not self._checkpoint():
@@ -833,11 +880,13 @@ class Engine:
                 if host is not None and host.generator.leader is not lead:
                     adj[host.generator.leader].append(lead)
         lead, *others = _tarjan(list(adj), adj)[0][::-1]
+        members = list(lead.members)
         for other in others:
             for frame in other.members:
                 frame.generator.leader = lead
-            lead.members.extend(other.members)
+            members += other.members
             lead.any_order = lead.any_order and other.any_order
+        lead.members = tuple(members)
         lead.waits = 0
         return lead
 
@@ -880,12 +929,21 @@ class Engine:
             ):
                 frame, varmap = self._materialize(name, list(args))
                 self.run()
-                where = [varmap[v] for v in qvars]
-                # stored terms were resolved when they were derived
-                # one comprehension per line: pstats keys each by its line
-                answers = [
-                    dict(zip(names, [leaf.terms[o] for o in where]))
-                    for leaf in iterate_answers(frame)]
+                # the completed chain holds valid answers only, their
+                # terms resolved when they were derived; where the query's
+                # variables are the first ordinals in order, the terms
+                # are read as they are
+                where = tuple(varmap[v] for v in qvars)
+                get = (None if where == tuple(range(len(where)))
+                       else itemgetter(*where) if len(where) > 1
+                       else lambda terms, o=where[0]: (terms[o],))
+                answers = []
+                leaf = frame.first_answer
+                while leaf is not None:
+                    terms = leaf.terms
+                    answers.append(dict(zip(
+                        names, terms if get is None else get(terms))))
+                    leaf = leaf.next
                 return answers, self.stats
         slots = {}
         nvars, _, body = self._compile((), goals, slots, _emit)
@@ -1326,9 +1384,9 @@ def _put_source(shape, subst_modes):
     other answer, and every answer of a plan whose min, max or sum spans
     more than one ordinal, goes to _general. The walk changes nothing
     before it has decided, so that fallback finds the table as it was.
-    Only a traced insertion, or one into a table scheduled batched,
-    calls _announce. The source is made of slot numbers, ordinals and
-    mode names only.
+    Only a traced insertion, or one that changed a table with a
+    consumer that does not settle, calls _announce. The source is made
+    of slot numbers, ordinals and mode names only.
     """
     src = _Source("put", (), "put")
     emit = src.emit
@@ -1416,7 +1474,7 @@ def _put_source(shape, subst_modes):
         emit(depth + 1, "frame.last_answer.next = leaf")
         emit(depth, "frame.last_answer = leaf")
         emit(depth, "st.insertions += 1")
-        emit(depth, "if engine.events is not None or not frame.generator.local:")
+        emit(depth, "if engine.events is not None or frame.generator.eager:")
         emit(depth + 1, "_announce(engine, frame, %s, leaf, %s, %s)"
              % (kind, dropped, total))
         emit(depth, "return")
@@ -1506,17 +1564,15 @@ def _general(engine, frame, vals):
 
 
 def _announce(engine, frame, kind, leaf, dropped, total):
-    """Log an insertion's trace event and, if it changed a table
-    scheduled batched, queue it for each consumer that does not
-    settle."""
+    """Log an insertion's trace event and, if it changed the table,
+    queue it for each consumer that does not settle (batched only)."""
     if engine.events is not None:
         engine._log("insert", frame=frame.name(), outcome=kind,
                     invalidated=dropped,
                     seq=leaf.seq if leaf is not None else None, total=total)
-    if kind is not REJECTED and not frame.generator.local:
-        engine.tasks.extend(("event", consumer, leaf)
-                            for consumer in frame.generator.consumers
-                            if not consumer.settles)
+    eager = frame.generator.eager
+    if eager and kind is not REJECTED:
+        engine.tasks.extend(("event", consumer, leaf) for consumer in eager)
 
 
 def _divides(e):

@@ -29,9 +29,11 @@ leaf invalid, but the leaf stays on the chain so a reader parked on a
 dead leaf can keep walking. A record under its last index key is
 replaced by the new record under the same key; in a trie of one level
 per term, drop_below pops every branch below the node where the
-decision fell. Dead leaves are only dropped when the table completes.
-Completion also drops the answer trie itself: from then on readers
-follow the chain only, and nothing inserts or invalidates.
+decision fell. Dead leaves are only dropped when the table completes:
+one pass over the chain relinks it in place, giving a new next only to
+a valid leaf whose successor was dead, and builds no list. Completion
+also drops the answer trie itself: from then on readers follow the
+chain only, and nothing inserts or invalidates.
 
 A frame's generator slot is the engine's: it holds whatever the engine
 keeps while the table is incomplete, and completion clears it.
@@ -199,23 +201,33 @@ def complete_table(frame):
     """Purge invalid leaves from the chain, freeze the table and drop its
     answer trie and whatever its generator slot holds.
 
+    One pass relinks the chain in place: only a valid leaf whose
+    successor was purged gets a new next, the next valid leaf or None.
     Purged leaves keep their old forward pointers, so a reader parked on
     one still reaches the surviving suffix of the chain.
     """
     if frame.complete:
         raise ModetabError("table %s completed twice" % frame.name())
-    survivors = []
-    cur = frame.first_answer
-    while cur is not None:
-        if cur.valid:
-            survivors.append(cur)
+    purged = 0
+    last = None  # the last valid leaf met
+    leaf = frame.first_answer
+    while leaf is not None:
+        if not leaf.valid:
+            purged += 1
+        elif last is None:
+            frame.first_answer = leaf
+            last = leaf
         else:
-            frame.n_purged += 1
-        cur = cur.next
-    for i, leaf in enumerate(survivors):
-        leaf.next = survivors[i + 1] if i + 1 < len(survivors) else None
-    frame.first_answer = survivors[0] if survivors else None
-    frame.last_answer = survivors[-1] if survivors else None
+            if last.next is not leaf:
+                last.next = leaf
+            last = leaf
+        leaf = leaf.next
+    if last is None:
+        frame.first_answer = None
+    elif last.next is not None:
+        last.next = None
+    frame.last_answer = last
+    frame.n_purged += purged
     frame.complete = True
     frame.generator = None
     frame.root = None

@@ -7,6 +7,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import modetab.engine as engine_mod
 from modetab import bench
 from modetab.engine import (Consumer, Engine, _best, _Eval, _host, _pending,
                             _Slot, _Tmpl, solve)
@@ -309,32 +310,50 @@ class Queue(deque):
         super().extend(tasks)
 
 
-def watched(program, strategy):
+def delivered(engine, frame):
+    """The answer a consumer's step is running for: the one the deliver
+    event just logged names, found on its frame's chain, which holds
+    every answer (dead ones too) until the table completes."""
+    seq = engine.events[-1]["seq"]
+    leaf = frame.first_answer
+    while leaf.seq != seq:
+        leaf = leaf.next
+    return leaf
+
+
+def watched(program, strategy, monkeypatch):
     """An engine that records, per delivery, the consumer, the answer's
     seq and whether the answer was still valid when it was delivered,
-    keeps the delivered answers in leaves, and logs its task queue."""
+    keeps the delivered answers in leaves, and logs its task queue. Each
+    consumer's step records its deliveries."""
     engine = Engine(program, strategy, trace=True)
     engine.seen = []
     engine.leaves = []
     engine.tasks = Queue()
-    deliver = engine._deliver
 
-    def watch(consumer, leaf, resumed):
-        engine.seen.append((consumer, leaf.seq, leaf.valid))
-        engine.leaves.append(leaf)
-        deliver(consumer, leaf, resumed)
-    engine._deliver = watch
+    class Watched(Consumer):
+        __slots__ = ()
+
+        def __init__(self, frame, host, plan, hplan, step, *rest):
+            def watch(env, parent):
+                leaf = delivered(engine, frame)
+                engine.seen.append((self, leaf.seq, leaf.valid))
+                engine.leaves.append(leaf)
+                step(env, parent)
+            super().__init__(frame, host, plan, hplan, watch, *rest)
+    monkeypatch.setattr(engine_mod, "Consumer", Watched)
     return engine
 
 
 @pytest.mark.parametrize("case", ["cheapest", "detour", "shortest"])
-def test_batched_delivers_no_dead_answer_to_an_order_free_host(case):
+def test_batched_delivers_no_dead_answer_to_an_order_free_host(
+        case, monkeypatch):
     program, query = {
         "cheapest": (parse_program(CHEAPEST), "?- path(a,Z,C)."),
         "detour": (parse_program(DETOUR), "?- path(a,Z,C)."),
         "shortest": bench_case("shortest", 12, 1),
     }[case]
-    engine = watched(program, "batched")
+    engine = watched(program, "batched", monkeypatch)
     engine.solve(query)
     dead = [(c.cid, seq) for c, seq, valid in engine.seen
             if not valid and c.host is not None and c.host.entry.any_order]
@@ -348,8 +367,8 @@ def test_batched_delivers_no_dead_answer_to_an_order_free_host(case):
         assert settling == []
 
 
-def test_a_sum_host_still_gets_dead_answers_of_a_min_producer():
-    engine = watched(parse_program(COUNTED_CHEAPEST), "batched")
+def test_a_sum_host_still_gets_dead_answers_of_a_min_producer(monkeypatch):
+    engine = watched(parse_program(COUNTED_CHEAPEST), "batched", monkeypatch)
     answers, _ = engine.solve("?- n(N).")
     to_sum = [seq for c, seq, valid in engine.seen
               if c.host is not None and c.host.name() == "n/1"]
@@ -517,6 +536,42 @@ def test_completed_table_feeds_later_joins():
     engine.solve("?- path(a,Z).")
     answers, _ = engine.solve("?- path(a,Z), edge(Z,W).")
     assert answers == [{"Z": "b", "W": "a"}, {"Z": "a", "W": "b"}]
+
+
+# ---------------------------------------------------------------------------
+# a single tabled goal's answers are the completed table, in chain order
+
+
+@pytest.mark.parametrize("strategy", BOTH)
+@pytest.mark.parametrize("query, names", [
+    # per name, the answer ordinal of the call's free variable it reads
+    ("?- path(X, Y, C).", {"X": 0, "Y": 1, "C": 2}),
+    ("?- path(X, _, C).", {"X": 0, "C": 2}),
+    ("?- path(_, Y, C).", {"Y": 1, "C": 2}),
+    ("?- path(C, Y, _).", {"C": 0, "Y": 1}),
+    ("?- path(n0, Y, C).", {"Y": 0, "C": 1}),
+    ("?- path(n0, _, C).", {"C": 1}),
+    ("?- path(n0, n3, C).", {"C": 0}),
+    ("?- path(n0, n3, _).", {}),
+])
+def test_a_tabled_query_reads_its_completed_table(strategy, query, names):
+    program, _ = bench_case("shortest", 12, 3)
+    engine = Engine(program, strategy)
+    made = []
+    materialize = engine._materialize
+
+    def recorded(name, args):
+        made.append(materialize(name, args))
+        return made[-1]
+    engine._materialize = recorded
+    answers, _ = engine.solve(query)
+    frame = made[0][0]
+    assert frame.complete
+    want = [{name: leaf.terms[o] for name, o in names.items()}
+            for leaf in iterate_answers(frame)]
+    assert answers == want
+    assert len(answers) == frame.n_inserted - frame.n_purged > 0
+    assert all(list(answer) == list(names) for answer in answers)
 
 
 # ---------------------------------------------------------------------------
@@ -892,13 +947,7 @@ def test_pending_and_walks_follow_the_chain_as_iterate_answers_does():
     # One in the frame's own evaluation walks best value first, on the
     # incomplete frame.
     rng = random.Random(25)
-    engine = Engine(parse_program(""))
-
-    def deliver(consumer, leaf, resumed):
-        assert leaf.valid
-        seen.append(leaf)
-        Engine._deliver(engine, consumer, leaf, resumed)
-    engine._deliver = deliver
+    engine = Engine(parse_program(""), trace=True)
     parked_stale = purged = added = dead_tails = ordered = 0
     for case in range(400):
         modes = (("index", "min"), ("index", "max", "all"),
@@ -928,6 +977,10 @@ def test_pending_and_walks_follow_the_chain_as_iterate_answers_does():
         seen = []
 
         def step(env, parent):
+            # the deliver event just logged names the answer
+            leaf = delivered(engine, frame)
+            assert leaf.valid
+            seen.append(leaf)
             agrees(consumer)
             if adding and rng.random() < 0.5:
                 pour(1)

@@ -97,3 +97,22 @@ def test_every_generated_source_is_named_by_kind(monkeypatch):
         for inner in generated(code):
             match = NAME.match(inner.co_filename)
             assert match and match.group(1) == kind
+
+
+def test_no_two_profiled_functions_share_a_pstats_key():
+    # pstats keys a function by (file, line, name) and keeps one row per
+    # key, so two code objects under one key would lose one's figures
+    profile = cProfile.Profile()
+    for family in ("shortest", "lcs"):
+        inst = bench.gen_instance(family, 20, 3)
+        engine = Engine(parse_program(bench.program_text(inst)))
+        profile.runcall(engine.solve, bench.query_text(inst))
+    codes = {}  # per key, the code objects profiled under it
+    for entry in profile.getstats():
+        if not isinstance(entry.code, str):
+            codes.setdefault(cProfile.label(entry.code), set()).add(
+                entry.code)
+    assert len(codes) > 20
+    shared = {key: len(found) for key, found in codes.items()
+              if len(found) > 1}
+    assert shared == {}

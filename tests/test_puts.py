@@ -159,7 +159,11 @@ def test_a_put_stores_as_insert_answer_does(decl, strategy, from_slot, rows,
     twin_engine, twin = table(text, strategy, args)
     n = len(frame.generator.subst)
     consumer = Settles()
+    # registered as _consume registers it: only a batched table has a
+    # reader that does not settle
     frame.generator.consumers.append(consumer)
+    if strategy == "batched":
+        frame.generator.eager = [consumer]
     # per ordinal, read from a slot of the activation or from outs
     shape = tuple(o if from_slot[o] else -1 for o in range(n))
     put = _put(shape, frame.subst_modes)

@@ -594,3 +594,38 @@ def test_reader_parked_on_a_dead_leaf_sees_later_answers(vectors, data):
     assert list(iterate_answers(frame, after=parked)) == expected
     complete_table(frame)
     assert list(iterate_answers(frame, after=parked)) == expected
+
+
+@given(st.lists(st.booleans(), max_size=30), st.integers(0, 3))
+@settings(max_examples=300)
+def test_completion_relinks_the_chain_as_a_survivor_list(valid, purged):
+    """A chain of valid and invalid records completes to exactly its
+    valid ones, in order; each purged record keeps its forward pointer,
+    and a reader parked on one reads exactly the valid records after
+    it."""
+    frame = fresh_frame(1)
+    frame.n_purged = purged  # completion adds to what is there
+    leaves = []
+    for ok in valid:
+        leaf = grow_answer(frame, frame.root, (len(leaves),), 0,
+                           (len(leaves),))
+        leaf.valid = ok
+        leaves.append(leaf)
+    links = {leaf: leaf.next for leaf in leaves}
+    survivors = [leaf for leaf in leaves if leaf.valid]
+    complete_table(frame)
+    chain = []
+    leaf = frame.first_answer
+    while leaf is not None:
+        chain.append(leaf)
+        leaf = leaf.next
+    assert chain == survivors
+    assert frame.first_answer is (survivors[0] if survivors else None)
+    assert frame.last_answer is (survivors[-1] if survivors else None)
+    assert frame.n_purged == purged + len(leaves) - len(survivors)
+    for i, leaf in enumerate(leaves):
+        if leaf.valid:
+            continue
+        assert leaf.next is links[leaf]
+        assert list(iterate_answers(frame, after=leaf)) == [
+            later for later in leaves[i + 1:] if later.valid]
