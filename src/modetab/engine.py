@@ -44,7 +44,11 @@ modes.insert_answer, whose trie keys, witness compare (modes.beats)
 and branch drop (tries.drop_below) it shares. Only a traced insertion,
 or one that changed a table with a consumer that does not settle, makes
 a call more, to log its trace event and queue it for those consumers.
-A run whose next step ends the body calls the put directly.
+A run that ends the body is generated again per put and pattern of
+slots None at entry it meets, with the put's store written in at its
+innermost point, reading the run's locals and making each check fixed
+for the call once; another put or pattern switches it, and a call that
+could bind, like a query's run, takes the plain run and the put.
 
 A tabled goal without a compound that holds variables compiles to a call
 site. Its steps are generated, one per pattern (the slots unbound at the
@@ -461,7 +465,28 @@ class Engine:
             if j not in tails:
                 tails[j] = self._run_step(ops[j:], nxt)
             return tails[j]
-        return _generate(ops, nxt is _emit).make(self, nxt, tail)
+        general = _generate(ops).make(self, nxt, tail)
+        return general if nxt is not _emit else self._fused(ops, general)
+
+    def _fused(self, ops, general):
+        """A run that ends the body runs the step of the last put and
+        pattern (slots None at entry) met, generated with the put's store
+        fused in; switch makes each one's. A query's put is not fused."""
+        steps = {}  # (put, pattern) -> its generated step
+
+        def switch(env, parent):
+            put = parent.put
+            key = (put, frozenset(i for i, v in enumerate(env) if v is None))
+            found = steps.get(key)
+            if found is None:
+                src = _generate(ops, put, key[1])
+                found = steps[key] = general if src is None else src.make(
+                    self, put, general, switch)
+            if found is not general or put.shape[1] is None:
+                step[0] = found
+            found(env, parent)
+        step = [switch]
+        return lambda env, parent: step[0](env, parent)
 
     # -- resolution ----------------------------------------------------
 
@@ -1072,23 +1097,50 @@ def _tup(items):
     return "(%s)" % "".join(x + ", " for x in items)
 
 
-def _generate(ops, emits):
+def _generate(ops, put=None, free=None):
     """The source of a run of inline goals, whose make(D, self, nxt,
     tail) returns the run's step. Each fact goal is a for loop over its
     candidate rows, arithmetic is straight-line code and a comparison an
-    if, with nxt(env, parent) at the innermost point, or, where nxt is
-    _emit (emits), the sink's put; tail(j) is the step for goals j on,
-    which a fallback goes on with. The source is made of slot numbers,
-    argument positions and the tables above: constants, variable names,
-    fact tables and compiled terms come in D.
+    if, with nxt(env, parent) at the innermost point; tail(j) is the
+    step for goals j on, which a fallback goes on with. A fact goal that
+    reads slots this function did not bind undoes each row's bindings
+    only if one holds a compound, whose match alone binds. The source is
+    made of slot numbers, argument positions and the tables above:
+    constants, variable names, fact tables and compiled terms come in D.
+
+    Given a table's put and free, the slots None at entry, it is the run
+    specialised to both, with the put's store fused in at the innermost
+    point: make(D, self, put, general, switch) returns a step that hands
+    a call of another put or pattern to switch, and one whose walk has
+    bindings or whose fact goal reads a variable or a compound to
+    general, the step above. So it knows which slots a goal binds or
+    matches and whether a key can be a compound; values are ground and
+    stay in locals, and the store leaves each row by continue (return
+    outside a loop). None where an `is` would unify or for a query.
     """
-    src = _Source("run", ("self", "nxt", "tail"), "step")
+    fused = put is not None
+    if fused:
+        shape, subst_modes = put.shape
+        if subst_modes is None:
+            return None
+    src = _Source("run", ("self", "put", "general", "switch") if fused
+                  else ("self", "nxt", "tail"), "step")
     const, emit = src.const, src.emit
     emit(1, "st = self.stats", "def step(env, parent):")
-    emit(2, "bind = self.bind", "trail = self.trail")
+    at = len(src.lines)  # where a fused run's per-call lines go
     temps = [0]
+    entry, pattern, head = {}, {}, []  # fused: see read; the store's head
 
-    def value(e, depth):
+    def read(i, known, match=True):
+        """A fused run's local for slot i and whether it may be a compound;
+        for one read at entry, whether a goal matches it and is None."""
+        if i in known:
+            return known[i]
+        entry[i] = entry.get(i) or match
+        pattern[i] = i in free
+        return "s%d" % i, False
+
+    def value(e, depth, known):
         """Emit the evaluation of compiled arithmetic, left to right;
         returns the name that holds its value."""
         if type(e) is not _Slot and type(e) is not tuple:
@@ -1096,43 +1148,60 @@ def _generate(ops, emits):
         temps[0] += 1
         x = "a%d" % temps[0]
         if type(e) is tuple:
-            a = value(e[1], depth)
-            emit(depth, "%s = %s" % (x, _ARITH[e[0]] % (a, value(e[2], depth))))
+            a = value(e[1], depth, known)
+            emit(depth, "%s = %s" % (x, _ARITH[e[0]] % (
+                a, value(e[2], depth, known))))
         else:
-            emit(depth, "%s = env[%d]" % (x, e.i))
+            emit(depth, "%s = %s" % (x, read(e.i, known, False)[0] if fused
+                                     else "env[%d]" % e.i))
             emit(depth, "if type(%s) is not int and type(%s) is not float:"
                  % (x, x))
             emit(depth + 1, "%s = _number(%s, %s, bind)" % (x, x, const(e.name)))
         return x
 
-    def evaluate(exprs, depth):
+    def evaluate(exprs, depth, known):
         if not any(map(_divides, exprs)):
-            return [value(e, depth) for e in exprs]
+            return [value(e, depth, known) for e in exprs]
         emit(depth, "try:")
-        names = [value(e, depth + 1) for e in exprs]
+        names = [value(e, depth + 1, known) for e in exprs]
         emit(depth, "except ZeroDivisionError:")
         emit(depth + 1, 'raise EvaluationError("division by zero") from None')
         return names
 
-    def goals(j, depth, known):
-        """Emit goal j and the goals after it; known holds the slots that
-        this function has bound around them."""
-        if j == len(ops):
-            emit(depth, "parent.put(env, parent)" if emits
-                 else "nxt(env, parent)")
+    def goals(j, depth, known, loops=False):
+        """Emit goal j and the goals after it, or return False where a
+        fused run's `is` would unify. known holds the slots that this
+        function has bound around them, in a fused run mapped to read's
+        pair; loops is whether a fact goal encloses the point."""
+        if j == len(ops) and not fused:
+            emit(depth, "nxt(env, parent)")
             return
+        if j == len(ops):
+            pattern.update((i, True) for i in shape if i in free)
+            vals = [(known[i][0], False) if i in known else None
+                    if i < 0 or i in free else
+                    (read(i, known, False)[0], True) for i in shape]
+            _put_source(shape, subst_modes, src, depth, vals,
+                        "continue" if loops else "return", head)
+            return True
         op = ops[j]
         rest = "tail(%d)" % (j + 1)
         if op[0] == "cmp":
             emit(depth, "st.derivations += 1")
-            x, y = evaluate(op[2:], depth)
+            x, y = evaluate(op[2:], depth, known)
             emit(depth, "if %s %s %s:" % (x, _COMPARE[op[1]], y))
-            goals(j + 1, depth + 1, known)
-            return
+            return goals(j + 1, depth + 1, known, loops)
         if op[0] == "is":
             _, left, e = op
+            if fused and (type(left) is not _Slot or left.i in known
+                          or not (left.first or left.i in free)):
+                return False
             emit(depth, "st.derivations += 1")
-            x, = evaluate([e], depth)
+            x, = evaluate([e], depth, known)
+            if fused:
+                pattern[left.i] = True
+                return goals(j + 1, depth, {**known, left.i: (x, False)},
+                             loops)
             then = "self._then(%s, %s, env, parent, %s)" % (const(left), x,
                                                             rest)
             if type(left) is not _Slot or left.i in known:
@@ -1147,34 +1216,42 @@ def _generate(ops, emits):
             return
         _, rows, index, specs = op
         dr, di, r = const(rows), const(index), "r%d" % j
-        # slots bound before the goal; one not bound here may hold None
-        # (the row value goes there) or a Var (the goal goes to _rows)
-        reads = [(k, s, "v%d_%d" % (j, k)) for k, s in enumerate(specs)
-                 if type(s) is _Slot and not s.first]
-        free = [read for read in reads if read[1].i not in known]
-        for k, s, v in reads:
-            emit(depth, "%s = env[%d]" % (v, s.i))
-        for k, s, v in free:
-            emit(depth, "while type(%s) is Var and %s in bind:" % (v, v))
-            emit(depth + 1, "%s = bind[%s]" % (v, v))
-        if free:
+        if fused:  # it binds first occurrences and unbound slots None at entry
+            binds = {k: s for k, s in enumerate(specs) if type(s) is _Slot
+                     and (s.first or s.i in free and s.i not in known)}
+        else:
+            # slots bound before the goal; one not bound here may hold None
+            # (the row value goes there) or a Var (the goal goes to _rows)
+            reads = [(k, s, "v%d_%d" % (j, k)) for k, s in enumerate(specs)
+                     if type(s) is _Slot and not s.first]
+            outer = [x for x in reads if x[1].i not in known]
+            for k, s, v in reads:
+                emit(depth, "%s = env[%d]" % (v, s.i))
+            for k, s, v in outer:
+                emit(depth, "while type(%s) is Var and %s in bind:" % (v, v))
+                emit(depth + 1, "%s = bind[%s]" % (v, v))
+        if not fused and outer:
             emit(depth, "if %s:" % " or ".join("type(%s) is Var" % v
-                                                 for _, _, v in free))
+                                                 for _, _, v in outer))
             emit(depth + 1, "self._rows(%s, %s, %s, env, parent, %s)"
                  % (dr, di, const(specs), rest))
             emit(depth, "else:")
             depth += 1
-            emit(depth, "m%d = len(trail)" % j)
+            # only the match of a compound binds: undo rows if one is
+            emit(depth, "u%d = %s" % (j, " or ".join(
+                "type(%s) is Struct" % v for _, _, v in outer)))
+            emit(depth, "m%d = u%d and len(trail)" % (j, j))
         # the index key is as strict as a match: an atom or a number at
         # position 0 needs no check
         s = specs[0]
         if type(s) is not _Slot:
             cands = const(index.get(fact_key(s), ()))
-        elif s.first:
+        elif s.first or fused and 0 in binds:
             cands = dr
         else:
-            cands, v, kw = "c%d" % j, "v%d_0" % j, "if"
-            if s.i not in known:
+            cands, kw = "c%d" % j, "if"
+            v = read(s.i, known)[0] if fused else "v%d_0" % j
+            if not fused and s.i not in known:
                 emit(depth, "if %s is None:" % v)
                 emit(depth + 1, "%s = %s" % (cands, dr))
                 kw = "elif"
@@ -1184,8 +1261,25 @@ def _generate(ops, emits):
             emit(depth + 1, "%s = %s.get(fact_key(%s), ())" % (cands, di, v))
         emit(depth, "for %s in %s:" % (r, cands))
         emit(depth + 1, "st.derivations += 1")
-        if free:
-            emit(depth + 1, "while len(trail) > m%d:" % j)
+        if fused:
+            for k, s in enumerate(specs):
+                if k in binds:
+                    continue
+                v, compound = read(s.i, known) if type(s) is _Slot else (
+                    const(s), type(s) is Struct)
+                if k > 0 or compound:  # the index key matched any other
+                    emit(depth + 1, "if not %s:" % _MATCH_ATOM.format(
+                        f="%s[%d]" % (r, k), v=v), "    continue")
+            known = dict(known)
+            for k, s in binds.items():
+                emit(depth + 1, "s%d = %s[%d]" % (s.i, r, k))
+                known[s.i] = ("s%d" % s.i,
+                              any(type(row[k]) is Struct for row in rows))
+                if not s.first:
+                    pattern[s.i] = True
+            return goals(j + 1, depth + 1, known, True)
+        if outer:
+            emit(depth + 1, "while u%d and len(trail) > m%d:" % (j, j))
             emit(depth + 2, "del bind[trail.pop()]")
         for k, s in enumerate(specs):
             slot = type(s) is _Slot
@@ -1204,18 +1298,34 @@ def _generate(ops, emits):
             if type(s) is _Slot and s.first:
                 emit(depth + 1, "env[%d] = %s[%d]" % (s.i, r, k))
                 bound.add(s.i)
-        for k, s, v in free:
+        for k, s, v in outer:
             emit(depth + 1, "if %s is None:" % v)
             emit(depth + 2, "env[%d] = %s[%d]" % (s.i, r, k))
         goals(j + 1, depth + 1, bound)
-        if free:
-            emit(depth, "while len(trail) > m%d:" % j)
+        if outer:
+            emit(depth, "while u%d and len(trail) > m%d:" % (j, j))
             emit(depth + 1, "del bind[trail.pop()]")
-        for k, s, v in free:
+        for k, s, v in outer:
             emit(depth, "if %s is None:" % v)
             emit(depth + 1, "env[%d] = None" % s.i)
 
-    goals(0, 2, frozenset())
+    if not fused:
+        emit(2, "bind = self.bind", "trail = self.trail")
+        goals(0, 2, frozenset())
+        return src
+    if not goals(0, 2, {}):
+        return None
+    # per call: entry reads, the pattern guard, the binds-nothing check
+    guard = ["parent.put is not put"] + [
+        "env[%d] is not None" % i if none else "s%d is None" % i
+        for i, none in sorted(pattern.items())]
+    top = ["s%d = env[%d]" % (i, i) for i in sorted(entry)] + [
+        "if %s:" % " or ".join(guard), "    return switch(env, parent)",
+        "bind = self.bind", "if bind%s:" % "".join(
+            " or type(s%d) is Var or type(s%d) is Struct" % (i, i)
+            for i in sorted(entry) if entry[i]),
+        "    return general(env, parent)"]
+    src.lines[at:at] = ["        " + line for line in top] + head
     return src
 
 
@@ -1352,11 +1462,15 @@ def _ground(v, bind):
 def _put(shape, subst_modes):
     """The put of one sink shape: per answer ordinal, the slot its value
     is read from, or -1 to read the sink's outs; subst_modes is the
-    frame's substitution array, None for a query's sink."""
-    return _put_source(shape, subst_modes).make()
+    frame's substitution array, None for a query's sink; both are its
+    shape attribute, for the runs that fuse its store."""
+    put = _put_source(shape, subst_modes).make()
+    put.shape = (shape, subst_modes)
+    return put
 
 
-def _put_source(shape, subst_modes):
+def _put_source(shape, subst_modes, src=None, depth=2, vals=None,
+                exit="return", head=None):
     """The source of a put(env, sink), whose make(D) returns it: check
     the derivation limit, read the outputs (an unbound slot gets a Var;
     with bindings, each is resolved through them), then append a query's
@@ -1387,35 +1501,62 @@ def _put_source(shape, subst_modes):
     Only a traced insertion, or one that changed a table with a
     consumer that does not settle, calls _announce. The source is made
     of slot numbers, ordinals and mode names only.
+
+    Given src, a run's that binds nothing (see _generate), it writes the
+    store there at depth instead, leaving by exit: vals gives per
+    ordinal the run's local for its value and whether it is fixed for
+    the call, or None to read it as a put does. What is fixed is read and
+    keyed in head, the lines at the start of the step, which hand a
+    value that is not an atom or a number to the run's general step.
     """
-    src = _Source("put", (), "put")
-    emit = src.emit
-    emit(1, "def put(env, sink):")
-    emit(2, "engine = sink.engine", "st = engine.stats",
-         "if st.derivations > engine.limit:", "    _over(engine.limit)")
+    fused = src is not None
+    if not fused:
+        src = _Source("put", (), "put")
+        src.emit(1, "def put(env, sink):")
+        vals, head = [None] * len(shape), src.lines
+    sink = "parent" if fused else "sink"
+
+    def emit(rel, *texts):  # per answer, rel deeper than the store
+        src.emit(depth + rel, *texts)
+
+    def per_call(rel, *texts):  # at the step's top level
+        head.extend("    " * (2 + rel) + text for text in texts)
+
     n = len(shape)
+    names = [v[0] if v else "v%d" % o for o, v in enumerate(vals)]
+    fixed = {o for o, v in enumerate(vals) if (v[1] if v else shape[o] < 0)}
+    per_call(0, "engine = %s.engine" % sink, "st = engine.stats",
+             "limit = engine.limit")
+    emit(0, "if st.derivations > limit:", "    _over(limit)")
     for o, i in enumerate(shape):
-        if i < 0:
-            emit(2, "v%d = sink.outs[%d]" % (o, o))
-        else:
-            emit(2, "v%d = env[%d]" % (o, i))
-            emit(2, "if v%d is None:" % o)
-            emit(3, "v%d = env[%d] = Var(sink.outs[%d].name)" % (o, i, o))
-    if n:
-        emit(2, "bind = engine.bind")
-        emit(2, "if bind:")
-        for o in range(n):
-            emit(3, "v%d = resolve(v%d, bind)" % (o, o))
-    vals = _tup("v%d" % o for o in range(n))
+        v = names[o]
+        if vals[o] is None and i < 0:
+            per_call(0, "%s = %s.outs[%d]" % (v, sink, o))
+        elif vals[o] is None:
+            emit(0, "%s = env[%d]" % (v, i), "if %s is None:" % v,
+                 "    %s = env[%d] = Var(%s.outs[%d].name)" % (v, i, sink, o))
+    if n and not fused:
+        emit(0, "bind = engine.bind")
+        emit(0, "if bind:")
+        for v in names:
+            emit(1, "%s = resolve(%s, bind)" % (v, v))
+    vals = _tup(names)
     if subst_modes is None:
-        emit(2, "sink.answers.append(dict(zip(sink.names, %s)))" % vals)
+        emit(0, "sink.answers.append(dict(zip(sink.names, %s)))" % vals)
         return src
-    emit(2, "frame = sink.frame")
+    per_call(0, "frame = %s.frame" % sink)
+
+    def general(write, rel):
+        """Hand the answer to _general, or a fused call to general."""
+        if fused and write is per_call:
+            write(rel, "return general(env, parent)")
+        else:
+            write(rel, "_general(engine, frame, %s)" % vals, exit)
+
     segments = build_segments(subst_modes)
-    general = "return _general(engine, frame, %s)" % vals
     if any(hi - lo != 1 for mode, lo, hi, _ in segments
            if mode in ("min", "max", "sum")):
-        emit(2, general)
+        general(emit, 0)
         return src
 
     # the ordinals below leaf_at are the trie levels above the record;
@@ -1423,134 +1564,137 @@ def _put_source(shape, subst_modes):
     leaf_at = leaf_depth(segments)
     levels = leaf_at or n
     sums = [lo for mode, lo, _, _ in segments if mode == "sum"]
-    emit(2, "node = frame.root")
-    emit(2, "if node is None:")
-    emit(3, general)
-    # t<o> is the key of a level's value v<o>; a sum takes numbers only
-    for o in range(n):
+    per_call(0, "root = frame.root", "if root is None:")
+    general(per_call, 1)
+    emit(0, "node = root")
+    # t<o> is the key of a level's value; a sum takes numbers only, and
+    # its key changes with its total
+    for o, v in enumerate(names):
+        write = per_call if o in fixed and o not in sums else emit
         if o >= levels:
-            emit(2, "if type(v%d) is not int%s and type(v%d) is not float:"
-                 % (o, "" if o in sums else " and type(v%d) is not str" % o,
-                    o))
-            emit(3, general)
+            write(0, "if type(%s) is not int%s and type(%s) is not float:"
+                  % (v, "" if o in sums else " and type(%s) is not str" % v,
+                     v))
+            general(write, 1)
             continue
-        emit(2, "t%d = v%d" % (o, o))
-        emit(2, "if type(v%d) is not int:" % o if o in sums else
-             "if type(v%d) is not int and type(v%d) is not str:" % (o, o))
-        emit(3, "if type(v%d) is not float:" % o)
-        emit(4, general)
-        emit(3, "t%d = (FLT, v%d)" % (o, o))
+        write(0, "t%d = %s" % (o, v))
+        write(0, "if type(%s) is not int:" % v if o in sums else
+              "if type(%s) is not int and type(%s) is not str:" % (v, v))
+        write(1, "if type(%s) is not float:" % v)
+        general(write, 2)
+        write(1, "t%d = (FLT, %s)" % (o, v))
     if sums:
-        emit(2, "total = v%d" % sums[0])
+        emit(0, "total = %s" % names[sums[0]])
     # what is stored: a sum's total in place of the candidate's value
-    terms = _tup("total" if o in sums else "v%d" % o for o in range(n))
+    terms = _tup("total" if o in sums else v for o, v in enumerate(names))
     total = "total" if sums else "None"
 
-    def grow(depth, at, kind):
+    def grow(d, at, kind):
         """Store the answer below node from ordinal at on; a replacement
         first drops what is below node, or the record old."""
         dropped = "0"
         if kind in ("REPLACED", "SUM_UPDATED") and leaf_at:
             dropped = "1"
-            emit(depth, "old.valid = False", "frame.n_invalidated += 1",
+            emit(d, "old.valid = False", "frame.n_invalidated += 1",
                  "st.invalidations += 1")
         elif kind in ("REPLACED", "SUM_UPDATED"):
             dropped = "dropped"
-            emit(depth, "dropped = drop_below(frame, node)")
-            emit(depth, "st.invalidations += dropped")
+            emit(d, "dropped = drop_below(frame, node)")
+            emit(d, "st.invalidations += dropped")
         elif kind != "NEW":  # decided before node changes
-            emit(depth, "kind = %s" % kind)
+            emit(d, "kind = %s" % kind)
             kind = "kind"
-        emit(depth, "frame.n_inserted += 1")
-        emit(depth, "leaf = AnswerLeaf(frame.n_inserted, %s)" % terms)
+        emit(d, "frame.n_inserted += 1")
+        emit(d, "leaf = AnswerLeaf(frame.n_inserted, %s)" % terms)
         if at < levels:
             path = "leaf"
             for o in range(levels - 1, at, -1):
                 path = "{t%d: %s}" % (o, path)
-            emit(depth, "node[t%d] = %s" % (at, path))
-        emit(depth, "if frame.last_answer is None:")
-        emit(depth + 1, "frame.first_answer = leaf")
-        emit(depth, "else:")
-        emit(depth + 1, "frame.last_answer.next = leaf")
-        emit(depth, "frame.last_answer = leaf")
-        emit(depth, "st.insertions += 1")
-        emit(depth, "if engine.events is not None or frame.generator.eager:")
-        emit(depth + 1, "_announce(engine, frame, %s, leaf, %s, %s)"
+            emit(d, "node[t%d] = %s" % (at, path))
+        emit(d, "if frame.last_answer is None:")
+        emit(d + 1, "frame.first_answer = leaf")
+        emit(d, "else:")
+        emit(d + 1, "frame.last_answer.next = leaf")
+        emit(d, "frame.last_answer = leaf")
+        emit(d, "st.insertions += 1")
+        emit(d, "if engine.events is not None or frame.generator.eager:")
+        emit(d + 1, "_announce(engine, frame, %s, leaf, %s, %s)"
              % (kind, dropped, total))
-        emit(depth, "return")
+        emit(d, exit)
 
-    def reject(depth):
-        emit(depth, "st.insertions += 1")
-        emit(depth, "if engine.events is not None:")
-        emit(depth + 1, "_announce(engine, frame, REJECTED, None, 0, None)")
-        emit(depth, "return")
+    def reject(d):
+        emit(d, "st.insertions += 1")
+        emit(d, "if engine.events is not None:")
+        emit(d + 1, "_announce(engine, frame, REJECTED, None, 0, None)")
+        emit(d, exit)
 
     if not segments:  # a fully bound call: its one answer is "yes"
-        emit(2, "if frame.first_answer is None:")
-        grow(3, 0, "NEW")
+        emit(0, "if frame.first_answer is None:")
+        grow(1, 0, "NEW")
     for j, (mode, lo, hi, _) in enumerate(segments):
+        v = names[lo]
         if mode == "index" or mode == "all":
             for t in range(lo, hi):
                 if t == leaf_at - 1:  # the last index key holds the record
-                    emit(2, "old = node.get(t%d)" % t)
-                    emit(2, "if old is None:")
-                    grow(3, t, "NEW")
+                    emit(0, "old = node.get(t%d)" % t)
+                    emit(0, "if old is None:")
+                    grow(1, t, "NEW")
                     continue
-                emit(2, "c = node.get(t%d)" % t)
-                emit(2, "if c is None:")
-                grow(3, t, "ADDED if node else NEW" if mode == "all"
+                emit(0, "c = node.get(t%d)" % t)
+                emit(0, "if c is None:")
+                grow(1, t, "ADDED if node else NEW" if mode == "all"
                      else "NEW")
                 if t + 1 < hi or j + 1 < len(segments):
-                    emit(2, "node = c")
+                    emit(0, "node = c")
             continue
         at = leaf_at - 1 if leaf_at else lo  # where a replacement is stored
         if not leaf_at:
-            emit(2, "if not node:")
-            grow(3, lo, "NEW")
+            emit(0, "if not node:")
+            grow(1, lo, "NEW")
         if mode == "first":
             break
         if mode == "last":
-            grow(2, at, "REPLACED")
+            grow(0, at, "REPLACED")
             return src
         if mode == "sum" and leaf_at:
-            emit(2, "total = old.terms[%d] + v%d" % (lo, lo))
-            grow(2, at, "SUM_UPDATED")
+            emit(0, "total = old.terms[%d] + %s" % (lo, v))
+            grow(0, at, "SUM_UPDATED")
             return src
         if leaf_at:  # min, max: the witness w is the record's value
-            emit(2, "w = old.terms[%d]" % lo)
-            emit(2, "if type(w) is not type(v%d):" % lo)
-            emit(3, "c, s = term_keys((v%d, w))" % lo)
-            emit(3, "if beats((c,), (s,), %d):"
+            emit(0, "w = old.terms[%d]" % lo)
+            emit(0, "if type(w) is not type(%s):" % v)
+            emit(1, "c, s = term_keys((%s, w))" % v)
+            emit(1, "if beats((c,), (s,), %d):"
                  % (-1 if mode == "min" else 1))
-            grow(4, at, "REPLACED")
-            reject(3)
-            emit(2, "if v%d %s w:" % (lo, "<" if mode == "min" else ">"))
-            grow(3, at, "REPLACED")
-            emit(2, "if v%d != w:" % lo)
-            reject(3)
+            grow(2, at, "REPLACED")
+            reject(1)
+            emit(0, "if %s %s w:" % (v, "<" if mode == "min" else ">"))
+            grow(1, at, "REPLACED")
+            emit(0, "if %s != w:" % v)
+            reject(1)
             continue
-        emit(2, "s = next(iter(node))")
+        emit(0, "s = next(iter(node))")
         if mode == "sum":  # a stored total is an int or (FLT, total)
-            emit(2, "total = (s if type(s) is int else s[1]) + v%d" % lo)
-            emit(2, "t%d = (FLT, total) if type(total) is float else total"
+            emit(0, "total = (s if type(s) is int else s[1]) + %s" % v)
+            emit(0, "t%d = (FLT, total) if type(total) is float else total"
                  % lo)
-            grow(2, lo, "SUM_UPDATED")
+            grow(0, lo, "SUM_UPDATED")
             return src
         # min, max: w is the witness's value; one of the candidate's type
         # compares as it is, any other through beats
-        emit(2, "if s != t%d:" % lo)
-        emit(3, "w = s[1] if type(s) is tuple and s[0] == FLT else s")
-        emit(3, "if type(w) is type(v%d):" % lo)
-        emit(4, "better = v%d %s w" % (lo, "<" if mode == "min" else ">"))
-        emit(3, "else:")
-        emit(4, "better = beats((t%d,), (s,), %d)"
+        emit(0, "if s != t%d:" % lo)
+        emit(1, "w = s[1] if type(s) is tuple and s[0] == FLT else s")
+        emit(1, "if type(w) is type(%s):" % v)
+        emit(2, "better = %s %s w" % (v, "<" if mode == "min" else ">"))
+        emit(1, "else:")
+        emit(2, "better = beats((t%d,), (s,), %d)"
              % (lo, -1 if mode == "min" else 1))
-        emit(3, "if better:")
-        grow(4, lo, "REPLACED")
-        reject(3)
+        emit(1, "if better:")
+        grow(2, lo, "REPLACED")
+        reject(1)
         if j + 1 < len(segments):
-            emit(2, "node = node[s]")
-    reject(2)  # every token matched: a duplicate
+            emit(0, "node = node[s]")
+    reject(0)  # every token matched: a duplicate
     return src
 
 

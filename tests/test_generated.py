@@ -17,7 +17,8 @@ from modetab.lang import parse_program
 
 NAME = re.compile(r"<modetab (run|site|tries|put) \d+>\Z")
 
-# two tables whose answers are stored by two different puts
+# d stores its answers in the fused stores of its runs; r and s, whose
+# bodies end in a call, through two different puts
 TWO_PUTS = """
 e(a, b, 2). e(b, c, 1). e(a, c, 5).
 :- table d(index, index, min).
@@ -25,6 +26,8 @@ d(X, Y, C) :- e(X, Y, C).
 d(X, Y, C) :- d(X, Z, C1), e(Z, Y, C2), C is C1 + C2.
 :- table r(index, index).
 r(X, Y) :- d(X, Y, _).
+:- table s(index).
+s(Y) :- r(a, Y).
 """
 
 
@@ -36,24 +39,37 @@ def generated(code):
             yield from generated(c)
 
 
-def test_a_put_shows_its_line_in_a_traceback():
-    # the clause try counts 1 and checks; the fact row counts 2, which
-    # only the put checks
-    program = parse_program(":- table p/1.\np(X) :- q(X).\nq(1).\n")
+def limit_frames(text, limit):
+    """The generated frames of the traceback of a solve of p(X) that
+    trips the derivation limit."""
     with pytest.raises(DerivationLimitError) as excinfo:
-        Engine(program, limit=1).solve("?- p(X).")
-    frames = [f for f in traceback.extract_tb(excinfo.value.__traceback__)
-              if NAME.match(f.filename)]
-    assert [f.name for f in frames][-2:] == ["step", "put"]
-    assert frames[-2].line == "parent.put(env, parent)"
+        Engine(parse_program(text), limit=limit).solve("?- p(X).")
+    return [f for f in traceback.extract_tb(excinfo.value.__traceback__)
+            if NAME.match(f.filename)]
+
+
+def test_a_put_shows_its_line_in_a_traceback():
+    # the clause try counts 1 and checks; the = goal counts 2 and hands
+    # the answer to the put, which checks
+    frames = limit_frames(":- table p/1.\np(X) :- X = 1.\n", 1)
+    assert [f.name for f in frames][-2:] == ["tries", "put"]
     assert frames[-1].filename.startswith("<modetab put ")
-    assert frames[-1].line == "_over(engine.limit)"
+    assert frames[-1].line == "_over(limit)"
+
+
+def test_a_fused_store_shows_its_line_in_a_traceback():
+    # the clause try counts 1 and checks; the fact row counts 2, which
+    # only the store that the run ends in checks
+    frames = limit_frames(":- table p/1.\np(X) :- q(X).\nq(1).\n", 1)
+    assert [f.name for f in frames][-2:] == ["tries", "step"]
+    assert frames[-1].filename.startswith("<modetab run ")
+    assert frames[-1].line == "_over(limit)"
 
 
 def test_pstats_keeps_each_put_apart():
     profile = cProfile.Profile()
     engine = Engine(parse_program(TWO_PUTS))
-    profile.runcall(engine.solve, "?- r(a, Y).")
+    profile.runcall(engine.solve, "?- s(Y).")
     calls = {}  # per generated code object, its calls
     for entry in profile.getstats():
         code = entry.code
@@ -64,11 +80,15 @@ def test_pstats_keeps_each_put_apart():
               if NAME.match(key[0])}
     puts = [key for key in listed if key[2] == "put"]
     assert len(puts) >= 2 and len({key[0] for key in puts}) == len(puts)
+    # d's two clauses each end in a run with its store fused in
+    stores = [key for key in listed if key[2] == "step"
+              and key[0].startswith("<modetab run ")]
+    assert len(stores) >= 2 and len({key[0] for key in stores}) == len(stores)
     assert listed == calls
 
 
 def test_checkcache_keeps_the_generated_lines():
-    Engine(parse_program(TWO_PUTS)).solve("?- r(a, Y).")
+    Engine(parse_program(TWO_PUTS)).solve("?- s(Y).")
     names = [name for name in linecache.cache if NAME.match(name)]
     assert names
     linecache.checkcache()
