@@ -67,13 +67,14 @@ and through the Vars that were there before. Both paths start a new
 frame's generator the same way. Each read of an answer that holds
 variables gets them renamed apart, as a clause try renames its clause.
 
-Runs, call site steps, tries and puts are all generated one way: the
-generator writes lines into a _Source, which hands out the constants'
-names, and its make compiles the text, once per distinct text, under
-the name <modetab KIND N> (KIND run, site, tries or put, N a serial of
-the process), gives the text to linecache, and runs it in this module's
-globals. So a traceback shows a generated function's lines, and a
-profiler keeps each source's functions apart.
+Runs, delivery loops, call site steps, tries and puts are all generated
+one way: the generator writes lines into a _Source, which hands out the
+constants' names, and its make compiles the text, once per distinct text
+the cache holds, under the name <modetab KIND N> (KIND run, deliver,
+site, tries or put, N a serial of the process), gives the text to
+linecache while a function made from it lives, and runs it in this
+module's globals. So a traceback shows a generated function's lines,
+and a profiler keeps each source's functions apart.
 
 A call to a tabled predicate, from a site or the general path, starts a
 generator (first call) and registers in _consume a consumer, which runs
@@ -117,15 +118,16 @@ answer that a better one supersedes is delivered. first, last and sum
 are left out because what they keep depends on the order or the
 number of deliveries.
 
-Every delivery, whether an insertion event, a catch-up run, a read of
-a completed table or a walk in either order, goes through one loop,
-_deliver: it reads the engine's and the consumer's fields once, then
-per answer checks the derivation limit, counts the propagation, copies
-the activation, writes the answer into the call's slots (and binds a
-general-path call's Vars) and runs the next step. A run reads the chain
-lazily past the consumer's parked position, so the answers its own
-deliveries add come in the same run. A single tabled goal's query reads
-the completed table's chain directly into its answers.
+Every delivery (an insertion event, a catch-up run, a read of a
+completed table, a walk in either order) goes through one loop text,
+_loop's: it reads the consumer once, reads the chain lazily (so answers
+its own deliveries add come in the same run), and per answer checks the
+derivation limit and counts. The plain loop copies the activation with
+the answer in the call's slots (and binds a general-path call's Vars)
+for the next step. A consumer whose next step is a fused run takes the
+run's loop, which reads the answer into the run's locals and runs the
+run and its store inline. A single tabled goal's query reads the
+completed table's chain directly into its answers.
 """
 
 import linecache
@@ -135,6 +137,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import count
 from operator import itemgetter
+from weakref import finalize
 
 from .errors import DerivationLimitError, EvaluationError
 from .lang import (decompose_goal, eval_arith, eval_builtin, fact_key,
@@ -243,6 +246,15 @@ class _Eval:
         self.any_order = frame.entry.any_order
 
 
+class _Loops(dict):
+    """Delivery loops per order (None or _best's pair), made by make."""
+
+    __slots__ = ("make",)
+
+    def __missing__(self, best):
+        return self.setdefault(best, self.make(best))
+
+
 class Consumer:
     """A tabled call: where it reads and how to go on.
 
@@ -290,6 +302,11 @@ class Engine:
         self.bind = {}  # Var bindings of the running walk
         self.trail = []
         self._compiled = {}  # (name, arity) -> compiled clauses
+        # delivery loops: plain (chain order made now, see _Lines), per run
+        self._plain = _Loops()
+        self._plain.make = lambda best: _plain(best).make(self)
+        self._plain[None] = self._plain.make(None)
+        self._runs = {}
         self._shapes = {}  # (entry, link, subst_modes) -> its tries
         self._next_cid = 0
 
@@ -470,8 +487,9 @@ class Engine:
 
     def _fused(self, ops, general):
         """A run that ends the body runs the step of the last put and
-        pattern (slots None at entry) met, generated with the put's store
-        fused in; switch makes each one's. A query's put is not fused."""
+        pattern (slots None at entry) met, with the put's store fused in;
+        switch makes each. A query's put is not fused. Unless the engine
+        traces, _deliver finds the run's delivery loops by the step."""
         steps = {}  # (put, pattern) -> its generated step
 
         def switch(env, parent):
@@ -486,7 +504,41 @@ class Engine:
                 step[0] = found
             found(env, parent)
         step = [switch]
-        return lambda env, parent: step[0](env, parent)
+
+        def run(env, parent):
+            step[0](env, parent)
+        if self.events is None:
+            self._runs[run] = self._loops(ops)
+        return run
+
+    def _loops(self, ops):
+        """A fused run's loops per order: the last put, pattern (slots None
+        in env, bar the plan's) and plan's, which hands another to switch;
+        a general-path call, a query and a pattern not fused get plain."""
+        made = {}  # (put, pattern, plan, order) -> its loop, or None
+        plain = self._plain
+
+        def order(best):
+            def switch(consumer, event, resumed, bound):
+                put, plan = consumer.parent.put, consumer.plan
+                found = None
+                if not consumer.hplan:
+                    writes = {k for k, _ in plan}
+                    key = (put, frozenset(
+                        i for i, v in enumerate(consumer.env)
+                        if v is None and i not in writes), plan, best)
+                    if key not in made:
+                        src = _generate(ops, put, key[1], plan, best)
+                        made[key] = src and src.make(self, put, plan, switch,
+                                                     plain[best])
+                    found = made[key]
+                if found is not None or put.shape[1] is None:
+                    loops[best] = found or plain[best]
+                (found or plain[best])(consumer, event, resumed, bound)
+            return switch
+        loops = _Loops()
+        loops.make = order
+        return loops
 
     # -- resolution ----------------------------------------------------
 
@@ -692,93 +744,12 @@ class Engine:
         return parent
 
     def _deliver(self, consumer, leaf, resumed, bound=None, best=None):
-        """The one delivery loop: it reads the consumer's and the
-        engine's fields once, then delivers a run of answers.
-
-        Without a bound, the run is leaf alone: an insertion event. With
-        one, leaf is None, and the run is every valid answer the
-        consumer has not seen whose seq is at most bound. The chain is
-        read lazily past consumer.last, which is parked on each answer
-        as it is read, so answers that the deliveries add come too. They
-        go in chain order, or, given best (_best's ordinal and sign; a
-        walk's, so every seq is in bound), best value first: each answer
-        read is pushed onto a heap, the best one still valid goes next,
-        and the chain is read again after each delivery.
-        """
-        st = self.stats
-        limit = self.limit
-        events = self.events
-        frame = consumer.frame
-        entry = frame.entry
-        plan = consumer.plan
-        hplan = consumer.hplan  # empty except for a general-path call
-        step = consumer.step
-        env = consumer.env
-        parent = consumer.parent
-        # the running walk's bindings stay: a completed read needs them,
-        # and a suspended consumer's copies were resolved through them
-        bind = self.bind
-        if best:
-            at, sign = best
-            heap = []  # (0, value, seq, leaf) for numbers, (1, seq, leaf)
-        while True:
-            if bound is not None:
-                last = consumer.last
-                leaf = frame.first_answer if last is None else last.next
-                if not best:
-                    while leaf is not None and not leaf.valid:
-                        leaf = leaf.next
-                    if leaf is None or leaf.seq > bound:
-                        return
-                    consumer.last = leaf
-                else:
-                    while leaf is not None:
-                        if leaf.valid:
-                            consumer.last = leaf
-                            v = leaf.terms[at]
-                            heappush(heap, (0, sign * v, leaf.seq, leaf)
-                                     if type(v) is int or type(v) is float
-                                     else (1, leaf.seq, leaf))
-                        leaf = leaf.next
-                    if not heap:
-                        return
-                    leaf = heappop(heap)[-1]
-                    if not leaf.valid:
-                        continue
-            if st.derivations > limit:
-                _over(limit)
-            st.propagations += 1
-            if resumed:
-                st.resumptions += 1
-            if events is not None:
-                self._log(
-                    "deliver",
-                    frame=frame.name(),
-                    seq=leaf.seq,
-                    consumer=consumer.cid,
-                    host=(consumer.host.name() if consumer.host is not None
-                          else None),
-                    complete=frame.complete,
-                    resumed=resumed,
-                )
-            terms = leaf.terms
-            # read per answer: a delivery may store one that holds a
-            # variable, and the run reads it next
-            if entry.open:
-                terms = _renamed(terms)
-            work = list(env)
-            for k, o in plan:
-                work[k] = terms[o]
-            if not hplan:
-                step(work, parent)
-            else:
-                for var, o in hplan:
-                    bind[var] = terms[o]
-                step(work, parent)
-                for var, o in hplan:
-                    del bind[var]
-            if bound is None:
-                return
+        """Deliver leaf, or with a bound the answers _loop reads, in chain
+        order or best value first (_best's pair): through the loop of the
+        fused run that is the consumer's step, which runs the run on each
+        answer, or else through the plain loop, which calls the step."""
+        self._runs.get(consumer.step, self._plain)[best](
+            consumer, leaf, resumed, bound)
 
     # -- task loop -------------------------------------------------------
 
@@ -811,7 +782,7 @@ class Engine:
         gen = frame.generator
         best = (host is not None and gen is not None
                 and host.generator.leader is gen.leader
-                and gen.leader.any_order and _best(frame))
+                and gen.leader.any_order and _best(frame)) or None
         self._deliver(consumer, None, True, _EVERY, best)
 
     def run(self):
@@ -1024,6 +995,11 @@ _MATCH = ("({f} is {v} or (unify({v}, {f}, bind, trail) if type({v}) is Struct"
 # the same where v is an atom or a number, which unifies only with its equal
 _MATCH_ATOM = "({f} is {v} or type({f}) is type({v}) and {f} == {v})"
 
+# the types a fused run knows a value may hold: an `is` result's, and an
+# atom or a number's
+_NUMBER = frozenset((int, float))
+_ATOMIC = _NUMBER | {str}
+
 # CPython refuses a function that nests more than 20 for, while and try
 # blocks (CO_MAXBLOCKS). Each fact goal of a run opens a for loop, and
 # the code of any goal opens at most one more block inside them.
@@ -1051,11 +1027,32 @@ _serial = count(1)  # numbers the generated sources of this process
 @lru_cache(maxsize=256)
 def _code(kind, source):
     """Compile a generated source under a name of its own, whose lines
-    linecache holds: an entry without a modification time, which
-    checkcache keeps."""
+    linecache holds (an entry without a modification time, which
+    checkcache keeps) until the source's code and functions are gone. One
+    the cache evicted and meets again is compiled under a new name."""
     name = "<modetab %s %d>" % (kind, next(_serial))
-    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
-    return compile(source, name, "exec")
+    linecache.cache[name] = (len(source), None, _Lines(source), name)
+    code = body = compile(source, name, "exec")
+    for _ in range(2):  # make's code, then its function's: the last to go
+        body = next(c for c in body.co_consts if type(c) is type(code))
+    finalize(body, linecache.cache.pop, name, None)
+    return code
+
+
+class _Lines:
+    """A source's lines for linecache, split when read: compiled late in a
+    solve, it leaves no string per line to keep freed memory resident."""
+
+    __slots__ = ("source",)
+
+    def __init__(self, source):
+        self.source = source
+
+    def __len__(self):
+        return len(self.source.splitlines(True))
+
+    def __getitem__(self, k):
+        return self.source.splitlines(True)[k]
 
 
 class _Source:
@@ -1066,7 +1063,7 @@ class _Source:
     __slots__ = ("kind", "params", "result", "data", "lines")
 
     def __init__(self, kind, params, result):
-        self.kind = kind  # run, site, tries or put: part of its name
+        self.kind = kind  # run, deliver, site, tries or put: in its name
         self.params = params
         self.result = result
         self.data = []
@@ -1097,7 +1094,76 @@ def _tup(items):
     return "(%s)" % "".join(x + ", " for x in items)
 
 
-def _generate(ops, put=None, free=None):
+def _loop(best):
+    """The lines of a delivery loop, _deliver(consumer, event, resumed,
+    bound), that per answer take the next into ans, check the limit (st
+    and limit read before) and count. Without a bound the run is event
+    alone; with one, every valid answer not seen whose seq is at most
+    bound, read lazily past consumer.last, parked on each as it is read,
+    so answers the deliveries add come too: in chain order, or given best
+    (_best's pair; a walk's) best value first: the answers read pushed on
+    a heap, (0, value, seq, answer), or (1, seq, answer) for a non-number,
+    and the chain read again after each delivery."""
+    first = "fr.first_answer if last is None else last.next"
+    if not best:
+        read = ["if bound is None:", "    if event is None:", "        return",
+                "    ans, event = event, None", "else:",
+                "    last = consumer.last", "    ans = " + first,
+                "    while ans is not None and not ans.valid:",
+                "        ans = ans.next", "    if ans is None or ans.seq"
+                " > bound:", "        return", "    consumer.last = ans"]
+    else:
+        read = ["last = consumer.last", "ans = " + first,
+                "while ans is not None:", "    if ans.valid:",
+                "        consumer.last = ans", "        x = ans.terms[%d]"
+                % best[0], "        heappush(heap, (0, %sx, ans.seq, ans) if"
+                " type(x) is int or type(x) is float else (1, ans.seq, ans))"
+                % ("-" if best[1] < 0 else ""), "    ans = ans.next",
+                "if not heap:", "    return", "ans = heappop(heap)[-1]",
+                "if not ans.valid:", "    continue"]
+    return ["        fr = consumer.frame", "        entry = fr.entry"] + [
+        "        heap = []"] * bool(best) + ["        while True:"] + [
+        "            " + line for line in read + [
+            "if st.derivations > limit:", "    _over(limit)",
+            "st.propagations += 1", "if resumed:", "    st.resumptions += 1"]]
+
+
+def _handed(plan):
+    """Lines handing the answer's terms to the step in a copy of env,
+    renamed if the entry is open (read per answer: a delivery may open
+    it); given plan, a site consumer's, else with hplan's Vars bound."""
+    out = ["if entry.open:", "    terms = _renamed(terms)", "work = list(env)"]
+    if plan is not None:
+        return out + ["work[%d] = terms[%d]" % ko for ko in plan] + [
+            "step(work, parent)"]
+    return out + ["for k, o in plan:", "    work[k] = terms[o]",
+                  "if not hplan:", "    step(work, parent)", "else:",
+                  "    for var, o in hplan:", "        bind[var] = terms[o]",
+                  "    step(work, parent)", "    for var, o in hplan:",
+                  "        del bind[var]"]
+
+
+@lru_cache(maxsize=None)  # one per order: (ordinal, sign) pairs
+def _plain(best):
+    """The source of the plain delivery loop of one order (see _loop),
+    whose make(D, self) returns it: it reads the fields once, logs each
+    delivery of a traced engine and hands each answer to the step."""
+    src = _Source("deliver", ("self",), "_deliver")
+    src.emit(1, "def _deliver(consumer, event, resumed, bound):")
+    # the running walk's bindings stay: a completed read needs them, and
+    # a suspended consumer's copies were resolved through them
+    src.emit(2, "st = self.stats", "limit = self.limit", "bind = self.bind",
+             "events = self.events", *("%s = consumer.%s" % (f, f) for f in (
+                 "plan", "hplan", "step", "env", "parent")))
+    src.lines += _loop(best)
+    src.emit(3, "if events is not None:", "    self._log('deliver', frame=fr."
+             "name(), seq=ans.seq, consumer=consumer.cid, host=(consumer.host"
+             ".name() if consumer.host is not None else None), complete=fr."
+             "complete, resumed=resumed)", "terms = ans.terms", *_handed(None))
+    return src
+
+
+def _generate(ops, put=None, free=None, plan=None, best=None):
     """The source of a run of inline goals, whose make(D, self, nxt,
     tail) returns the run's step. Each fact goal is a for loop over its
     candidate rows, arithmetic is straight-line code and a comparison an
@@ -1116,47 +1182,77 @@ def _generate(ops, put=None, free=None):
     general, the step above. So it knows which slots a goal binds or
     matches and whether a key can be a compound; values are ground and
     stay in locals, and the store leaves each row by continue (return
-    outside a loop). None where an `is` would unify or for a query.
+    outside a loop). A slot read at entry must be an atom or a number (a
+    number where arithmetic reads it), or general takes the call, and a
+    row value is checked as far as its column's types need. None where
+    an `is` would unify or for a query.
+
+    Given also plan and best (see _loop), it is the run's delivery loop:
+    make(D, self, put, plan, switch, plain) returns a _deliver that runs
+    the fused run on each answer, the plan's slots read from it. A step's
+    per-call checks are made per run where they read env (another put,
+    plan or pattern to switch, what it cannot take to plain) and per
+    answer where they read it (to the step, as plain would, as is an
+    open entry's). Also None where the answer would hold an unbound slot.
     """
     fused = put is not None
+    loop = plan is not None
     if fused:
         shape, subst_modes = put.shape
         if subst_modes is None:
             return None
-    src = _Source("run", ("self", "put", "general", "switch") if fused
-                  else ("self", "nxt", "tail"), "step")
+    if loop:
+        src = _Source("deliver", ("self", "put", "plan", "switch", "plain"),
+                      "_deliver")
+        src.emit(1, "def _deliver(consumer, event, resumed, bound):")
+    else:
+        src = _Source("run", ("self", "put", "general", "switch") if fused
+                      else ("self", "nxt", "tail"), "step")
+        src.emit(1, "st = self.stats", "def step(env, parent):")
     const, emit = src.const, src.emit
-    emit(1, "st = self.stats", "def step(env, parent):")
     at = len(src.lines)  # where a fused run's per-call lines go
     temps = [0]
-    entry, pattern, head = {}, {}, []  # fused: see read; the store's head
+    answer = dict(plan or ())  # per slot the plan writes, its ordinal
+    # fused: the slots read at entry (see read) and those arithmetic
+    # reads; the store's per-call and per-answer lines (see _put_source)
+    entry, pattern, numbers, call, each = {}, {}, set(), [], []
+    heads = {2: (call, 2, ["return plain(consumer, event, resumed, bound)"
+                           if loop else "return general(env, parent)"]),
+             1: (each, 3, None)}
 
     def read(i, known, match=True):
-        """A fused run's local for slot i and whether it may be a compound;
-        for one read at entry, whether a goal matches it and is None."""
+        """A fused run's local for slot i and the types it may hold (None
+        for any); of one read at entry, note whether a goal or the store
+        reads it and, unless the plan writes it, whether it is None."""
         if i in known:
             return known[i]
         entry[i] = entry.get(i) or match
-        pattern[i] = i in free
-        return "s%d" % i, False
+        if i not in answer:
+            pattern[i] = i in free
+        return "s%d" % i, _ATOMIC if match else None
 
     def value(e, depth, known):
         """Emit the evaluation of compiled arithmetic, left to right;
         returns the name that holds its value."""
         if type(e) is not _Slot and type(e) is not tuple:
             return const(e)
+        if type(e) is _Slot and fused:
+            v, types = read(e.i, known, False)
+            if e.i not in known:  # checked at entry
+                numbers.add(e.i)
+            if e.i in numbers or types <= _NUMBER:
+                return v
         temps[0] += 1
         x = "a%d" % temps[0]
         if type(e) is tuple:
             a = value(e[1], depth, known)
             emit(depth, "%s = %s" % (x, _ARITH[e[0]] % (
                 a, value(e[2], depth, known))))
-        else:
-            emit(depth, "%s = %s" % (x, read(e.i, known, False)[0] if fused
-                                     else "env[%d]" % e.i))
-            emit(depth, "if type(%s) is not int and type(%s) is not float:"
-                 % (x, x))
-            emit(depth + 1, "%s = _number(%s, %s, bind)" % (x, x, const(e.name)))
+            return x
+        emit(depth, "%s = %s" % (x, v if fused else "env[%d]" % e.i))
+        emit(depth, "if type(%s) is not int and type(%s) is not float:"
+             % (x, x))
+        emit(depth + 1, "%s = _number(%s, %s, bind)" % (x, x, const(e.name)))
         return x
 
     def evaluate(exprs, depth, known):
@@ -1170,19 +1266,28 @@ def _generate(ops, put=None, free=None):
 
     def goals(j, depth, known, loops=False):
         """Emit goal j and the goals after it, or return False where a
-        fused run's `is` would unify. known holds the slots that this
-        function has bound around them, in a fused run mapped to read's
-        pair; loops is whether a fact goal encloses the point."""
+        fused run's `is` would unify or its loop's answer would hold a
+        slot left unbound. known holds the slots that this function has
+        bound around them, in a fused run mapped to read's pair; loops is
+        whether a fact goal encloses the point."""
         if j == len(ops) and not fused:
             emit(depth, "nxt(env, parent)")
             return
         if j == len(ops):
             pattern.update((i, True) for i in shape if i in free)
-            vals = [(known[i][0], False) if i in known else None
-                    if i < 0 or i in free else
-                    (read(i, known, False)[0], True) for i in shape]
+            vals = []  # see _put_source
+            for i in shape:
+                if i in known:
+                    vals.append((known[i][0], 0, known[i][1]))
+                elif i < 0 or i in free:
+                    if loop and i >= 0:
+                        return False
+                    vals.append(None)
+                else:  # checked at entry
+                    vals.append((read(i, known)[0], 1 if i in answer else 2,
+                                 _NUMBER if i in numbers else _ATOMIC))
             _put_source(shape, subst_modes, src, depth, vals,
-                        "continue" if loops else "return", head)
+                        "continue" if loops or loop else "return", heads)
             return True
         op = ops[j]
         rest = "tail(%d)" % (j + 1)
@@ -1200,7 +1305,7 @@ def _generate(ops, put=None, free=None):
             x, = evaluate([e], depth, known)
             if fused:
                 pattern[left.i] = True
-                return goals(j + 1, depth, {**known, left.i: (x, False)},
+                return goals(j + 1, depth, {**known, left.i: (x, _NUMBER)},
                              loops)
             then = "self._then(%s, %s, env, parent, %s)" % (const(left), x,
                                                             rest)
@@ -1265,16 +1370,17 @@ def _generate(ops, put=None, free=None):
             for k, s in enumerate(specs):
                 if k in binds:
                     continue
-                v, compound = read(s.i, known) if type(s) is _Slot else (
-                    const(s), type(s) is Struct)
-                if k > 0 or compound:  # the index key matched any other
+                v, types = read(s.i, known) if type(s) is _Slot else (
+                    const(s), None if type(s) is Struct else _ATOMIC)
+                # the index key matched any other
+                if k > 0 or types is None or Struct in types:
                     emit(depth + 1, "if not %s:" % _MATCH_ATOM.format(
                         f="%s[%d]" % (r, k), v=v), "    continue")
             known = dict(known)
             for k, s in binds.items():
                 emit(depth + 1, "s%d = %s[%d]" % (s.i, r, k))
                 known[s.i] = ("s%d" % s.i,
-                              any(type(row[k]) is Struct for row in rows))
+                              frozenset(type(row[k]) for row in rows))
                 if not s.first:
                     pattern[s.i] = True
             return goals(j + 1, depth + 1, known, True)
@@ -1313,19 +1419,43 @@ def _generate(ops, put=None, free=None):
         emit(2, "bind = self.bind", "trail = self.trail")
         goals(0, 2, frozenset())
         return src
-    if not goals(0, 2, {}):
+    if not goals(0, 3 if loop else 2, {}):
         return None
-    # per call: entry reads, the pattern guard, the binds-nothing check
-    guard = ["parent.put is not put"] + [
+
+    def checks(slots):
+        """What, in a slot read at entry, the run cannot take."""
+        return ["type(s%d) is not int and type(s%d) is not float" % (i, i)
+                if i in numbers else
+                "type(s%d) is Var or type(s%d) is Struct" % (i, i)
+                for i in slots if i in numbers or entry[i]]
+
+    # the per-call lines: entry reads, the put and pattern guard, the
+    # binds-nothing check, and the store's; a loop's per-answer lines
+    reads = [i for i in sorted(entry) if i not in answer]
+    top = ["s%d = env[%d]" % (i, i) for i in reads]
+    guard = " or ".join(["parent.put is not put"] + [
         "env[%d] is not None" % i if none else "s%d is None" % i
-        for i, none in sorted(pattern.items())]
-    top = ["s%d = env[%d]" % (i, i) for i in sorted(entry)] + [
-        "if %s:" % " or ".join(guard), "    return switch(env, parent)",
-        "bind = self.bind", "if bind%s:" % "".join(
-            " or type(s%d) is Var or type(s%d) is Struct" % (i, i)
-            for i in sorted(entry) if entry[i]),
-        "    return general(env, parent)"]
-    src.lines[at:at] = ["        " + line for line in top] + head
+        for i, none in sorted(pattern.items())])
+    leave = "bind = self.bind", "if %s:" % " or ".join(
+        ["bind"] + checks(reads))
+    if not loop:
+        top += ["if %s:" % guard, "    return switch(env, parent)", *leave,
+                "    return general(env, parent)"]
+        src.lines[at:at] = ["        " + line for line in top] + call
+        return src
+    args = "(consumer, event, resumed, bound)"
+    later = [i for i in sorted(entry) if i in answer]
+    top = ["env = consumer.env", "parent = consumer.parent",
+           "step = consumer.step", *top,
+           "if consumer.plan != plan or consumer.hplan or %s:" % guard,
+           "    return switch" + args, *leave, "    return plain" + args]
+    per = ["terms = ans.terms"] + [
+        "s%d = terms[%d]" % (i, answer[i]) for i in later] + [
+        "if %s:" % " or ".join(["entry.open"] + checks(later))] + [
+        "    " + line for line in _handed(plan) + ["continue"]]
+    src.lines[at:at] = (["        " + line for line in top] + call
+                        + _loop(best) + ["            " + line for line in per]
+                        + each)
     return src
 
 
@@ -1470,7 +1600,7 @@ def _put(shape, subst_modes):
 
 
 def _put_source(shape, subst_modes, src=None, depth=2, vals=None,
-                exit="return", head=None):
+                exit="return", heads=None):
     """The source of a put(env, sink), whose make(D) returns it: check
     the derivation limit, read the outputs (an unbound slot gets a Var;
     with bindings, each is resolved through them), then append a query's
@@ -1504,34 +1634,48 @@ def _put_source(shape, subst_modes, src=None, depth=2, vals=None,
 
     Given src, a run's that binds nothing (see _generate), it writes the
     store there at depth instead, leaving by exit: vals gives per
-    ordinal the run's local for its value and whether it is fixed for
-    the call, or None to read it as a put does. What is fixed is read and
-    keyed in head, the lines at the start of the step, which hand a
-    value that is not an atom or a number to the run's general step.
+    ordinal the run's local for its value, where it is fixed (0 per row,
+    1 per answer a loop delivers, 2 per call) and the types it may hold
+    (None for any; they may spare a check), or None to read it as a put
+    does. heads maps 2, and in a loop 1, to the lines where what is fixed
+    there is read and keyed, their depth, and the lines that hand the
+    call on (a complete table, an out not an atom or a number).
     """
     fused = src is not None
     if not fused:
         src = _Source("put", (), "put")
         src.emit(1, "def put(env, sink):")
-        vals, head = [None] * len(shape), src.lines
+        vals = [None] * len(shape)
     sink = "parent" if fused else "sink"
 
-    def emit(rel, *texts):  # per answer, rel deeper than the store
+    def emit(rel, *texts):  # per row, rel deeper than the store
         src.emit(depth + rel, *texts)
 
-    def per_call(rel, *texts):  # at the step's top level
-        head.extend("    " * (2 + rel) + text for text in texts)
+    def writer(level):
+        """Where the lines of a value fixed at level go."""
+        if not fused or not level:
+            return emit
+        lines, d, _ = heads[level]
+        return lambda rel, *texts: lines.extend("    " * (d + rel) + text
+                                                for text in texts)
+
+    def general(level, rel):
+        """Hand the answer to _general, or what is fixed at level on."""
+        writer(level)(rel, *heads[level][2] if fused and level else (
+            "_general(engine, frame, %s)" % row, exit))
 
     n = len(shape)
     names = [v[0] if v else "v%d" % o for o, v in enumerate(vals)]
-    fixed = {o for o, v in enumerate(vals) if (v[1] if v else shape[o] < 0)}
-    per_call(0, "engine = %s.engine" % sink, "st = engine.stats",
-             "limit = engine.limit")
+    level = [v[1] if v else 2 if shape[o] < 0 else 0
+             for o, v in enumerate(vals)]
+    call = writer(2)
+    call(0, "engine = %s.engine" % sink, "st = engine.stats",
+         "limit = engine.limit")
     emit(0, "if st.derivations > limit:", "    _over(limit)")
     for o, i in enumerate(shape):
         v = names[o]
         if vals[o] is None and i < 0:
-            per_call(0, "%s = %s.outs[%d]" % (v, sink, o))
+            call(0, "%s = %s.outs[%d]" % (v, sink, o))
         elif vals[o] is None:
             emit(0, "%s = env[%d]" % (v, i), "if %s is None:" % v,
                  "    %s = env[%d] = Var(%s.outs[%d].name)" % (v, i, sink, o))
@@ -1540,23 +1684,16 @@ def _put_source(shape, subst_modes, src=None, depth=2, vals=None,
         emit(0, "if bind:")
         for v in names:
             emit(1, "%s = resolve(%s, bind)" % (v, v))
-    vals = _tup(names)
+    row = _tup(names)
     if subst_modes is None:
-        emit(0, "sink.answers.append(dict(zip(sink.names, %s)))" % vals)
+        emit(0, "sink.answers.append(dict(zip(sink.names, %s)))" % row)
         return src
-    per_call(0, "frame = %s.frame" % sink)
-
-    def general(write, rel):
-        """Hand the answer to _general, or a fused call to general."""
-        if fused and write is per_call:
-            write(rel, "return general(env, parent)")
-        else:
-            write(rel, "_general(engine, frame, %s)" % vals, exit)
+    call(0, "frame = %s.frame" % sink)
 
     segments = build_segments(subst_modes)
     if any(hi - lo != 1 for mode, lo, hi, _ in segments
            if mode in ("min", "max", "sum")):
-        general(emit, 0)
+        general(0, 0)
         return src
 
     # the ordinals below leaf_at are the trie levels above the record;
@@ -1564,24 +1701,37 @@ def _put_source(shape, subst_modes, src=None, depth=2, vals=None,
     leaf_at = leaf_depth(segments)
     levels = leaf_at or n
     sums = [lo for mode, lo, _, _ in segments if mode == "sum"]
-    per_call(0, "root = frame.root", "if root is None:")
-    general(per_call, 1)
+    call(0, "root = frame.root", "if root is None:")
+    general(2, 1)
     emit(0, "node = root")
-    # t<o> is the key of a level's value; a sum takes numbers only, and
-    # its key changes with its total
+    # per level, its value's key: the value where it can only be an atom
+    # or an integer, else t<o>; a sum's takes numbers only and changes
+    keys = []
     for o, v in enumerate(names):
-        write = per_call if o in fixed and o not in sums else emit
+        at = 0 if o in sums else level[o]
+        write = writer(at)
+        types = vals[o] and vals[o][2]
+        ok = _NUMBER if o in sums else _ATOMIC
         if o >= levels:
-            write(0, "if type(%s) is not int%s and type(%s) is not float:"
-                  % (v, "" if o in sums else " and type(%s) is not str" % v,
-                     v))
-            general(write, 1)
+            if types is None or not types <= ok:
+                write(0, "if type(%s) is not int%s and type(%s) is not float:"
+                      % (v, "" if o in sums else " and type(%s) is not str"
+                         % v, v))
+                general(at, 1)
             continue
+        ok = ok - {float}
+        if types is not None and types <= ok and o not in sums:
+            keys.append(v)
+            continue
+        keys.append("t%d" % o)
         write(0, "t%d = %s" % (o, v))
-        write(0, "if type(%s) is not int:" % v if o in sums else
-              "if type(%s) is not int and type(%s) is not str:" % (v, v))
-        write(1, "if type(%s) is not float:" % v)
-        general(write, 2)
+        if types is not None and types <= ok | {float}:
+            write(0, "if type(%s) is float:" % v)
+        else:
+            write(0, "if type(%s) is not int:" % v if o in sums else
+                  "if type(%s) is not int and type(%s) is not str:" % (v, v))
+            write(1, "if type(%s) is not float:" % v)
+            general(at, 2)
         write(1, "t%d = (FLT, %s)" % (o, v))
     if sums:
         emit(0, "total = %s" % names[sums[0]])
@@ -1609,8 +1759,8 @@ def _put_source(shape, subst_modes, src=None, depth=2, vals=None,
         if at < levels:
             path = "leaf"
             for o in range(levels - 1, at, -1):
-                path = "{t%d: %s}" % (o, path)
-            emit(d, "node[t%d] = %s" % (at, path))
+                path = "{%s: %s}" % (keys[o], path)
+            emit(d, "node[%s] = %s" % (keys[at], path))
         emit(d, "if frame.last_answer is None:")
         emit(d + 1, "frame.first_answer = leaf")
         emit(d, "else:")
@@ -1636,11 +1786,11 @@ def _put_source(shape, subst_modes, src=None, depth=2, vals=None,
         if mode == "index" or mode == "all":
             for t in range(lo, hi):
                 if t == leaf_at - 1:  # the last index key holds the record
-                    emit(0, "old = node.get(t%d)" % t)
+                    emit(0, "old = node.get(%s)" % keys[t])
                     emit(0, "if old is None:")
                     grow(1, t, "NEW")
                     continue
-                emit(0, "c = node.get(t%d)" % t)
+                emit(0, "c = node.get(%s)" % keys[t])
                 emit(0, "if c is None:")
                 grow(1, t, "ADDED if node else NEW" if mode == "all"
                      else "NEW")
@@ -1676,19 +1826,19 @@ def _put_source(shape, subst_modes, src=None, depth=2, vals=None,
         emit(0, "s = next(iter(node))")
         if mode == "sum":  # a stored total is an int or (FLT, total)
             emit(0, "total = (s if type(s) is int else s[1]) + %s" % v)
-            emit(0, "t%d = (FLT, total) if type(total) is float else total"
-                 % lo)
+            emit(0, "%s = (FLT, total) if type(total) is float else total"
+                 % keys[lo])
             grow(0, lo, "SUM_UPDATED")
             return src
         # min, max: w is the witness's value; one of the candidate's type
         # compares as it is, any other through beats
-        emit(0, "if s != t%d:" % lo)
+        emit(0, "if s != %s:" % keys[lo])
         emit(1, "w = s[1] if type(s) is tuple and s[0] == FLT else s")
         emit(1, "if type(w) is type(%s):" % v)
         emit(2, "better = %s %s w" % (v, "<" if mode == "min" else ">"))
         emit(1, "else:")
-        emit(2, "better = beats((t%d,), (s,), %d)"
-             % (lo, -1 if mode == "min" else 1))
+        emit(2, "better = beats((%s,), (s,), %d)"
+             % (keys[lo], -1 if mode == "min" else 1))
         emit(1, "if better:")
         grow(2, lo, "REPLACED")
         reject(1)

@@ -16,6 +16,10 @@ over BEFORE), in how many pairs AFTER was better (by the metric's
 declared direction), and the gap between the medians over BEFORE's
 interquartile range. A run that reports a failed solve is listed.
 
+It also checks that both sides did the same work: in each pair it
+compares the per-instance rows the two runs print (each instance's
+Stats and answer count) and lists every instance whose rows differ.
+
 pytest does not collect this file; it is a script.
 """
 
@@ -28,14 +32,26 @@ import sys
 
 
 def run(checkout, workload, seed, seconds):
-    """One benchmark run in checkout: its metrics and failure count."""
+    """One benchmark run in checkout: its metrics, failure count, and
+    per instance what it did, (Stats, answer count)."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
         cwd=checkout, capture_output=True, text=True, check=True).stdout
-    last = json.loads(out.strip().splitlines()[-1])
+    lines = out.strip().splitlines()
+    last = json.loads(lines[-1])
+    rows = [json.loads(line) for line in lines[:-1] if line.startswith("{")]
+    work = {row["instance"]: (row.get("stats"), row.get("answers"))
+            for row in rows}
     return ({name: m["value"] for name, m in last["metrics"].items()},
-            last["failed"])
+            last["failed"], work)
+
+
+def differing(before, after):
+    """The instances whose rows differ between two runs' work, or that
+    only one of them ran."""
+    return sorted(name for name in set(before) | set(after)
+                  if before.get(name) != after.get(name))
 
 
 def quartiles(values):
@@ -59,14 +75,22 @@ def main(argv=None):
         lower = {m["name"]: m["better"] == "lower"
                  for m in json.load(f)["end_to_end"]}
     sides = {"before": [], "after": []}
+    differ = set()
     for k in range(args.pairs):
         order = ("before", "after") if k % 2 == 0 else ("after", "before")
+        work = {}
         for side in order:
-            metrics, failed = run(getattr(args, side), args.workload,
-                                  args.seed, args.seconds)
+            metrics, failed, work[side] = run(getattr(args, side),
+                                              args.workload, args.seed,
+                                              args.seconds)
             sides[side].append(metrics)
             if failed:
                 print("pair %d: %s failed %d solves" % (k + 1, side, failed))
+        for name in differing(work["before"], work["after"]):
+            differ.add(name)
+            print("pair %d: %s differs: %s -> %s" % (
+                k + 1, name, work["before"].get(name),
+                work["after"].get(name)))
         print("pair %d: solve_s %.4f -> %.4f" % (
             k + 1, sides["before"][-1]["solve_s"],
             sides["after"][-1]["solve_s"]), file=sys.stderr)
@@ -86,6 +110,12 @@ def main(argv=None):
             "%.4g [%.4g, %.4g]" % (am, a1, a3), am / bm if bm else 0.0,
             "%d/%d" % (won, len(b)),
             "%.2f" % (abs(am - bm) / iqr) if iqr else "-"))
+    if differ:
+        print("different work on %d instances: %s" % (
+            len(differ), ", ".join(sorted(differ))))
+    else:
+        print("same work: every instance has the same Stats and answer"
+              " count on both sides, in every pair")
     return 0
 
 

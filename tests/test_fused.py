@@ -66,8 +66,8 @@ class Fusion:
                 return general(env, parent)
             return fused(engine, ops, handed)
 
-        def made(ops, put=None, free=None):
-            src = generate(ops, put, free)
+        def made(ops, put=None, free=None, plan=None, best=None):
+            src = generate(ops, put, free, plan, best)
             if src is not None and put is not None:
                 self.made.append((id(ops), put, free))
             return src
@@ -198,8 +198,9 @@ def test_the_limit_trips_inside_a_fused_store(fusion, limit):
     engine = Engine(parse_program(text), limit=limit)
     with pytest.raises(DerivationLimitError) as excinfo:
         engine.solve(query)
+    # in a run's fused step, or in the delivery loop it runs in
     last = traceback.extract_tb(excinfo.value.__traceback__)[-2]
-    assert last.filename.startswith("<modetab run ")
+    assert last.filename.startswith(("<modetab run ", "<modetab deliver "))
     assert last.line == "_over(limit)"
 
 

@@ -2,6 +2,7 @@
 lines, and profilers and linecache tell one source from another."""
 
 import cProfile
+import gc
 import linecache
 import pstats
 import re
@@ -15,7 +16,7 @@ from modetab.engine import Engine
 from modetab.errors import DerivationLimitError
 from modetab.lang import parse_program
 
-NAME = re.compile(r"<modetab (run|site|tries|put) \d+>\Z")
+NAME = re.compile(r"<modetab (run|deliver|site|tries|put) \d+>\Z")
 
 # d stores its answers in the fused stores of its runs; r and s, whose
 # bodies end in a call, through two different puts
@@ -80,10 +81,14 @@ def test_pstats_keeps_each_put_apart():
               if NAME.match(key[0])}
     puts = [key for key in listed if key[2] == "put"]
     assert len(puts) >= 2 and len({key[0] for key in puts}) == len(puts)
-    # d's two clauses each end in a run with its store fused in
+    # d's two clauses each end in a run with its store fused in: the
+    # base clause's step, and the delivery loop the recursive one runs in
     stores = [key for key in listed if key[2] == "step"
               and key[0].startswith("<modetab run ")]
-    assert len(stores) >= 2 and len({key[0] for key in stores}) == len(stores)
+    loops = [key for key in listed if key[2] == "_deliver"
+             and key[0].startswith("<modetab deliver ")]
+    assert stores and loops
+    assert len({key[0] for key in stores + loops}) == len(stores + loops)
     assert listed == calls
 
 
@@ -112,7 +117,8 @@ def test_every_generated_source_is_named_by_kind(monkeypatch):
         inst = bench.gen_instance(family, 20, 3)
         Engine(parse_program(bench.program_text(inst))).solve(
             bench.query_text(inst))
-    assert {kind for kind, _ in codes} == {"run", "site", "tries", "put"}
+    assert {kind for kind, _ in codes} == {"run", "deliver", "site", "tries",
+                                           "put"}
     for kind, code in codes:
         for inner in generated(code):
             match = NAME.match(inner.co_filename)
@@ -136,3 +142,50 @@ def test_no_two_profiled_functions_share_a_pstats_key():
     shared = {key: len(found) for key, found in codes.items()
               if len(found) > 1}
     assert shared == {}
+
+
+def test_evicted_sources_leave_linecache_and_come_back_with_lines(
+        monkeypatch):
+    # 160 programs, each a tabled p/1 over a run of 1-20 fact goals of
+    # arity 1-8, make more distinct sources than _code keeps; solved
+    # twice, the first ones are evicted and compiled again
+    names = []
+    real = engine_mod._code
+
+    def recorded(kind, source):
+        code = real(kind, source)
+        names.append(code.co_filename)
+        return code
+
+    monkeypatch.setattr(engine_mod, "_code", recorded)
+    programs = []
+    for arity in range(1, 9):
+        for goals in range(1, 21):
+            args = ", ".join("X%d" % k for k in range(arity))
+            programs.append(
+                ":- table p/1.\np(X0) :- %s.\nf(%s).\n" % (", ".join(
+                    "f(%s)" % args.replace("X", "Y%d_" % g if g else "X")
+                    for g in range(goals)), ", ".join(["a"] * arity)))
+    # the puts kept by shape keep their sources' lines besides
+    kept = real.cache_info().maxsize
+    bound = kept + engine_mod._put.cache_info().maxsize
+    runs = []  # per round, the run sources of the first program
+    for _ in range(2):
+        start = len(names)
+        for text in programs:
+            before = len(names)
+            assert Engine(parse_program(text)).solve("?- p(X).")[0] == [
+                {"X": "a"}]
+            if text is programs[0]:
+                runs.append({name for name in names[before:]
+                             if name.startswith("<modetab run ")})
+        assert len(set(names[start:])) > kept
+        gc.collect()
+        assert len(set(names) & set(linecache.cache)) <= bound
+    # a source met again after its eviction is compiled under a new
+    # name, and a traceback through it shows its lines
+    assert runs[0] and runs[1] and not runs[0] & runs[1]
+    frame = limit_frames(programs[0], 1)[-1]
+    assert frame.filename.startswith("<modetab run ")
+    assert frame.filename not in runs[0] | runs[1]
+    assert frame.line == "_over(limit)"
