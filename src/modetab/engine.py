@@ -5,12 +5,16 @@ variables become numbered slots, each occurrence marked first or not,
 and its body a chain of steps, each calling the next. A run of inline
 goals (ground-fact goals with distinct variables and no compound that
 holds one, and `is` and comparisons over numbers and bound variables)
-is one generated Python function: a fact goal is a loop over its
+is generated as one Python function per pattern of slots None at entry
+that its calls meet, and not before: a fact goal is a loop over its
 indexed rows, arithmetic straight-line code and a comparison an if,
-with the next step at the innermost point. A fact goal whose slot holds
-an unbound Var, and an `is` whose left side is bound, hand the rest of
-the run to the closures that unify. Other goals are closures; a builtin
-whose operands are not such arithmetic runs through lang.eval_builtin.
+with values in locals, which at the innermost point go into the
+activation for the next step. A call that the generated function
+cannot take (the walk has bindings, a slot read at entry holds a
+variable or a compound, arithmetic reads what is not a number, or an
+`is` would unify) takes the run's general step: the goals' closures,
+which unify. Other goals are closures; a builtin whose operands are not
+such arithmetic runs through lang.eval_builtin.
 An activation is a list of slot values, None while unbound; a clause
 try renames its clause apart by making a fresh one. A tabled
 generator tries its clauses through generated functions, one per
@@ -44,11 +48,10 @@ modes.insert_answer, whose trie keys, witness compare (modes.beats)
 and branch drop (tries.drop_below) it shares. Only a traced insertion,
 or one that changed a table with a consumer that does not settle, makes
 a call more, to log its trace event and queue it for those consumers.
-A run that ends the body is generated again per put and pattern of
-slots None at entry it meets, with the put's store written in at its
-innermost point, reading the run's locals and making each check fixed
-for the call once; another put or pattern switches it, and a call that
-could bind, like a query's run, takes the plain run and the put.
+A run that ends a table's clause body is generated per put as well,
+with the put's store written in at its innermost point, reading the
+run's locals and making each check fixed for the call once; another put
+or pattern switches it. A query's run calls the query's put.
 
 A tabled goal without a compound that holds variables compiles to a call
 site. Its steps are generated, one per pattern (the slots unbound at the
@@ -122,12 +125,13 @@ Every delivery (an insertion event, a catch-up run, a read of a
 completed table, a walk in either order) goes through one loop text,
 _loop's: it reads the consumer once, reads the chain lazily (so answers
 its own deliveries add come in the same run), and per answer checks the
-derivation limit and counts. The plain loop copies the activation with
-the answer in the call's slots (and binds a general-path call's Vars)
-for the next step. A consumer whose next step is a fused run takes the
-run's loop, which reads the answer into the run's locals and runs the
-run and its store inline. A single tabled goal's query reads the
-completed table's chain directly into its answers.
+derivation limit and counts. The plain loop, one per order made once per
+process, copies the activation with the answer in the call's slots (and
+binds a general-path call's Vars) for the next step. A consumer whose
+next step is a fused run takes the run's loop, which reads the answer
+into the run's locals and runs the run and its store inline. A single
+tabled goal's query reads the completed table's chain directly into its
+answers.
 """
 
 import linecache
@@ -140,8 +144,8 @@ from operator import itemgetter
 from weakref import finalize
 
 from .errors import DerivationLimitError, EvaluationError
-from .lang import (decompose_goal, eval_arith, eval_builtin, fact_key,
-                   is_builtin, parse_query)
+from .lang import (ARITH_OPS, COMPARE, decompose_goal, eval_arith,
+                   eval_builtin, fact_key, is_builtin, parse_query)
 from .modes import (ADDED, NEW, REJECTED, REPLACED, SUM_UPDATED, beats,
                     build_segments, compile_declaration, insert_answer,
                     leaf_depth, traditional_modes)
@@ -302,11 +306,7 @@ class Engine:
         self.bind = {}  # Var bindings of the running walk
         self.trail = []
         self._compiled = {}  # (name, arity) -> compiled clauses
-        # delivery loops: plain (chain order made now, see _Lines), per run
-        self._plain = _Loops()
-        self._plain.make = lambda best: _plain(best).make(self)
-        self._plain[None] = self._plain.make(None)
-        self._runs = {}
+        self._runs = {}  # a run that ends a body -> its delivery loops
         self._shapes = {}  # (entry, link, subst_modes) -> its tries
         self._next_cid = 0
 
@@ -445,8 +445,8 @@ class Engine:
                 if len(seen) == len(set(seen)) and _Tmpl not in map(type, specs):
                     return ("facts", rows, index, specs)
                 # a repeated variable or a compound: unify row by row
-                return lambda nxt: (lambda env, parent: self._rows(
-                    rows, index, specs, env, parent, nxt))
+                return lambda nxt: self._closure(("facts", rows, index, specs),
+                                                 nxt)
             else:
                 call = self._call_rules
             return lambda nxt: (
@@ -467,47 +467,74 @@ class Engine:
         return (len(slots), head, step)
 
     def _run_step(self, ops, nxt):
-        """One generated function for a run of inline goals, then nxt.
-
-        The rest of the run after goal j, which a fallback goes on with,
-        is generated when it is first needed. A run longer than a
-        function can nest is cut into functions that call each other.
-        """
+        """A run of inline goals, then nxt: its general step, made of the
+        goals' closures, behind the pattern switch of _fused. A run longer
+        than a function can nest is cut into runs that call each other."""
         if len(ops) > _RUN:
             nxt = self._run_step(ops[_RUN:], nxt)
             ops = ops[:_RUN]
-        tails = {len(ops): nxt}
+        general = nxt
+        for op in reversed(ops):
+            general = self._closure(op, general)
+        return self._fused(ops, nxt, general)
 
-        def tail(j):
-            if j not in tails:
-                tails[j] = self._run_step(ops[j:], nxt)
-            return tails[j]
-        general = _generate(ops).make(self, nxt, tail)
-        return general if nxt is not _emit else self._fused(ops, general)
+    def _closure(self, op, nxt):
+        """An inline goal's closure, for its run's general step: a
+        fact goal through _rows, an `is` through _then and a comparison,
+        their arithmetic through _value."""
+        st = self.stats
+        if op[0] == "facts":
+            _, rows, index, specs = op
+            return lambda env, parent: self._rows(rows, index, specs, env,
+                                                  parent, nxt)
+        if op[0] == "is":
+            _, left, e = op
 
-    def _fused(self, ops, general):
-        """A run that ends the body runs the step of the last put and
-        pattern (slots None at entry) met, with the put's store fused in;
-        switch makes each. A query's put is not fused. Unless the engine
-        traces, _deliver finds the run's delivery loops by the step."""
-        steps = {}  # (put, pattern) -> its generated step
+            def step(env, parent):
+                st.derivations += 1
+                self._then(left, _value(e, env, self.bind), env, parent, nxt)
+            return step
+        _, name, a, b = op
+        test = COMPARE[name]
+
+        def step(env, parent):
+            st.derivations += 1
+            if test(_value(a, env, self.bind), _value(b, env, self.bind)):
+                nxt(env, parent)
+        return step
+
+    def _fused(self, ops, nxt, general):
+        """A run's step: the generated step of the last pattern met (the
+        slots None at entry, bar those the run binds first) and, where the
+        run ends a table's clause body, put, with the put's store fused
+        in; switch makes each, or takes general where _generate makes
+        none. Unless the engine traces, _deliver finds a run that ends a
+        body by its step, and the run's delivery loops with it."""
+        steps = {}  # (put or None, pattern) -> its step
+        born = {s.i for op in ops  # a fact goal's specs, an `is`'s left
+                for s in (op[3] if op[0] == "facts" else op[1:2])
+                if type(s) is _Slot and s.first}
+        ends = nxt is _emit
 
         def switch(env, parent):
-            put = parent.put
-            key = (put, frozenset(i for i, v in enumerate(env) if v is None))
+            # a table's put; a query's the run calls as its next step
+            put = (parent.put if ends and parent.put.shape[1] is not None
+                   else None)
+            key = (put, frozenset(i for i, v in enumerate(env)
+                                  if v is None and i not in born))
             found = steps.get(key)
             if found is None:
                 src = _generate(ops, put, key[1])
                 found = steps[key] = general if src is None else src.make(
-                    self, put, general, switch)
-            if found is not general or put.shape[1] is None:
+                    self, put, nxt, general, switch)
+            if found is not general:
                 step[0] = found
             found(env, parent)
         step = [switch]
 
         def run(env, parent):
             step[0](env, parent)
-        if self.events is None:
+        if ends and self.events is None:
             self._runs[run] = self._loops(ops)
         return run
 
@@ -516,13 +543,14 @@ class Engine:
         in env, bar the plan's) and plan's, which hands another to switch;
         a general-path call, a query and a pattern not fused get plain."""
         made = {}  # (put, pattern, plan, order) -> its loop, or None
-        plain = self._plain
 
         def order(best):
-            def switch(consumer, event, resumed, bound):
+            plain = _PLAIN[best]
+
+            def switch(engine, consumer, event, resumed, bound):
                 put, plan = consumer.parent.put, consumer.plan
                 found = None
-                if not consumer.hplan:
+                if not consumer.hplan and put.shape[1] is not None:
                     writes = {k for k, _ in plan}
                     key = (put, frozenset(
                         i for i, v in enumerate(consumer.env)
@@ -530,11 +558,11 @@ class Engine:
                     if key not in made:
                         src = _generate(ops, put, key[1], plan, best)
                         made[key] = src and src.make(self, put, plan, switch,
-                                                     plain[best])
+                                                     plain)
                     found = made[key]
                 if found is not None or put.shape[1] is None:
-                    loops[best] = found or plain[best]
-                (found or plain[best])(consumer, event, resumed, bound)
+                    loops[best] = found or plain
+                (found or plain)(self, consumer, event, resumed, bound)
             return switch
         loops = _Loops()
         loops.make = order
@@ -570,7 +598,9 @@ class Engine:
         return unify(w, v, self.bind, self.trail)
 
     def _rows(self, rows, index, specs, env, parent, nxt):
-        """Facts whose call repeats a variable, holds a compound or a Var."""
+        """A fact goal that unifies: one whose call repeats a variable or
+        holds a compound with variables, and an inline one on its run's
+        general step. Each row's bindings are undone before the next."""
         key = _build(specs[0], env)
         while type(key) is Var and key in self.bind:
             key = self.bind[key]
@@ -748,8 +778,8 @@ class Engine:
         order or best value first (_best's pair): through the loop of the
         fused run that is the consumer's step, which runs the run on each
         answer, or else through the plain loop, which calls the step."""
-        self._runs.get(consumer.step, self._plain)[best](
-            consumer, leaf, resumed, bound)
+        self._runs.get(consumer.step, _PLAIN)[best](
+            self, consumer, leaf, resumed, bound)
 
     # -- task loop -------------------------------------------------------
 
@@ -1095,15 +1125,15 @@ def _tup(items):
 
 
 def _loop(best):
-    """The lines of a delivery loop, _deliver(consumer, event, resumed,
-    bound), that per answer take the next into ans, check the limit (st
-    and limit read before) and count. Without a bound the run is event
-    alone; with one, every valid answer not seen whose seq is at most
-    bound, read lazily past consumer.last, parked on each as it is read,
-    so answers the deliveries add come too: in chain order, or given best
-    (_best's pair; a walk's) best value first: the answers read pushed on
-    a heap, (0, value, seq, answer), or (1, seq, answer) for a non-number,
-    and the chain read again after each delivery."""
+    """The lines of a delivery loop, _deliver(self, consumer, event,
+    resumed, bound), that per answer take the next into ans, check the
+    limit (st and limit read before) and count. Without a bound the run
+    is event alone; with one, every valid answer not seen whose seq is
+    at most bound, read lazily past consumer.last, parked on each as it
+    is read, so answers the deliveries add come too: in chain order, or
+    given best (_best's pair; a walk's) best value first: the answers
+    read pushed on a heap, (0, value, seq, answer), or (1, seq, answer)
+    for a non-number, and the chain read again after each delivery."""
     first = "fr.first_answer if last is None else last.next"
     if not best:
         read = ["if bound is None:", "    if event is None:", "        return",
@@ -1143,13 +1173,12 @@ def _handed(plan):
                   "        del bind[var]"]
 
 
-@lru_cache(maxsize=None)  # one per order: (ordinal, sign) pairs
 def _plain(best):
-    """The source of the plain delivery loop of one order (see _loop),
-    whose make(D, self) returns it: it reads the fields once, logs each
+    """The plain delivery loop of one order (see _loop), _deliver(self,
+    consumer, event, resumed, bound): it reads the fields once, logs each
     delivery of a traced engine and hands each answer to the step."""
-    src = _Source("deliver", ("self",), "_deliver")
-    src.emit(1, "def _deliver(consumer, event, resumed, bound):")
+    src = _Source("deliver", (), "_deliver")
+    src.emit(1, "def _deliver(self, consumer, event, resumed, bound):")
     # the running walk's bindings stay: a completed read needs them, and
     # a suspended consumer's copies were resolved through them
     src.emit(2, "st = self.stats", "limit = self.limit", "bind = self.bind",
@@ -1160,32 +1189,38 @@ def _plain(best):
              "name(), seq=ans.seq, consumer=consumer.cid, host=(consumer.host"
              ".name() if consumer.host is not None else None), complete=fr."
              "complete, resumed=resumed)", "terms = ans.terms", *_handed(None))
-    return src
+    return src.make()
 
 
-def _generate(ops, put=None, free=None, plan=None, best=None):
-    """The source of a run of inline goals, whose make(D, self, nxt,
-    tail) returns the run's step. Each fact goal is a for loop over its
-    candidate rows, arithmetic is straight-line code and a comparison an
-    if, with nxt(env, parent) at the innermost point; tail(j) is the
-    step for goals j on, which a fallback goes on with. A fact goal that
-    reads slots this function did not bind undoes each row's bindings
-    only if one holds a compound, whose match alone binds. The source is
-    made of slot numbers, argument positions and the tables above:
-    constants, variable names, fact tables and compiled terms come in D.
+# the plain delivery loops, one per order, made once per process; chain
+# order's, which every engine uses, at import, so that its code is not
+# left among the first solve's memory
+_PLAIN = _Loops()
+_PLAIN.make = _plain
+_PLAIN[None]
 
-    Given a table's put and free, the slots None at entry, it is the run
-    specialised to both, with the put's store fused in at the innermost
-    point: make(D, self, put, general, switch) returns a step that hands
-    a call of another put or pattern to switch, and one whose walk has
-    bindings or whose fact goal reads a variable or a compound to
-    general, the step above. So it knows which slots a goal binds or
-    matches and whether a key can be a compound; values are ground and
-    stay in locals, and the store leaves each row by continue (return
-    outside a loop). A slot read at entry must be an atom or a number (a
-    number where arithmetic reads it), or general takes the call, and a
-    row value is checked as far as its column's types need. None where
-    an `is` would unify or for a query.
+
+def _generate(ops, put, free, plan=None, best=None):
+    """The source of a run of inline goals, specialised to free, the slots
+    None at entry (bar those the run binds first), and to put, a table's
+    put where the run ends its clause body, else None: make(D, self,
+    put, nxt, general, switch) returns the run's step. Each fact goal is
+    a for loop over its candidate rows, arithmetic is straight-line code
+    and a comparison an if. The step hands a call of another put or
+    pattern to switch, and one whose walk has bindings or that reads at
+    entry what it cannot take to general, the goals' closures (see
+    Engine._run_step). So it knows which slots a goal binds or matches
+    and whether a key can be a compound; values are ground and stay in
+    locals. A slot read at entry must be an atom or a number (a number
+    where arithmetic reads it), and a row value is checked as far as its
+    column's types need. It never checks a slot the run binds first: the
+    closures leave those written. At the innermost point, a run with a
+    put has the put's store, which leaves each row by continue (return
+    outside a loop); any other writes the slots it bound into env, calls
+    nxt(env, parent) and sets them back to None. None where an `is`
+    would unify. The source is made of slot numbers, argument positions
+    and the tables above: constants, variable names, fact tables and
+    compiled terms come in D.
 
     Given also plan and best (see _loop), it is the run's delivery loop:
     make(D, self, put, plan, switch, plain) returns a _deliver that runs
@@ -1195,35 +1230,30 @@ def _generate(ops, put=None, free=None, plan=None, best=None):
     answer where they read it (to the step, as plain would, as is an
     open entry's). Also None where the answer would hold an unbound slot.
     """
-    fused = put is not None
     loop = plan is not None
-    if fused:
-        shape, subst_modes = put.shape
-        if subst_modes is None:
-            return None
     if loop:
         src = _Source("deliver", ("self", "put", "plan", "switch", "plain"),
                       "_deliver")
-        src.emit(1, "def _deliver(consumer, event, resumed, bound):")
+        src.emit(1, "def _deliver(self, consumer, event, resumed, bound):")
     else:
-        src = _Source("run", ("self", "put", "general", "switch") if fused
-                      else ("self", "nxt", "tail"), "step")
+        src = _Source("run", ("self", "put", "nxt", "general", "switch"),
+                      "step")
         src.emit(1, "st = self.stats", "def step(env, parent):")
     const, emit = src.const, src.emit
-    at = len(src.lines)  # where a fused run's per-call lines go
+    at = len(src.lines)  # where the per-call lines go
     temps = [0]
     answer = dict(plan or ())  # per slot the plan writes, its ordinal
-    # fused: the slots read at entry (see read) and those arithmetic
-    # reads; the store's per-call and per-answer lines (see _put_source)
+    # the slots read at entry (see read) and those arithmetic reads; the
+    # store's per-call and per-answer lines (see _put_source)
     entry, pattern, numbers, call, each = {}, {}, set(), [], []
-    heads = {2: (call, 2, ["return plain(consumer, event, resumed, bound)"
-                           if loop else "return general(env, parent)"]),
-             1: (each, 3, None)}
+    heads = {2: (call, 2, [
+        "return plain(self, consumer, event, resumed, bound)" if loop
+        else "return general(env, parent)"]), 1: (each, 3, None)}
 
     def read(i, known, match=True):
-        """A fused run's local for slot i and the types it may hold (None
-        for any); of one read at entry, note whether a goal or the store
-        reads it and, unless the plan writes it, whether it is None."""
+        """The local for slot i and the types it may hold (None for any);
+        of one read at entry, note whether a goal or the store reads it
+        and, unless the plan writes it, whether it is None."""
         if i in known:
             return known[i]
         entry[i] = entry.get(i) or match
@@ -1236,7 +1266,7 @@ def _generate(ops, put=None, free=None, plan=None, best=None):
         returns the name that holds its value."""
         if type(e) is not _Slot and type(e) is not tuple:
             return const(e)
-        if type(e) is _Slot and fused:
+        if type(e) is _Slot:
             v, types = read(e.i, known, False)
             if e.i not in known:  # checked at entry
                 numbers.add(e.i)
@@ -1249,10 +1279,9 @@ def _generate(ops, put=None, free=None, plan=None, best=None):
             emit(depth, "%s = %s" % (x, _ARITH[e[0]] % (
                 a, value(e[2], depth, known))))
             return x
-        emit(depth, "%s = %s" % (x, v if fused else "env[%d]" % e.i))
-        emit(depth, "if type(%s) is not int and type(%s) is not float:"
-             % (x, x))
-        emit(depth + 1, "%s = _number(%s, %s, bind)" % (x, x, const(e.name)))
+        emit(depth, "%s = %s" % (x, v),
+             "if type(%s) is not int and type(%s) is not float:" % (x, x),
+             "    %s = _number(%s, %s, bind)" % (x, x, const(e.name)))
         return x
 
     def evaluate(exprs, depth, known):
@@ -1265,15 +1294,18 @@ def _generate(ops, put=None, free=None, plan=None, best=None):
         return names
 
     def goals(j, depth, known, loops=False):
-        """Emit goal j and the goals after it, or return False where a
-        fused run's `is` would unify or its loop's answer would hold a
-        slot left unbound. known holds the slots that this function has
-        bound around them, in a fused run mapped to read's pair; loops is
-        whether a fact goal encloses the point."""
-        if j == len(ops) and not fused:
+        """Emit goal j and the goals after it, or return False where an
+        `is` would unify or a loop's answer would hold a slot left
+        unbound. known maps the slots that this function has bound around
+        them to read's pair; loops is whether a fact goal encloses the
+        point."""
+        if j == len(ops) and put is None:
+            emit(depth, *("env[%d] = %s" % (i, known[i][0]) for i in known))
             emit(depth, "nxt(env, parent)")
-            return
+            emit(depth, *("env[%d] = None" % i for i in known))
+            return True
         if j == len(ops):
+            shape, subst_modes = put.shape
             pattern.update((i, True) for i in shape if i in free)
             vals = []  # see _put_source
             for i in shape:
@@ -1290,7 +1322,6 @@ def _generate(ops, put=None, free=None, plan=None, best=None):
                         "continue" if loops or loop else "return", heads)
             return True
         op = ops[j]
-        rest = "tail(%d)" % (j + 1)
         if op[0] == "cmp":
             emit(depth, "st.derivations += 1")
             x, y = evaluate(op[2:], depth, known)
@@ -1298,127 +1329,51 @@ def _generate(ops, put=None, free=None, plan=None, best=None):
             return goals(j + 1, depth + 1, known, loops)
         if op[0] == "is":
             _, left, e = op
-            if fused and (type(left) is not _Slot or left.i in known
-                          or not (left.first or left.i in free)):
+            if type(left) is not _Slot or left.i in known or not (
+                    left.first or left.i in free):
                 return False
             emit(depth, "st.derivations += 1")
             x, = evaluate([e], depth, known)
-            if fused:
+            if not left.first:
                 pattern[left.i] = True
-                return goals(j + 1, depth, {**known, left.i: (x, _NUMBER)},
-                             loops)
-            then = "self._then(%s, %s, env, parent, %s)" % (const(left), x,
-                                                            rest)
-            if type(left) is not _Slot or left.i in known:
-                emit(depth, then)
-                return
-            emit(depth, "if env[%d] is None:" % left.i)
-            emit(depth + 1, "env[%d] = %s" % (left.i, x))
-            goals(j + 1, depth + 1, known | {left.i})
-            emit(depth + 1, "env[%d] = None" % left.i)
-            emit(depth, "else:")
-            emit(depth + 1, then)
-            return
+            return goals(j + 1, depth, {**known, left.i: (x, _NUMBER)}, loops)
         _, rows, index, specs = op
         dr, di, r = const(rows), const(index), "r%d" % j
-        if fused:  # it binds first occurrences and unbound slots None at entry
-            binds = {k: s for k, s in enumerate(specs) if type(s) is _Slot
-                     and (s.first or s.i in free and s.i not in known)}
-        else:
-            # slots bound before the goal; one not bound here may hold None
-            # (the row value goes there) or a Var (the goal goes to _rows)
-            reads = [(k, s, "v%d_%d" % (j, k)) for k, s in enumerate(specs)
-                     if type(s) is _Slot and not s.first]
-            outer = [x for x in reads if x[1].i not in known]
-            for k, s, v in reads:
-                emit(depth, "%s = env[%d]" % (v, s.i))
-            for k, s, v in outer:
-                emit(depth, "while type(%s) is Var and %s in bind:" % (v, v))
-                emit(depth + 1, "%s = bind[%s]" % (v, v))
-        if not fused and outer:
-            emit(depth, "if %s:" % " or ".join("type(%s) is Var" % v
-                                                 for _, _, v in outer))
-            emit(depth + 1, "self._rows(%s, %s, %s, env, parent, %s)"
-                 % (dr, di, const(specs), rest))
-            emit(depth, "else:")
-            depth += 1
-            # only the match of a compound binds: undo rows if one is
-            emit(depth, "u%d = %s" % (j, " or ".join(
-                "type(%s) is Struct" % v for _, _, v in outer)))
-            emit(depth, "m%d = u%d and len(trail)" % (j, j))
+        # it binds first occurrences and unbound slots None at entry
+        binds = {k: s for k, s in enumerate(specs) if type(s) is _Slot
+                 and (s.first or s.i in free and s.i not in known)}
         # the index key is as strict as a match: an atom or a number at
         # position 0 needs no check
         s = specs[0]
         if type(s) is not _Slot:
             cands = const(index.get(fact_key(s), ()))
-        elif s.first or fused and 0 in binds:
+        elif 0 in binds:
             cands = dr
         else:
-            cands, kw = "c%d" % j, "if"
-            v = read(s.i, known)[0] if fused else "v%d_0" % j
-            if not fused and s.i not in known:
-                emit(depth, "if %s is None:" % v)
-                emit(depth + 1, "%s = %s" % (cands, dr))
-                kw = "elif"
-            emit(depth, "%s type(%s) is str or type(%s) is int:" % (kw, v, v))
-            emit(depth + 1, "%s = %s.get(%s, ())" % (cands, di, v))
-            emit(depth, "else:")
-            emit(depth + 1, "%s = %s.get(fact_key(%s), ())" % (cands, di, v))
+            cands, v = "c%d" % j, read(s.i, known)[0]
+            emit(depth, "if type(%s) is str or type(%s) is int:" % (v, v),
+                 "    %s = %s.get(%s, ())" % (cands, di, v), "else:",
+                 "    %s = %s.get(fact_key(%s), ())" % (cands, di, v))
         emit(depth, "for %s in %s:" % (r, cands))
         emit(depth + 1, "st.derivations += 1")
-        if fused:
-            for k, s in enumerate(specs):
-                if k in binds:
-                    continue
-                v, types = read(s.i, known) if type(s) is _Slot else (
-                    const(s), None if type(s) is Struct else _ATOMIC)
-                # the index key matched any other
-                if k > 0 or types is None or Struct in types:
-                    emit(depth + 1, "if not %s:" % _MATCH_ATOM.format(
-                        f="%s[%d]" % (r, k), v=v), "    continue")
-            known = dict(known)
-            for k, s in binds.items():
-                emit(depth + 1, "s%d = %s[%d]" % (s.i, r, k))
-                known[s.i] = ("s%d" % s.i,
-                              frozenset(type(row[k]) for row in rows))
-                if not s.first:
-                    pattern[s.i] = True
-            return goals(j + 1, depth + 1, known, True)
-        if outer:
-            emit(depth + 1, "while u%d and len(trail) > m%d:" % (j, j))
-            emit(depth + 2, "del bind[trail.pop()]")
         for k, s in enumerate(specs):
-            slot = type(s) is _Slot
-            if slot and s.first or not slot and k == 0 and type(s) is not Struct:
-                continue  # a row value to assign, or one the key matched
-            v = "v%d_%d" % (j, k) if slot else const(s)
-            test = "not (%s)" % _MATCH.format(f="%s[%d]" % (r, k), v=v)
-            if slot and k == 0:
-                test = "type(%s) is Struct and %s" % (v, test)
-            elif slot and s.i not in known:
-                test = "%s is not None and %s" % (v, test)
-            emit(depth + 1, "if %s:" % test)
-            emit(depth + 2, "continue")
-        bound = set(known)
-        for k, s in enumerate(specs):
-            if type(s) is _Slot and s.first:
-                emit(depth + 1, "env[%d] = %s[%d]" % (s.i, r, k))
-                bound.add(s.i)
-        for k, s, v in outer:
-            emit(depth + 1, "if %s is None:" % v)
-            emit(depth + 2, "env[%d] = %s[%d]" % (s.i, r, k))
-        goals(j + 1, depth + 1, bound)
-        if outer:
-            emit(depth, "while u%d and len(trail) > m%d:" % (j, j))
-            emit(depth + 1, "del bind[trail.pop()]")
-        for k, s, v in outer:
-            emit(depth, "if %s is None:" % v)
-            emit(depth + 1, "env[%d] = None" % s.i)
+            if k in binds:
+                continue
+            v, types = read(s.i, known) if type(s) is _Slot else (
+                const(s), None if type(s) is Struct else _ATOMIC)
+            # the index key matched any other
+            if k > 0 or types is None or Struct in types:
+                emit(depth + 1, "if not %s:" % _MATCH_ATOM.format(
+                    f="%s[%d]" % (r, k), v=v), "    continue")
+        known = dict(known)
+        for k, s in binds.items():
+            emit(depth + 1, "s%d = %s[%d]" % (s.i, r, k))
+            known[s.i] = ("s%d" % s.i,
+                          frozenset(type(row[k]) for row in rows))
+            if not s.first:
+                pattern[s.i] = True
+        return goals(j + 1, depth + 1, known, True)
 
-    if not fused:
-        emit(2, "bind = self.bind", "trail = self.trail")
-        goals(0, 2, frozenset())
-        return src
     if not goals(0, 3 if loop else 2, {}):
         return None
 
@@ -1433,17 +1388,17 @@ def _generate(ops, put=None, free=None, plan=None, best=None):
     # binds-nothing check, and the store's; a loop's per-answer lines
     reads = [i for i in sorted(entry) if i not in answer]
     top = ["s%d = env[%d]" % (i, i) for i in reads]
-    guard = " or ".join(["parent.put is not put"] + [
+    guard = " or ".join(["parent.put is not put"] * (put is not None) + [
         "env[%d] is not None" % i if none else "s%d is None" % i
         for i, none in sorted(pattern.items())])
     leave = "bind = self.bind", "if %s:" % " or ".join(
         ["bind"] + checks(reads))
     if not loop:
-        top += ["if %s:" % guard, "    return switch(env, parent)", *leave,
-                "    return general(env, parent)"]
+        top += ["if %s:" % guard, "    return switch(env, parent)"] * bool(
+            guard) + [*leave, "    return general(env, parent)"]
         src.lines[at:at] = ["        " + line for line in top] + call
         return src
-    args = "(consumer, event, resumed, bound)"
+    args = "(self, consumer, event, resumed, bound)"
     later = [i for i in sorted(entry) if i in answer]
     top = ["env = consumer.env", "parent = consumer.parent",
            "step = consumer.step", *top,
@@ -1883,6 +1838,20 @@ def _number(v, name, bind):
     if type(v) is int or type(v) is float:
         return v
     return eval_arith(v, bind)
+
+
+def _value(e, env, bind):
+    """The value of compiled arithmetic (see Engine._compile) in env, as
+    a generated run evaluates it: left to right, each slot by _number."""
+    if type(e) is _Slot:
+        return _number(env[e.i], e.name, bind)
+    if type(e) is not tuple:
+        return e
+    x, y = _value(e[1], env, bind), _value(e[2], env, bind)
+    try:
+        return ARITH_OPS[e[0]](x, y)
+    except ZeroDivisionError:
+        raise EvaluationError("division by zero") from None
 
 
 def _build(s, env):

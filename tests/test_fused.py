@@ -2,10 +2,11 @@
 generated once per put it meets and per pattern of slots None at entry,
 with the put's store fused in (engine._generate, engine._put_source).
 
-Every test here solves the same queries twice, with fusion on and with
-it forced off (Engine._fused returning the run's general step, which
-calls the standalone put), and requires the same answers in order, the
-same Stats, the same per-table counters and the same trace events.
+Every test here solves the same queries twice, with the generated steps
+on and with them forced off (Engine._fused returning the run's general
+step: the goals' closures, ending in the standalone put), and requires
+the same answers in order, the same Stats, the same per-table counters
+and the same trace events.
 """
 
 import traceback
@@ -17,8 +18,10 @@ from modetab import bench
 from modetab.engine import Engine
 from modetab.errors import DerivationLimitError
 from modetab.lang import parse_program
-from modetab.terms import Var, term_to_str
+from modetab.terms import Struct, Var, term_to_str
 from modetab.tries import iterate_answers
+
+from test_runs import hops
 
 SIZES = (("shortest", 12), ("shortest_first", 12), ("shortest_all", 10),
          ("shortest_pref", 12), ("knapsack", 8), ("lcs", 8), ("matrix", 6),
@@ -47,28 +50,29 @@ def observed(engine, queries):
 
 
 class Fusion:
-    """Switches fusion on and off (Engine._fused returning the run's
-    general step), and records what the fused engine did: in made each
-    fused step generated, as (the run's ops, put, pattern), in general
-    the ops of each call a fused run handed to its general step."""
+    """Switches the generated steps on and off (Engine._fused returning
+    the run's general step, the goals' closures), and records what the
+    engine with them did: in made each step generated, as (the run's
+    ops, put or None, pattern), in general the ops of each call a run's
+    step handed to its general step."""
 
     def __init__(self, monkeypatch):
         self.on = True
         self.made, self.general = [], []
         fused, generate = Engine._fused, engine_mod._generate
 
-        def hooked(engine, ops, general):
+        def hooked(engine, ops, nxt, general):
             if not self.on:
                 return general
 
             def handed(env, parent):
                 self.general.append(ops)
                 return general(env, parent)
-            return fused(engine, ops, handed)
+            return fused(engine, ops, nxt, handed)
 
-        def made(ops, put=None, free=None, plan=None, best=None):
+        def made(ops, put, free, plan=None, best=None):
             src = generate(ops, put, free, plan, best)
-            if src is not None and put is not None:
+            if src is not None and plan is None:
                 self.made.append((id(ops), put, free))
             return src
 
@@ -231,3 +235,69 @@ def test_a_run_checks_its_pattern_under_one_put(fusion):
     assert fused == run()
     # the frame of p(b, Y) got every row's Y: X was None at entry
     assert fused[0] == [[(1,), (2,)], [(1,), (2,), (3,)], [(1,), (2,)]]
+
+
+# the run after q(A) is entered once per row of m on one activation:
+# with A a compound, which its closures take and which leave Y and W
+# written, then with A = 2
+REENTRY = """
+:- table p/1.
+p(Z) :- m(A), q(A), f(A, Y), W is Y + 1, Z = W.
+m(g(1)). m(2). q(_). f(g(1), 10). f(2, 20).
+"""
+
+
+@pytest.mark.parametrize("strategy", ("local", "batched"))
+@pytest.mark.parametrize("trace", (True, False))
+@pytest.mark.parametrize("text, query, answers", [
+    (REENTRY, "?- p(Z).", [["11"], ["21"]]),
+    # runs cut at _RUN, each but the last calling the next
+    (hops(25), "?- p(A, B).", [[str(a), str(a + 25)] for a in range(38)]),
+    (hops(60), "?- p(A, B).", [["0", "60"], ["1", "61"], ["2", "62"]]),
+    # a query whose body ends in a run, which calls the query's put
+    (hops(25), "?- p(A, B), e(B, C), C < 30.",
+     [[str(a), str(a + 25), str(a + 26)] for a in range(4)]),
+])
+def test_runs_that_do_not_store_do_what_their_closures_do(
+        fusion, strategy, trace, text, query, answers):
+    fused, unfused = fusion.twins(text, [query], strategy, trace)
+    assert fused == unfused
+    assert [[v for _, _, v in a] for a in fused[0]] == answers
+    assert any(put is None for _, put, _ in fusion.made)
+
+
+@pytest.mark.parametrize("strategy", ("local", "batched"))
+@pytest.mark.parametrize("trace", (True, False))
+def test_a_run_entered_again_makes_one_step_per_pattern(fusion, strategy,
+                                                       trace):
+    fused, unfused = fusion.twins(REENTRY, ["?- p(Z)."], strategy, trace)
+    assert fused == unfused
+    # m(A)'s run and the run after q(A), one pattern each: the slots a
+    # run binds first are no part of its pattern, so what the closures
+    # left written there makes no second step
+    assert len(fusion.made) == 2
+    assert len({run for run, _, _ in fusion.made}) == 2
+    assert len(fusion.general) == 1
+
+
+def test_a_run_switched_back_finds_its_first_step(fusion):
+    # one activation meets p's run three times: X a compound (the
+    # closures take it and leave W and V written), then Y bound, then Y
+    # None again, which is the first call's pattern
+    engine = Engine(parse_program(
+        ":- table p(index, index).\n"
+        "p(X, Y) :- k(X, Y, W), V is W + 1, V > 0.\n"
+        "k(f(1), 1, 2). k(a, 1, 3). k(a, 2, 4).\n"))
+    (_, head, body), = engine._clauses("p", 2)
+    frame, _ = engine._materialize("p", [Var("X"), Var("Y")])
+    engine.tasks.clear()
+    put = engine_mod._put((0, 1), frame.subst_modes)
+    env = [None] * 4
+    for x, y in ((Struct("f", (1,)), None), ("a", 1), ("a", None)):
+        env[0], env[1] = x, y
+        body(env, engine_mod._Sink(engine, frame, head, put))
+    assert [leaf.terms for leaf in iterate_answers(frame)] == [
+        (Struct("f", (1,)), 1), ("a", 1), ("a", 2)]
+    assert [free for _, _, free in fusion.made] == [
+        frozenset({1}), frozenset()]
+    assert len(fusion.general) == 1

@@ -146,8 +146,8 @@ def test_no_two_profiled_functions_share_a_pstats_key():
 
 def test_evicted_sources_leave_linecache_and_come_back_with_lines(
         monkeypatch):
-    # 160 programs, each a tabled p/1 over a run of 1-20 fact goals of
-    # arity 1-8, make more distinct sources than _code keeps; solved
+    # 180 programs, each a tabled p/1 over a run of 1-20 fact goals of
+    # arity 1-9, make more distinct sources than _code keeps; solved
     # twice, the first ones are evicted and compiled again
     names = []
     real = engine_mod._code
@@ -159,7 +159,7 @@ def test_evicted_sources_leave_linecache_and_come_back_with_lines(
 
     monkeypatch.setattr(engine_mod, "_code", recorded)
     programs = []
-    for arity in range(1, 9):
+    for arity in range(1, 10):
         for goals in range(1, 21):
             args = ", ".join("X%d" % k for k in range(arity))
             programs.append(

@@ -112,6 +112,12 @@ def test_fallbacks(query, answers, fallback, strategy, reached):
     assert fallback in reached
 
 
+# a compound read at entry (X) takes the run's general step, whose fact
+# goal is _rows
+COMPOUND_AT_ENTRY = ("?- X = f(c), k(X, V).", "?- X = g(a, W), k(X, V).",
+                     "?- X = f(1.0), k(X, V).")
+
+
 @pytest.mark.parametrize("strategy", BOTH)
 @pytest.mark.parametrize("query, answers", [
     ("?- k(f(b), V).", [{"V": "one"}]),
@@ -137,7 +143,20 @@ def test_fallbacks(query, answers, fallback, strategy, reached):
 ])
 def test_index_keys_and_arithmetic(query, answers, strategy, reached):
     assert solve(FALLBACKS, query, strategy) == answers
-    assert "_rows" not in reached
+    assert ("_rows" in reached) == (query in COMPOUND_AT_ENTRY)
+
+
+ERRORS = FALLBACKS + """
+n(4). n(2).
+:- table w/2.
+w(X, Y) :- k(X, _), Z is Y + 1, Z > 0.
+:- table v/2.
+v(f(X), Y) :- e(X, _), Z is Y + 1, Z > 0.
+"""
+
+# the errors the generated steps raise themselves; the other rows reach
+# the closures of a run's general step
+GENERATED = ("?- n(Y), X is 6 / (Y - 2).", "?- n(Y), 1 < 6 / (Y - 2).")
 
 
 @pytest.mark.parametrize("query, message", [
@@ -145,11 +164,38 @@ def test_index_keys_and_arithmetic(query, answers, strategy, reached):
     ("?- n(Y), 1 < 6 / (Y - 2).", "division by zero"),
     ("?- t(A, B).", "unbound variable In in arithmetic"),
     ("?- q(Y), Z is Y + 1.", "not an arithmetic term: a"),
+    # a compound read at entry (X) ...
+    ("?- X = f(1), k(X, _), n(N), Z is 1 + 6 / (N - 2).",
+     "division by zero"),
+    ("?- w(f(1), Y).", "unbound variable Y in arithmetic"),
+    ("?- X = f(1), k(X, _), e(A, _), Z is A + 1.",
+     "not an arithmetic term: a"),
+    # ... and a walk with bindings (q's Y; v's head binds the call's A)
+    ("?- q(Y), n(N), Z is 1 + 6 / (N - 2).", "division by zero"),
+    ("?- v(A, Y).", "unbound variable Y in arithmetic"),
+    ("?- q(Y), e(A, _), 1 < A.", "not an arithmetic term: a"),
 ])
-def test_arithmetic_errors(query, message):
-    with pytest.raises(EvaluationError) as excinfo:
-        solve(FALLBACKS + "n(4). n(2).\n", query)
-    assert str(excinfo.value) == message
+def test_arithmetic_errors(query, message, monkeypatch):
+    # each error is raised at the same Stats when every run takes its
+    # general step, the closures, as when the generated steps run
+    seen = []
+    for closures in (False, True):
+        reached = []
+        with monkeypatch.context() as m:
+            value = engine_mod._value
+            m.setattr(engine_mod, "_value",
+                      lambda *args: reached.append(1) or value(*args))
+            if closures:
+                m.setattr(Engine, "_fused",
+                          lambda self, ops, nxt, general: general)
+            engine = Engine(parse_program(ERRORS))
+            with pytest.raises(EvaluationError) as excinfo:
+                engine.solve(query)
+        seen.append((str(excinfo.value), engine.stats.as_dict(),
+                     bool(reached)))
+    assert seen[0][:2] == seen[1][:2]
+    assert seen[0][0] == message
+    assert seen[0][2] == (query not in GENERATED) and seen[1][2]
 
 
 # ---------------------------------------------------------------------------
